@@ -95,7 +95,6 @@ def cmd_schedule(args) -> int:
             offset=args.offset,
             rate=args.rate,
             epoch0_rounds=args.epoch0_rounds,
-            cap=args.cap,
         )
     except ValueError as exc:
         raise _CliError(f"invalid schedule parameters: {exc}", EXIT_CONFIG)
@@ -246,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--rate", type=float, default=0.5)
     p.add_argument("--epoch0-rounds", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("run", help="run one trial of a config")

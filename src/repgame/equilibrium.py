@@ -55,22 +55,11 @@ def enumerate_pure_nash(game: StageGame) -> list[tuple[int, ...]]:
     Non-strict: a profile survives if no unilateral deviation does
     strictly better.  Returns an empty list when no pure NE exists.
     """
-    found = []
-    for profile in np.ndindex(*game.action_counts):
-        ok = True
-        for player in range(game.num_players):
-            idx = list(profile)
-            current = game.payoffs[(player, *profile)]
-            for dev in range(game.action_counts[player]):
-                idx[player] = dev
-                if game.payoffs[(player, *idx)] > current:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(int(a) for a in profile))
-    return found
+    u = game.payoffs
+    best_reply = np.logical_and.reduce(
+        [u[p] == u[p].max(axis=p, keepdims=True) for p in range(game.num_players)]
+    )
+    return [tuple(int(a) for a in profile) for profile in np.argwhere(best_reply)]
 
 
 def _supports_lex(n_actions: int):

@@ -8,6 +8,7 @@ enumerate profiles exactly; nothing is sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ def as_strategy(probs, n_actions: int | None = None) -> np.ndarray:
         raise ValueError(
             f"strategy has {vec.shape[0]} entries, player has {n_actions} actions"
         )
-    if np.any(vec < 0):
+    if (vec < 0).any():
         raise ValueError("strategy entries must be nonnegative")
     total = float(vec.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
@@ -55,7 +56,7 @@ def linf_distance(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return float(np.max(np.abs(p - q)))
+    return float(np.abs(p - q).max())
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class StageGame:
     def num_players(self) -> int:
         return self.payoffs.shape[0]
 
-    @property
+    @cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(int(c) for c in self.payoffs.shape[1:])
 

@@ -9,13 +9,13 @@ budget exhaustion are marked and excluded from statistics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import EquilibriumProfile, compute_equilibrium
-from .games import StageGame, expected_utility, linf_distance, payoff_range, pure_action_values
-from .learner import STREAM_PLAY, STREAM_RESET_PICK, EpochOutcome, EquilibriumRetreatAgent
+from .games import StageGame, payoff_range
+from .learner import STREAM_PLAY, STREAM_RESET_PICK, EpochOutcome, EquilibriumRetreatAgent, epoch_step
 from .opponents import (
     EventuallyStationaryPolicy,
     FictitiousPlayPolicy,
@@ -25,9 +25,7 @@ from .opponents import (
 )
 from .schedule import Schedule
 
-TRACE_SCHEMA = 1
-# Segment size used when no learner defines epoch boundaries.
-_FALLBACK_CHUNK = 4096
+TRACE_SCHEMA = 2
 
 
 def agent_stream(master_seed: int, trial: int, player: int, purpose: int) -> np.random.Generator:
@@ -53,6 +51,8 @@ class RunConfig:
     def __post_init__(self):
         if len(self.roster) != self.game.num_players:
             raise ValueError("roster length must equal the number of players")
+        if not any(r.get("agent") == "learner" for r in self.roster):
+            raise ValueError("roster needs at least one learner")
         if self.round_budget < 1 or self.epoch_budget < 1:
             raise ValueError("budgets must be at least 1")
         if self.trial_count < 1:
@@ -120,7 +120,6 @@ def schedule_to_dict(s: Schedule) -> dict:
         "offset": s.offset,
         "rate": s.rate,
         "epoch0_rounds": s.epoch0_rounds,
-        "cap": s.cap,
     }
 
 
@@ -270,16 +269,13 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
         "equilibrium": equilibrium_to_dict(eq),
     }
     events: list[dict] = []
-    seq = 0
     rounds_used = 0
     epochs = 0
     truncated = False
     partial = 0
 
     while rounds_used < config.round_budget and epochs < config.epoch_budget:
-        remaining = (
-            learner_list[0].rounds_left_in_epoch() if learner_list else _FALLBACK_CHUNK
-        )
+        remaining = learner_list[0].rounds_left_in_epoch()
         seg = min(remaining, config.round_budget - rounds_used)
         if vector_ok:
             cols = []
@@ -307,16 +303,15 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
                 for pol in policies.values():
                     pol.observe(acts)
         rounds_used += seg
-        if learner_list:
-            if seg < remaining:
-                truncated = True
-                partial = seg
-                break
-            for out in outcomes:
-                assert out is not None
-                events.append(_outcome_record(out, seq))
-            seq += 1
-            epochs += 1
+        if seg < remaining:
+            truncated = True
+            partial = seg
+            break
+        for out in outcomes:
+            if out is None:
+                raise RuntimeError("learners disagree on where the epoch ends")
+            events.append(_outcome_record(out, epochs))
+        epochs += 1
 
     return RunTrace(
         header=header,
@@ -428,239 +423,89 @@ def detect_convergence(trace: RunTrace, window: int | None = None) -> RunSummary
 # -- trace replay validation ---------------------------------------------------
 
 
-class _Divergence(Exception):
-    def __init__(self, epoch, player, fieldname, message):
-        super().__init__(message)
-        self.info = {
-            "epoch": epoch,
-            "player": player,
-            "field": fieldname,
-            "message": message,
-        }
-
-
-def _check(cond, epoch, player, fieldname, message):
-    if not cond:
-        raise _Divergence(epoch, player, fieldname, message)
-
-
-def _is_pure_vector(phi) -> bool:
-    return sorted(phi) == [0.0] * (len(phi) - 1) + [1.0]
+def _histograms_fit(hists, shape, rounds: int) -> bool:
+    """One nonnegative histogram per player, of its action count, totalling N^t."""
+    return (
+        isinstance(hists, list)
+        and len(hists) == len(shape)
+        and all(
+            isinstance(h, list) and len(h) == k and min(h) >= 0 and sum(h) == rounds
+            for h, k in zip(hists, shape)
+        )
+    )
 
 
 def validate_trace(trace: RunTrace) -> ValidationReport:
-    """Re-derive every flag transition, threshold comparison and strategy
-    switch from the recorded histograms; report the first divergence.
+    """Replay every epoch record through the learner's own ``epoch_step``
+    and report the first field that differs from the replay.
 
-    Traces produced by run_trial must validate cleanly; any tampering
-    with a record shows up as a divergence at that epoch.
+    Besides the replay, only the records' shape and the agreement of
+    learners' histograms within an epoch are checked; their flags then
+    agree because replay derives them from the histograms alone.  The
+    action picked at random after an equilibrium rejection is read from
+    the record's ``phi_after``.  Traces produced by run_trial validate
+    cleanly; any tampering with a record shows up as a divergence at
+    that epoch.
     """
     cfg = trace.header["config"]
     game = game_from_dict(cfg["game"])
     sched = schedule_from_dict(cfg["schedule"])
     eq = equilibrium_from_dict(trace.header["equilibrium"])
+    shape = game.action_counts
+    players = range(game.num_players)
     groups = _epoch_groups(trace)
-    n = game.num_players
+    # t never exceeds the epoch index, so one N^t per epoch covers every record.
+    rounds = [int(sched.rounds(t)) for t in range(len(groups))]
 
-    state: dict[int, dict] = {}
-    for rec0 in groups[0] if groups else []:
-        p = rec0["player"]
-        state[p] = {
-            "t": 0,
-            "eq_hyp": True,
-            "grace": False,
-            "restarts": 0,
-            "phi": [float(x) for x in eq.strategies[p]],
-            "h_prev": None,
-            "mu": payoff_range(game, p),
-        }
+    def fresh(p: int, restarts: int) -> dict:
+        return dict(t=0, eq_hyp=True, grace=False, phi=eq.strategies[p], h_prev=None, restarts=restarts)
 
-    try:
-        for seq, group in enumerate(groups):
-            ref = group[0]
-            for rec in group[1:]:
-                _check(
-                    rec["counts"] == ref["counts"],
-                    seq,
-                    rec["player"],
-                    "counts",
-                    "histograms differ across learners in one epoch",
-                )
-                for f in ("t", "eq_hyp_after", "stat_hyp_after", "grace_after", "restarts_total"):
-                    _check(
-                        rec[f] == ref[f],
-                        seq,
-                        rec["player"],
-                        f,
-                        "flag tuples differ across learners in one epoch",
-                    )
-            for rec in group:
-                p = rec["player"]
-                st = state[p]
-                _check(rec["t"] == st["t"], seq, p, "t", f"expected t={st['t']}")
-                rounds = int(sched.rounds(st["t"]))
-                _check(
-                    rec["rounds"] == rounds, seq, p, "rounds", f"expected N^t={rounds}"
-                )
-                for q in range(n):
-                    _check(
-                        sum(rec["counts"][q]) == rounds
-                        and len(rec["counts"][q]) == game.action_counts[q],
-                        seq,
-                        p,
-                        "counts",
-                        f"histogram for player {q} does not total N^t",
-                    )
-                eps_e = sched.eps_e(st["t"])
-                eps_s = sched.eps_s(st["t"])
-                eps_s_next = sched.eps_s(st["t"] + 1)
-                margin = n * max(game.action_counts) * eps_s_next * st["mu"]
-                for fname, val in (
-                    ("eps_e", eps_e),
-                    ("eps_s", eps_s),
-                    ("eps_s_next", eps_s_next),
-                    ("margin", margin),
-                ):
-                    _check(
-                        rec[fname] == val, seq, p, fname, f"threshold mismatch: {val}"
-                    )
-                _check(
-                    rec["eq_hyp_before"] == st["eq_hyp"],
-                    seq,
-                    p,
-                    "eq_hyp_before",
-                    "equilibrium-hypothesis entry flag mismatch",
-                )
-                _check(
-                    rec["grace_before"] == st["grace"],
-                    seq,
-                    p,
-                    "grace_before",
-                    "grace entry flag mismatch",
-                )
-                _check(
-                    rec["phi_before"] == st["phi"],
-                    seq,
-                    p,
-                    "phi_before",
-                    "strategy at epoch start mismatch",
-                )
-                freq = [np.asarray(c, dtype=np.float64) / rounds for c in rec["counts"]]
+    def diverged(seq, player, fieldname, message) -> ValidationReport:
+        info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
+        return ValidationReport(ok=False, epochs_checked=len(groups), divergence=info)
 
-                stat_exp = True
-                grace_after = st["grace"]
-                phi_after = list(st["phi"])
-                switched = False
-                if not st["eq_hyp"]:
-                    if not st["grace"]:
-                        _check(
-                            st["h_prev"] is not None,
-                            seq,
-                            p,
-                            "stat_hyp_after",
-                            "stationarity test without a previous epoch",
-                        )
-                        prev_total = sum(st["h_prev"][0])
-                        for q in range(n):
-                            prev = np.asarray(st["h_prev"][q], dtype=np.float64) / prev_total
-                            if linf_distance(freq[q], prev) > eps_s:
-                                stat_exp = False
-                    grace_after = False
-                    others = [f for q, f in enumerate(freq) if q != p]
-                    values = pure_action_values(game, p, others)
-                    best = int(np.argmax(values))
-                    cur = expected_utility(game, p, st["phi"], others)
-                    if float(values[best]) > cur + margin:
-                        phi_after = [0.0] * game.action_counts[p]
-                        phi_after[best] = 1.0
-                        switched = True
-                eq_after = st["eq_hyp"]
-                if st["eq_hyp"]:
-                    for q in range(n):
-                        if linf_distance(freq[q], eq.strategies[q]) > eps_e:
-                            eq_after = False
-                            grace_after = True
-                            break
-                _check(
-                    rec["stat_hyp_after"] == stat_exp,
-                    seq,
-                    p,
-                    "stat_hyp_after",
-                    "stationarity flag does not follow from histograms",
+    learners = [rec.get("player") for rec in groups[0]] if groups else []
+    state = {p: fresh(p, 0) for p in learners if p in players}
+    mu = {p: payoff_range(game, p) for p in state}
+
+    def pick() -> int:
+        # Reads the record being replayed.  A phi_after that is not a pure
+        # vector of the player's length gets a pick that cannot reproduce
+        # it, so the diff flags phi_after.
+        phi = rec.get("phi_after")
+        pure = isinstance(phi, list) and sorted(phi) == [0.0] * (shape[p] - 1) + [1.0]
+        return phi.index(1.0) if pure else 0
+
+    for seq, group in enumerate(groups):
+        for rec in group[1:]:
+            if rec.get("counts") != group[0].get("counts"):
+                return diverged(seq, rec.get("player"), "counts", "learners' histograms differ")
+        for rec in group:
+            p = rec.get("player")
+            if p not in players or p not in state:
+                return diverged(seq, p, "player", "not a learner of the first epoch")
+            st = state[p]
+            hists = rec.get("counts")
+            if not _histograms_fit(hists, shape, rounds[st["t"]]):
+                return diverged(seq, p, "counts", "need one histogram per player totalling N^t")
+            outcome = epoch_step(game, p, sched, eq, mu[p], hists=hists, pick=pick, **st)
+            replay = _outcome_record(outcome, seq)
+            if replay != rec:
+                for key, want in replay.items():
+                    got = rec.get(key)
+                    if got != want:
+                        return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
+            if outcome.restart:
+                state[p] = fresh(p, outcome.restarts_total)
+            else:
+                state[p] = dict(
+                    t=outcome.t + 1,
+                    eq_hyp=outcome.eq_hyp_after,
+                    grace=outcome.grace_after,
+                    phi=outcome.phi_after,
+                    h_prev=hists,
+                    restarts=outcome.restarts_total,
                 )
-                _check(
-                    rec["eq_hyp_after"] == eq_after,
-                    seq,
-                    p,
-                    "eq_hyp_after",
-                    "equilibrium flag does not follow from histograms",
-                )
-                _check(
-                    rec["grace_after"] == grace_after,
-                    seq,
-                    p,
-                    "grace_after",
-                    "grace flag does not follow from transitions",
-                )
-                _check(
-                    rec["switched"] == switched,
-                    seq,
-                    p,
-                    "switched",
-                    "best-response switch violates the strict margin rule",
-                )
-                if st["eq_hyp"] and not eq_after:
-                    # The new pure action is random; only purity is checkable.
-                    _check(
-                        _is_pure_vector(rec["phi_after"]),
-                        seq,
-                        p,
-                        "phi_after",
-                        "post-rejection strategy is not a pure action",
-                    )
-                    phi_after = list(rec["phi_after"])
-                else:
-                    _check(
-                        rec["phi_after"] == phi_after,
-                        seq,
-                        p,
-                        "phi_after",
-                        "strategy update does not follow from the margin rule",
-                    )
-                restart = not stat_exp
-                _check(
-                    rec["restart"] == restart,
-                    seq,
-                    p,
-                    "restart",
-                    "restart marker inconsistent with stationarity flag",
-                )
-                _check(
-                    rec["restarts_total"] == st["restarts"] + (1 if restart else 0),
-                    seq,
-                    p,
-                    "restarts_total",
-                    "restart counter inconsistent",
-                )
-                if restart:
-                    st.update(
-                        t=0,
-                        eq_hyp=True,
-                        grace=False,
-                        restarts=st["restarts"] + 1,
-                        phi=[float(x) for x in eq.strategies[p]],
-                        h_prev=None,
-                    )
-                else:
-                    st.update(
-                        t=st["t"] + 1,
-                        eq_hyp=eq_after,
-                        grace=grace_after,
-                        phi=phi_after,
-                        h_prev=rec["counts"],
-                    )
-    except _Divergence as d:
-        return ValidationReport(ok=False, epochs_checked=len(groups), divergence=d.info)
     return ValidationReport(ok=True, epochs_checked=len(groups), divergence=None)
 
 

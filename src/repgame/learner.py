@@ -10,7 +10,8 @@ flags at every epoch boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +85,6 @@ class EquilibriumRetreatAgent:
         self._play_rng, self._pick_rng = streams
         self.n_players = game.num_players
         self.n_actions = game.action_counts[self.me]
-        self.max_actions = max(game.action_counts)
         self.mu = payoff_range(game, self.me)
         self.restarts = 0
         self._reset()
@@ -95,12 +95,15 @@ class EquilibriumRetreatAgent:
         """Fresh restart state: forget histories and flags, keep the
         precomputed equilibrium and the random streams."""
         self.t = 0
-        self.round_in_epoch = 0
         self.eq_hyp = True  # equilibrium null hypothesis alive
         self.stat_hyp = True  # stationarity null hypothesis alive
         self.grace = False  # one-epoch stationarity grace after eq rejection
         self.phi = np.array(self.eq_profile.strategies[self.me])
         self.h_prev: list[np.ndarray] | None = None
+        self._start_epoch()
+
+    def _start_epoch(self) -> None:
+        self.round_in_epoch = 0
         self.h_curr = [np.zeros(c, dtype=np.int64) for c in self.game.action_counts]
         self._buffer: np.ndarray | None = None
 
@@ -174,80 +177,105 @@ class EquilibriumRetreatAgent:
     # -- epoch-end processing ----------------------------------------------
 
     def _epoch_end(self) -> EpochOutcome:
-        n_rounds = self.epoch_rounds
-        eq_before, grace_before = self.eq_hyp, self.grace
-        phi_before = self.phi
-        eps_e_t = self.schedule.eps_e(self.t)
-        eps_s_t = self.schedule.eps_s(self.t)
-        eps_s_next = self.schedule.eps_s(self.t + 1)
-        margin = self.n_players * self.max_actions * eps_s_next * self.mu
-        freq_curr = [h / n_rounds for h in self.h_curr]
-        switched = False
-
-        if not self.eq_hyp:
-            # Stationarity test over every player, self included, unless
-            # this is the single grace epoch right after rejection.
-            if not self.grace:
-                assert self.h_prev is not None
-                prev_total = int(self.h_prev[0].sum())
-                for p in range(self.n_players):
-                    prev_freq = self.h_prev[p] / prev_total
-                    if linf_distance(freq_curr[p], prev_freq) > eps_s_t:
-                        self.stat_hyp = False
-            self.grace = False
-            # Best-response adjustment with hysteresis: switch only for a
-            # strictly more-than-margin improvement over the current action.
-            others = [f for p, f in enumerate(freq_curr) if p != self.me]
-            values = pure_action_values(self.game, self.me, others)
-            best_action = int(np.argmax(values))
-            current_value = expected_utility(self.game, self.me, self.phi, others)
-            if float(values[best_action]) > current_value + margin:
-                self.phi = pure_strategy(best_action, self.n_actions)
-                switched = True
-
-        if eq_before:
-            # Equilibrium test over every player, self included.
-            for p in range(self.n_players):
-                if linf_distance(freq_curr[p], self.eq_profile.strategies[p]) > eps_e_t:
-                    self.eq_hyp = False
-                    self.phi = pure_strategy(
-                        int(self._pick_rng.integers(self.n_actions)), self.n_actions
-                    )
-                    self.grace = True
-                    break
-
-        counts = tuple(tuple(int(c) for c in h) for h in self.h_curr)
-        outcome_restart = not self.stat_hyp
-        if outcome_restart:
-            self.restarts += 1
-        outcome = EpochOutcome(
-            me=self.me,
-            t=self.t,
-            rounds=n_rounds,
-            counts=counts,
-            eps_e=eps_e_t,
-            eps_s=eps_s_t,
-            eps_s_next=eps_s_next,
-            margin=margin,
-            eq_hyp_before=eq_before,
-            eq_hyp_after=self.eq_hyp,
-            grace_before=grace_before,
-            grace_after=self.grace,
-            stat_hyp_after=self.stat_hyp,
-            phi_before=tuple(float(x) for x in phi_before),
-            phi_after=tuple(float(x) for x in self.phi),
-            switched=switched,
-            restart=outcome_restart,
-            restarts_total=self.restarts,
+        outcome = epoch_step(
+            self.game, self.me, self.schedule, self.eq_profile, self.mu,
+            self.t, self.eq_hyp, self.grace, self.phi, self.h_prev, self.restarts,
+            self.h_curr,
+            pick=lambda: int(self._pick_rng.integers(self.n_actions)),
         )
-        if outcome_restart:
+        self.restarts = outcome.restarts_total
+        if outcome.restart:
             self._reset()
-        else:
-            self.h_prev = self.h_curr
-            self.h_curr = [
-                np.zeros(c, dtype=np.int64) for c in self.game.action_counts
-            ]
-            self.t += 1
-            self.round_in_epoch = 0
-            self._buffer = None
+            return outcome
+        self.t += 1
+        self.eq_hyp = outcome.eq_hyp_after
+        self.grace = outcome.grace_after
+        self.phi = np.array(outcome.phi_after)
+        self.h_prev = self.h_curr
+        self._start_epoch()
         return outcome
+
+
+def epoch_step(
+    game: StageGame,
+    me: int,
+    schedule,
+    eq_profile: EquilibriumProfile,
+    mu: float,
+    t: int,
+    eq_hyp: bool,
+    grace: bool,
+    phi,
+    h_prev,
+    restarts: int,
+    hists,
+    pick: Callable[[], int],
+) -> EpochOutcome:
+    """The AWESOME epoch-end rule for player ``me``: one pure decision.
+
+    ``t``, ``eq_hyp``, ``grace``, ``phi``, ``h_prev`` (the previous
+    epoch's histograms, or None) and ``restarts`` are the state the epoch
+    started in; ``hists`` holds its per-player action histograms, which
+    total N^t each.  ``pick()`` returns the uniformly random pure action
+    taken when the equilibrium hypothesis is rejected and is called only
+    then.  The outcome carries every post-epoch value: on ``restart`` the
+    caller returns to the fresh state, otherwise it moves to epoch t+1
+    with the ``*_after`` flags, ``phi_after`` and ``hists`` as ``h_prev``.
+    """
+    shape = game.action_counts
+    n_rounds = int(schedule.rounds(t))
+    eps_e_t = schedule.eps_e(t)
+    eps_s_t = schedule.eps_s(t)
+    eps_s_next = schedule.eps_s(t + 1)
+    margin = len(shape) * max(shape) * eps_s_next * mu
+    freq = [np.asarray(h, dtype=np.float64) / n_rounds for h in hists]
+    eq_after, grace_after, stat_after = eq_hyp, grace, True
+    phi_after = phi
+    switched = False
+
+    if not eq_hyp:
+        # Stationarity test over every player, self included, unless
+        # this is the single grace epoch right after rejection.
+        if not grace:
+            if h_prev is None:
+                raise ValueError("stationarity test needs the previous epoch's histograms")
+            prev_total = sum(h_prev[0])
+            stat_after = all(
+                linf_distance(f, np.asarray(h, dtype=np.float64) / prev_total) <= eps_s_t
+                for f, h in zip(freq, h_prev)
+            )
+        grace_after = False
+        # Best-response adjustment with hysteresis: switch only for a
+        # strictly more-than-margin improvement over the current action.
+        others = [f for p, f in enumerate(freq) if p != me]
+        values = pure_action_values(game, me, others)
+        best_action = int(np.argmax(values))
+        if float(values[best_action]) > expected_utility(game, me, phi, others) + margin:
+            phi_after = pure_strategy(best_action, shape[me])
+            switched = True
+    elif any(linf_distance(f, s) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):
+        # The equilibrium test over every player, self included, failed.
+        eq_after, grace_after = False, True
+        phi_after = pure_strategy(pick(), shape[me])
+
+    restart = not stat_after
+    return EpochOutcome(
+        me=me,
+        t=t,
+        rounds=n_rounds,
+        counts=tuple(tuple(map(int, h)) for h in hists),
+        eps_e=eps_e_t,
+        eps_s=eps_s_t,
+        eps_s_next=eps_s_next,
+        margin=margin,
+        eq_hyp_before=eq_hyp,
+        eq_hyp_after=eq_after,
+        grace_before=grace,
+        grace_after=grace_after,
+        stat_hyp_after=stat_after,
+        phi_before=tuple(map(float, phi)),
+        phi_after=tuple(map(float, phi_after)),
+        switched=switched,
+        restart=restart,
+        restarts_total=restarts + restart,
+    )

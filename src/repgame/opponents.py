@@ -40,7 +40,8 @@ class StationaryPolicy(OpponentPolicy):
         return self._pending
 
     def act_segment(self, length: int) -> np.ndarray:
-        assert self._pending is None
+        if self._pending is not None:
+            raise RuntimeError("act() drew an action that observe() has not committed")
         return self.rng.choice(len(self.probs), size=length, p=self.probs)
 
     def observe(self, joint) -> None:

@@ -9,7 +9,7 @@ false hypothesis rejection over all epochs strictly below 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class Schedule:
     offset: float = 0.0  # harmonic shift; 0 gives eps_base / (t+1)
     rate: float = 0.5  # geometric ratio
     epoch0_rounds: int | None = None
-    cap: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon_base <= 1.0:
@@ -125,13 +124,13 @@ class ValidityReport:
     first_bad_t: int | None
     product_s: float
     product_e: float
-    conditions: dict = field(default_factory=dict)
 
     @property
     def valid(self) -> bool:
         return (
             self.eps_e_decreasing
             and self.eps_s_decreasing
+            and self.rounds_nondecreasing
             and self.factors_positive
         )
 
@@ -179,12 +178,6 @@ def check_valid_prefix(schedule, T: int) -> ValidityReport:
         first_bad_t=first_bad,
         product_s=product_s,
         product_e=product_e,
-        conditions={
-            "eps_e_decreasing": eps_e_dec,
-            "eps_s_decreasing": eps_s_dec,
-            "rounds_nondecreasing": rounds_nondec,
-            "factors_positive": positive,
-        },
     )
 
 

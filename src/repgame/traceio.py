@@ -11,7 +11,7 @@ import csv
 import json
 from pathlib import Path
 
-from .harness import BatchResult, RunSummary, RunTrace
+from .harness import TRACE_SCHEMA, BatchResult, RunSummary, RunTrace
 
 
 def _dumps(record: dict) -> str:
@@ -64,6 +64,8 @@ def read_trace(path) -> RunTrace:
                 raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
     if header is None or end is None:
         raise ValueError(f"{path}: trace must contain header and end records")
+    if header.get("schema") != TRACE_SCHEMA:
+        raise ValueError(f"{path}: trace schema {header.get('schema')!r}, expected {TRACE_SCHEMA}")
     return RunTrace(
         header=header,
         events=events,

@@ -108,6 +108,13 @@ def test_build_run_config_roster_mismatch(tmp_path):
         build_run_config(doc)
 
 
+def test_build_run_config_without_learner(tmp_path):
+    doc = make_config_doc(tmp_path)
+    doc["roster"][0] = doc["roster"][1]
+    with pytest.raises(ConfigError, match="learner"):
+        build_run_config(doc)
+
+
 def test_build_run_config_bad_policy(tmp_path):
     doc = make_config_doc(tmp_path)
     doc["roster"][1]["policy"] = {"kind": "psychic"}
@@ -119,6 +126,16 @@ def test_build_run_config_override_validation(tmp_path):
     doc = make_config_doc(tmp_path, equilibrium_override=[[0.5, 0.5], [0.5, 0.5, 0.0]])
     with pytest.raises(ConfigError, match="player 1"):
         build_run_config(doc)
+
+
+def test_load_run_config_rejects_schedule_cap(tmp_path):
+    import yaml
+
+    doc = make_config_doc(tmp_path, schedule={"epsilon_base": 0.5, "cap": 8})
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match="invalid schedule"):
+        load_run_config(path)
 
 
 def test_load_run_config_yaml(tmp_path):

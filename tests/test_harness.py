@@ -228,6 +228,35 @@ def test_validate_detects_flag_perturbation(sample_trace):
     assert not validate_trace(tampered).ok
 
 
+def test_validate_reports_player_missing_from_first_epoch():
+    tampered = run_trial(mp_config(), 0)  # one learner, player 0
+    tampered.events[2]["player"] = 1
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert report.divergence["field"] == "player"
+    assert report.divergence["epoch"] == 2
+
+
+def test_validate_reports_too_few_histograms():
+    tampered = run_trial(mp_config(), 0)
+    tampered.events[2]["counts"] = tampered.events[2]["counts"][:1]
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert report.divergence["field"] == "counts"
+
+
+@pytest.mark.parametrize("phi_after", [[0.5, 0.5], [0.0, 1.0, 0.0]])
+def test_validate_checks_post_rejection_pick(phi_after):
+    scripted = {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0]}}
+    trace = run_trial(mp_config(roster=(LEARNER, scripted), epoch_budget=3), 0)
+    rec = next(r for r in trace.events if r["eq_hyp_before"] and not r["eq_hyp_after"])
+    assert validate_trace(trace).ok
+    rec["phi_after"] = phi_after
+    report = validate_trace(trace)
+    assert not report.ok
+    assert report.divergence["field"] == "phi_after"
+
+
 # -- trace persistence ------------------------------------------------------------------
 
 
@@ -237,6 +266,18 @@ def test_trace_round_trip(tmp_path, sample_trace):
     loaded = traceio.read_trace(path)
     assert trace_bytes(loaded) == trace_bytes(sample_trace)
     assert validate_trace(loaded).ok
+
+
+def test_read_trace_rejects_other_schema(tmp_path, sample_trace):
+    path = tmp_path / "trace.jsonl"
+    traceio.write_trace(sample_trace, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["schema"] -= 1
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="schema"):
+        traceio.read_trace(path)
 
 
 def test_trace_lines_are_canonical_json(sample_trace):

@@ -46,6 +46,13 @@ def test_stationary_act_idempotent_within_round():
     pol.observe((a, 0))
 
 
+def test_stationary_segment_after_uncommitted_act_raises():
+    pol = StationaryPolicy([0.5, 0.5], rng())
+    pol.act()
+    with pytest.raises(RuntimeError):
+        pol.act_segment(5)
+
+
 def test_stationary_rejects_bad_probs():
     with pytest.raises(ValueError):
         StationaryPolicy([0.7, 0.7], rng())

@@ -101,6 +101,22 @@ class _ForcedRoundsSchedule:
         return 1
 
 
+class _ShrinkingRoundsSchedule:
+    """Default epsilons, but N^t = 10 N^12 - t shrinks while every factor
+    stays positive."""
+
+    actions_total = 4
+
+    def eps_e(self, t):
+        return DEFAULT.eps_e(t)
+
+    def eps_s(self, t):
+        return DEFAULT.eps_s(t)
+
+    def rounds(self, t):
+        return 10 * DEFAULT.rounds(12) - t
+
+
 class _ConstantEpsSchedule:
     actions_total = 4
 
@@ -119,6 +135,13 @@ def test_forced_single_round_schedule_fails():
     assert not report.valid
     assert not report.factors_positive
     assert report.first_bad_t == 1
+
+
+def test_shrinking_rounds_schedule_fails():
+    report = check_valid_prefix(_ShrinkingRoundsSchedule(), 10)
+    assert report.eps_e_decreasing and report.eps_s_decreasing and report.factors_positive
+    assert not report.rounds_nondecreasing
+    assert not report.valid
 
 
 def test_constant_eps_schedule_fails_monotonicity():
