@@ -29,8 +29,8 @@ def as_strategy(probs, n_actions: int | None = None) -> np.ndarray:
         raise ValueError(
             f"strategy has {vec.shape[0]} entries, player has {n_actions} actions"
         )
-    if (vec < 0).any():
-        raise ValueError("strategy entries must be nonnegative")
+    if not (vec >= 0).all():  # also false for NaN
+        raise ValueError("strategy entries must be nonnegative numbers")
     total = float(vec.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"strategy entries sum to {total!r}, expected 1")
@@ -101,6 +101,11 @@ class StageGame:
     def action_counts(self) -> tuple[int, ...]:
         return tuple(int(c) for c in self.payoffs.shape[1:])
 
+    @cached_property
+    def own_axis_payoffs(self) -> tuple[np.ndarray, ...]:
+        """Each player's payoff tensor with that player's own action axis first."""
+        return tuple(np.moveaxis(self.payoffs[p], p, 0) for p in range(self.num_players))
+
     @property
     def actions_total(self) -> int:
         """Total number of actions summed over all players."""
@@ -161,7 +166,7 @@ def pure_action_values(game: StageGame, player: int, others) -> np.ndarray:
         )
     opp_counts = [c for p, c in enumerate(game.action_counts) if p != player]
     validated = [as_strategy(s, c) for s, c in zip(others, opp_counts)]
-    arr = np.moveaxis(game.payoffs[player], player, 0)
+    arr = game.own_axis_payoffs[player]
     for strat in validated:
         arr = np.tensordot(arr, strat, axes=(1, 0))
     return arr

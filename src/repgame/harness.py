@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumProfile, compute_equilibrium
-from .games import StageGame, payoff_range
+from .games import StageGame, as_strategy, payoff_range
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EpochOutcome, EquilibriumRetreatAgent, epoch_step
 from .opponents import (
     EventuallyStationaryPolicy,
@@ -60,6 +60,14 @@ class RunConfig:
         if self.window < 1:
             raise ValueError("window must be at least 1")
         object.__setattr__(self, "roster", tuple(dict(r) for r in self.roster))
+        for player, entry in enumerate(self.roster):
+            if entry.get("agent") == "opponent":
+                # A descriptor that does not fit the game fails here, not
+                # partway through a run.
+                try:
+                    _check_policy(entry["policy"], self.game, player)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"roster[{player}]: invalid opponent policy: {exc}") from exc
 
 
 @dataclass
@@ -178,6 +186,21 @@ def config_from_dict(d: dict) -> RunConfig:
 # -- agent construction -----------------------------------------------------
 
 
+def _check_policy(desc: dict, game: StageGame, player: int) -> None:
+    """ValueError when the opponent descriptor ``desc`` cannot play
+    ``player``'s actions in ``game``."""
+    n_actions = game.action_counts[player]
+    kind = desc.get("kind")
+    if kind == "scripted":
+        actions = np.asarray(desc["actions"])
+        if actions.dtype.kind not in "iu" or not ((actions >= 0) & (actions < n_actions)).all():
+            raise ValueError(f"scripted actions {desc['actions']} must be integers in [0, {n_actions})")
+    if kind in ("stationary", "eventually_stationary"):
+        as_strategy(desc["probs"], n_actions)
+    if kind == "eventually_stationary":
+        _check_policy(desc["pre"], game, player)
+
+
 def _build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSequence) -> OpponentPolicy:
     kind = desc.get("kind")
     if kind == "stationary":
@@ -257,9 +280,13 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     """
     eq = compute_equilibrium(config.game, config.eq_override)
     learners, policies = _build_agents(config, trial, eq)
-    n = config.game.num_players
+    agents = {**learners, **policies}
+    players = [agents[p] for p in range(config.game.num_players)]
     learner_list = [learners[p] for p in sorted(learners)]
-    vector_ok = all(not pol.history_dependent for pol in policies.values())
+    first = learner_list[0]
+    # History-dependent policies react to every round, so they play one
+    # round per segment; otherwise a segment runs to the epoch's end.
+    one_round = any(pol.history_dependent for pol in policies.values())
 
     header = {
         "type": "header",
@@ -271,54 +298,32 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     events: list[dict] = []
     rounds_used = 0
     epochs = 0
-    truncated = False
-    partial = 0
 
     while rounds_used < config.round_budget and epochs < config.epoch_budget:
-        remaining = learner_list[0].rounds_left_in_epoch()
-        seg = min(remaining, config.round_budget - rounds_used)
-        if vector_ok:
-            cols = []
-            for p in range(n):
-                agent = learners.get(p)
-                if agent is not None:
-                    cols.append(np.asarray(agent.act_segment(seg), dtype=np.int64))
-                else:
-                    cols.append(np.asarray(policies[p].act_segment(seg), dtype=np.int64))
-            joint = np.column_stack(cols)
-            outcomes = [lr.observe_segment(joint) for lr in learner_list]
-            for pol in policies.values():
-                pol.observe_segment(joint)
+        if one_round:
+            length = 1
         else:
-            outcomes = [None] * len(learner_list)
-            for _ in range(seg):
-                acts = [
-                    learners[p].act() if p in learners else policies[p].act()
-                    for p in range(n)
-                ]
-                for i, lr in enumerate(learner_list):
-                    out = lr.observe(acts)
-                    if out is not None:
-                        outcomes[i] = out
-                for pol in policies.values():
-                    pol.observe(acts)
-        rounds_used += seg
-        if seg < remaining:
-            truncated = True
-            partial = seg
-            break
+            length = min(first.rounds_left_in_epoch(), config.round_budget - rounds_used)
+        joint = [agent.act_segment(length) for agent in players]
+        outcomes = [lr.observe_segment(joint) for lr in learner_list]
+        for pol in policies.values():
+            pol.observe_segment(joint)
+        rounds_used += length
+        if all(out is None for out in outcomes):
+            continue
         for out in outcomes:
             if out is None:
                 raise RuntimeError("learners disagree on where the epoch ends")
             events.append(_outcome_record(out, epochs))
         epochs += 1
 
+    partial = first.round_in_epoch
     return RunTrace(
         header=header,
         events=events,
         rounds_used=rounds_used,
         epochs=epochs,
-        truncated=truncated,
+        truncated=partial > 0,
         partial_rounds=partial,
     )
 

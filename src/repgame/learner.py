@@ -103,6 +103,7 @@ class EquilibriumRetreatAgent:
         self._start_epoch()
 
     def _start_epoch(self) -> None:
+        self.epoch_rounds = int(self.schedule.rounds(self.t))
         self.round_in_epoch = 0
         self.h_curr = [np.zeros(c, dtype=np.int64) for c in self.game.action_counts]
         self._buffer: np.ndarray | None = None
@@ -110,65 +111,55 @@ class EquilibriumRetreatAgent:
     def flags(self) -> tuple[int, bool, bool, bool, int]:
         return (self.t, self.eq_hyp, self.stat_hyp, self.grace, self.restarts)
 
-    @property
-    def epoch_rounds(self) -> int:
-        return int(self.schedule.rounds(self.t))
-
     def rounds_left_in_epoch(self) -> int:
         return self.epoch_rounds - self.round_in_epoch
-
-    def _ensure_buffer(self) -> None:
-        # The whole epoch's action draws are taken in one vectorised call;
-        # per-round act() and segment play consume the same stream state.
-        if self._buffer is None:
-            self._buffer = self._play_rng.choice(
-                self.n_actions, size=self.epoch_rounds, p=self.phi
-            )
 
     # -- play --------------------------------------------------------------
 
     def act(self) -> int:
-        """Action for the current round, drawn from phi. Idempotent until
-        the round is committed by observe()."""
-        self._ensure_buffer()
-        return int(self._buffer[self.round_in_epoch])
+        """Action for the current round; the segment of length 1."""
+        return int(self.act_segment(1)[0])
 
     def act_segment(self, length: int) -> np.ndarray:
+        """Actions for the next ``length`` rounds, drawn from phi.
+
+        The whole epoch's draws are taken from the play stream in one
+        vectorised call on the epoch's first play, so every split of an
+        epoch into segments plays the same actions.  Repeated calls
+        return the same actions until observe_segment commits them.
+        """
         if length > self.rounds_left_in_epoch():
             raise ValueError("segment crosses an epoch boundary")
-        self._ensure_buffer()
+        if self._buffer is None:
+            self._buffer = self._play_rng.choice(
+                self.n_actions, size=self.epoch_rounds, p=self.phi
+            )
         start = self.round_in_epoch
         return self._buffer[start : start + length]
 
     def observe(self, joint) -> EpochOutcome | None:
-        """Commit one round's joint action profile (own action included).
+        """Commit one round's joint action profile; the segment of length 1."""
+        return self.observe_segment([np.array([a], dtype=np.int64) for a in joint])
 
-        Returns the epoch outcome when this round closes the epoch,
+    def observe_segment(self, joint: list[np.ndarray]) -> EpochOutcome | None:
+        """Commit a block of rounds: one action array per player (own
+        actions included), all of the same length.
+
+        Returns the epoch outcome when the block closes the epoch,
         performing the restart internally if the stationarity hypothesis
         was rejected.
         """
-        joint = list(joint)
         if len(joint) != self.n_players:
             raise ValueError(
-                f"joint profile has {len(joint)} actions for {self.n_players} players"
+                f"joint profile has {len(joint)} action arrays for {self.n_players} players"
             )
-        for p, a in enumerate(joint):
-            self.h_curr[p][int(a)] += 1
-        self.round_in_epoch += 1
-        if self.round_in_epoch == self.epoch_rounds:
-            return self._epoch_end()
-        return None
-
-    def observe_segment(self, joint_matrix: np.ndarray) -> EpochOutcome | None:
-        """Commit a block of rounds (shape: rounds x players) at once."""
-        joint_matrix = np.asarray(joint_matrix)
-        n_rounds = joint_matrix.shape[0]
+        n_rounds = len(joint[0])
+        if any(len(a) != n_rounds for a in joint):
+            raise ValueError("joint profile needs equally long action arrays")
         if n_rounds > self.rounds_left_in_epoch():
             raise ValueError("segment crosses an epoch boundary")
-        for p in range(self.n_players):
-            self.h_curr[p] += np.bincount(
-                joint_matrix[:, p], minlength=self.game.action_counts[p]
-            )
+        for h, a in zip(self.h_curr, joint):
+            h += np.bincount(a, minlength=len(h))
         self.round_in_epoch += n_rounds
         if self.round_in_epoch == self.epoch_rounds:
             return self._epoch_end()

@@ -8,21 +8,18 @@ from .games import StageGame, as_strategy, pure_action_values
 
 
 class OpponentPolicy:
-    """Base class. Policies expose per-round act/observe; history-free
-    policies also support vectorised whole-segment play."""
+    """Base class.  A policy plays ``length`` rounds at once with
+    ``act_segment``, which returns one int64 action per round, and then
+    sees the same rounds through ``observe_segment(joint)``, where
+    ``joint`` holds one int64 action array per player.  History-dependent
+    policies play one round at a time."""
 
     history_dependent = False
-
-    def act(self) -> int:
-        raise NotImplementedError
 
     def act_segment(self, length: int) -> np.ndarray:
         raise NotImplementedError
 
-    def observe(self, joint) -> None:
-        pass
-
-    def observe_segment(self, joint_matrix: np.ndarray) -> None:
+    def observe_segment(self, joint: list[np.ndarray]) -> None:
         pass
 
 
@@ -32,20 +29,9 @@ class StationaryPolicy(OpponentPolicy):
     def __init__(self, probs, rng: np.random.Generator):
         self.probs = as_strategy(probs)
         self.rng = rng
-        self._pending: int | None = None
-
-    def act(self) -> int:
-        if self._pending is None:
-            self._pending = int(self.rng.choice(len(self.probs), p=self.probs))
-        return self._pending
 
     def act_segment(self, length: int) -> np.ndarray:
-        if self._pending is not None:
-            raise RuntimeError("act() drew an action that observe() has not committed")
         return self.rng.choice(len(self.probs), size=length, p=self.probs)
-
-    def observe(self, joint) -> None:
-        self._pending = None
 
 
 class ScriptedPolicy(OpponentPolicy):
@@ -55,23 +41,15 @@ class ScriptedPolicy(OpponentPolicy):
         actions = [int(a) for a in actions]
         if not actions:
             raise ValueError("script must be nonempty")
-        self.actions = actions
+        self.actions = np.asarray(actions, dtype=np.int64)
         self.pos = 0
 
-    def act(self) -> int:
-        return self.actions[min(self.pos, len(self.actions) - 1)]
-
     def act_segment(self, length: int) -> np.ndarray:
-        idx = np.minimum(
-            np.arange(self.pos, self.pos + length), len(self.actions) - 1
-        )
-        return np.asarray(self.actions, dtype=np.int64)[idx]
+        idx = np.minimum(np.arange(self.pos, self.pos + length), len(self.actions) - 1)
+        return self.actions[idx]
 
-    def observe(self, joint) -> None:
-        self.pos += 1
-
-    def observe_segment(self, joint_matrix: np.ndarray) -> None:
-        self.pos += joint_matrix.shape[0]
+    def observe_segment(self, joint: list[np.ndarray]) -> None:
+        self.pos += len(joint[0])
 
 
 class EventuallyStationaryPolicy(OpponentPolicy):
@@ -90,38 +68,33 @@ class EventuallyStationaryPolicy(OpponentPolicy):
         self.round = 0
         self.history_dependent = pre.history_dependent
 
-    def _current(self) -> OpponentPolicy:
-        return self.post if self.round >= self.switch_round else self.pre
-
-    def act(self) -> int:
-        return self._current().act()
+    def _pre_len(self, length: int) -> int:
+        return min(max(self.switch_round - self.round, 0), length)
 
     def act_segment(self, length: int) -> np.ndarray:
-        pre_len = min(max(self.switch_round - self.round, 0), length)
-        parts = []
-        if pre_len:
-            parts.append(np.asarray(self.pre.act_segment(pre_len)))
-        if length - pre_len:
-            parts.append(self.post.act_segment(length - pre_len))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        pre_len = self._pre_len(length)
+        if pre_len == length:
+            return self.pre.act_segment(length)
+        if pre_len == 0:
+            return self.post.act_segment(length)
+        return np.concatenate(
+            [self.pre.act_segment(pre_len), self.post.act_segment(length - pre_len)]
+        )
 
-    def observe(self, joint) -> None:
-        self._current().observe(joint)
-        self.round += 1
-
-    def observe_segment(self, joint_matrix: np.ndarray) -> None:
-        n = joint_matrix.shape[0]
-        pre_len = min(max(self.switch_round - self.round, 0), n)
+    def observe_segment(self, joint: list[np.ndarray]) -> None:
+        length = len(joint[0])
+        pre_len = self._pre_len(length)
         if pre_len:
-            self.pre.observe_segment(joint_matrix[:pre_len])
-        self.round += n
+            self.pre.observe_segment([a[:pre_len] for a in joint])
+        self.round += length
 
 
 class FictitiousPlayPolicy(OpponentPolicy):
     """Pure best response to opponents' empirical action counts.
 
-    History-dependent; included only as a nonstationarity stressor.
-    Ties break toward the lowest action index.
+    History-dependent, so it plays one round per segment; included only
+    as a nonstationarity stressor.  Ties break toward the lowest action
+    index.
     """
 
     history_dependent = True
@@ -139,16 +112,15 @@ class FictitiousPlayPolicy(OpponentPolicy):
             raise ValueError("initial_counts do not match opponents' action counts")
         if any(c.sum() <= 0 for c in self.counts):
             raise ValueError("initial_counts need positive totals")
+        self._others = [p for p in range(game.num_players) if p != self.player]
 
-    def act(self) -> int:
+    def act_segment(self, length: int) -> np.ndarray:
+        if length != 1:
+            raise ValueError(f"fictitious play acts one round at a time, not {length}")
         freqs = [c / c.sum() for c in self.counts]
         values = pure_action_values(self.game, self.player, freqs)
-        return int(np.argmax(values))
+        return np.array([np.argmax(values)], dtype=np.int64)
 
-    def observe(self, joint) -> None:
-        j = 0
-        for p, a in enumerate(joint):
-            if p == self.player:
-                continue
-            self.counts[j][int(a)] += 1
-            j += 1
+    def observe_segment(self, joint: list[np.ndarray]) -> None:
+        for counts, p in zip(self.counts, self._others):
+            counts += np.bincount(joint[p], minlength=len(counts))

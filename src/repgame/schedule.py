@@ -17,14 +17,6 @@ PRODUCT_LIMIT = 2.0 ** -(math.pi**2 / 6.0)
 
 
 @dataclass(frozen=True)
-class EpochParams:
-    t: int
-    eps_e: float
-    eps_s: float
-    rounds: int
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Built-in threshold/epoch-length family.
 
@@ -86,16 +78,6 @@ class Schedule:
         if self.epoch0_rounds is not None:
             n = np.where(ts == 0, float(self.epoch0_rounds), n)
         return n
-
-
-def epoch_params(schedule, t: int) -> EpochParams:
-    """Parameters for epoch ``t``; pure, repeated calls agree bitwise."""
-    return EpochParams(
-        t=t,
-        eps_e=schedule.eps_e(t),
-        eps_s=schedule.eps_s(t),
-        rounds=int(schedule.rounds(t)),
-    )
 
 
 def _arrays(schedule, T: int):

@@ -248,6 +248,28 @@ def test_cli_missing_output_dir_rejected(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {"kind": "stationary", "probs": [1.0]},
+        {"kind": "stationary", "probs": [0.5, 0.3, 0.2]},
+        {"kind": "scripted", "actions": [0, 7]},
+        {"kind": "scripted", "actions": [-1]},
+        {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [0]},
+         "switch_round": 5, "probs": [0.2, 0.2, 0.6]},
+    ],
+)
+def test_cli_rejects_opponent_that_does_not_fit_game(tmp_path, capsys, policy):
+    cfg = write_yaml_config(
+        tmp_path,
+        roster=[{"agent": "learner"}, {"agent": "opponent", "policy": policy}],
+        output={"trace_dir": str(tmp_path / "out"), "make_dirs": True},
+    )
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "roster[1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_validate_detects_tampering(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = write_yaml_config(

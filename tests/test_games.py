@@ -205,6 +205,8 @@ def test_strategy_validation():
         as_strategy([0.5, 0.6])
     with pytest.raises(ValueError):
         as_strategy([-0.1, 1.1])
+    with pytest.raises(ValueError):
+        as_strategy([np.nan, 1.0])
 
 
 def test_stage_game_validation():

@@ -3,9 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repgame import traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, rock_paper_scissors
+from repgame.equilibrium import EquilibriumUnavailableError, compute_equilibrium
+from repgame.games import StageGame
 from repgame.harness import (
     RunConfig,
     config_from_dict,
@@ -88,6 +92,31 @@ def test_budget_truncation_marks_partial_epoch():
     assert trace.rounds_used == 40
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {"kind": "stationary", "probs": [0.5, 0.5]},
+        {"kind": "stationary", "probs": [0.25, 0.25, 0.25, 0.25]},
+        {"kind": "stationary", "probs": [float("nan"), 0.5, 0.5]},
+        {"kind": "scripted", "actions": [0, 7]},
+        {"kind": "scripted", "actions": [-1]},
+        {"kind": "scripted", "actions": [0, 1.5]},
+        {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [0]},
+         "switch_round": 5, "probs": [0.5, 0.5]},
+        {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [3]},
+         "switch_round": 5, "probs": [0.5, 0.3, 0.2]},
+    ],
+)
+def test_run_config_rejects_opponent_that_does_not_fit_game(policy):
+    g = rock_paper_scissors()
+    with pytest.raises(ValueError, match=r"roster\[1\]"):
+        RunConfig(
+            game=g,
+            roster=(LEARNER, {"agent": "opponent", "policy": policy}),
+            schedule=Schedule(epsilon_base=0.5, actions_total=g.actions_total),
+        )
+
+
 def test_history_dependent_opponent_uses_per_round_path():
     g = rock_paper_scissors()
     cfg = RunConfig(
@@ -115,6 +144,66 @@ def test_self_play_flag_tuples_synchronized():
             for r in group
         }
         assert len(group) == 2 and len(tuples) == 1
+
+
+# -- property: one sampling path for every roster ----------------------------------
+
+
+def mixed_strategies(k: int):
+    weights = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
+    return weights.map(lambda w: [x / sum(w) for x in w])
+
+
+@st.composite
+def policy_descriptors(draw, k: int, history_free: bool = False):
+    kinds = ["stationary", "scripted", "eventually_stationary"]
+    kind = draw(st.sampled_from(kinds if history_free else kinds + ["fictitious_play"]))
+    if kind == "stationary":
+        return {"kind": kind, "probs": draw(mixed_strategies(k))}
+    if kind == "scripted":
+        return {"kind": kind, "actions": draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=5))}
+    if kind == "fictitious_play":
+        return {"kind": kind}
+    pre = draw(st.one_of(st.just({"kind": "fictitious_play"}), policy_descriptors(k, history_free=True)))
+    return {"kind": kind, "pre": pre, "switch_round": draw(st.integers(0, 200)), "probs": draw(mixed_strategies(k))}
+
+
+@st.composite
+def small_runs(draw):
+    n = draw(st.integers(2, 3))
+    counts = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    size = n * int(np.prod(counts))
+    payoffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    game = StageGame(np.asarray(payoffs, dtype=np.float64).reshape([n] + counts))
+    try:
+        compute_equilibrium(game)
+    except EquilibriumUnavailableError:
+        assume(False)
+    lead = draw(st.integers(0, n - 1))  # the learner need not be player 0
+    roster = []
+    for p in range(n):
+        if p == lead or draw(st.integers(0, 3)) == 0:
+            roster.append(LEARNER)
+        else:
+            roster.append({"agent": "opponent", "policy": draw(policy_descriptors(counts[p]))})
+    return RunConfig(
+        game=game,
+        roster=tuple(roster),
+        schedule=Schedule(epsilon_base=0.5, actions_total=game.actions_total, epoch0_rounds=draw(st.integers(1, 40))),
+        round_budget=draw(st.integers(1, 1200)),
+        epoch_budget=draw(st.integers(1, 4)),
+        master_seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_runs())
+def test_every_roster_validates_and_reruns_byte_identical(cfg):
+    trace = run_trial(cfg, 0)
+    report = validate_trace(trace)
+    assert report.ok, report.divergence
+    assert trace.rounds_used == cfg.round_budget or trace.epochs == cfg.epoch_budget
+    assert trace_bytes(run_trial(cfg, 0)) == trace_bytes(trace)
 
 
 # -- convergence detection ---------------------------------------------------------

@@ -33,11 +33,10 @@ def make_agent(game, me=0, schedule=None, seed=1, eq=None):
 
 
 def drive_epoch(agent, own_actions, opp_actions):
-    """Feed one epoch of crafted joint profiles; return the outcome."""
-    outcome = None
-    for a, b in zip(own_actions, opp_actions):
-        outcome = agent.observe((a, b) if agent.me == 0 else (b, a))
-    return outcome
+    """Feed one epoch of crafted joint profiles as one segment; return the outcome."""
+    own = np.asarray(own_actions, dtype=np.int64)
+    opp = np.asarray(opp_actions, dtype=np.int64)
+    return agent.observe_segment([own, opp] if agent.me == 0 else [opp, own])
 
 
 # -- initialisation -----------------------------------------------------------------
@@ -57,7 +56,7 @@ def test_init_state_prisoners_dilemma_pure():
 def test_init_deterministic():
     a = make_agent(matching_pennies(), seed=5)
     b = make_agent(matching_pennies(), seed=5)
-    assert [a.act() for _ in range(10)] == [b.act() for _ in range(10)]
+    assert a.act_segment(10).tolist() == b.act_segment(10).tolist()
 
 
 # -- play ----------------------------------------------------------------------------
@@ -90,24 +89,27 @@ def test_fixed_seed_identical_action_sequences():
 
 
 def test_segment_and_per_round_paths_agree():
+    # One 40-round segment, forty 1-round segments, and the per-round
+    # act()/observe() wrappers play and decide the same epoch.
     g = matching_pennies()
     sched = FixedSchedule([0.5, 0.25], [40, 40])
     eq = compute_equilibrium(g)
-    a = EquilibriumRetreatAgent(g, 0, sched, eq, seed=21)
-    b = EquilibriumRetreatAgent(g, 0, sched, eq, seed=21)
+    a, b, c = (EquilibriumRetreatAgent(g, 0, sched, eq, seed=21) for _ in range(3))
     opp = np.random.default_rng(5).integers(0, 2, size=40)
 
     acts_a = a.act_segment(40)
-    out_a = a.observe_segment(np.column_stack([acts_a, opp]))
+    out_a = a.observe_segment([acts_a, opp])
 
-    out_b = None
-    acts_b = []
+    out_b = out_c = None
+    acts_b, acts_c = [], []
     for r in range(40):
-        act = b.act()
-        acts_b.append(act)
-        out_b = b.observe((act, int(opp[r])))
-    assert acts_a.tolist() == acts_b
-    assert out_a == out_b
+        seg = b.act_segment(1)
+        acts_b.append(int(seg[0]))
+        out_b = b.observe_segment([seg, opp[r : r + 1]])
+        acts_c.append(c.act())
+        out_c = c.observe((acts_c[-1], int(opp[r])))
+    assert acts_a.tolist() == acts_b == acts_c
+    assert out_a == out_b == out_c
 
 
 # -- bookkeeping -----------------------------------------------------------------------
@@ -137,7 +139,15 @@ def test_self_observation_counts_own_actions():
 def test_observe_rejects_wrong_arity():
     agent = make_agent(matching_pennies())
     with pytest.raises(ValueError):
-        agent.observe((0, 1, 0))
+        agent.observe_segment([np.zeros(2, dtype=np.int64)] * 3)
+    assert agent.round_in_epoch == 0
+
+
+def test_observe_rejects_unequal_segment_lengths():
+    agent = make_agent(matching_pennies())
+    with pytest.raises(ValueError):
+        agent.observe_segment([np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)])
+    assert agent.round_in_epoch == 0
 
 
 # -- equilibrium hypothesis test ----------------------------------------------------------
@@ -300,7 +310,7 @@ def test_phi_constant_within_epoch():
     agent = make_agent(g, schedule=sched, seed=4)
     before = agent.phi.copy()
     for _ in range(49):
-        agent.observe((agent.act(), 0))
+        agent.observe_segment([agent.act_segment(1), np.zeros(1, dtype=np.int64)])
         np.testing.assert_array_equal(agent.phi, before)
 
 
@@ -317,8 +327,7 @@ def test_self_play_flag_tuples_identical():
     rng = np.random.default_rng(0)
     for _ in range(5):
         n = agents[0].rounds_left_in_epoch()
-        cols = [a.act_segment(n) for a in agents]
-        joint = np.column_stack(cols)
+        joint = [a.act_segment(n) for a in agents]
         outs = [a.observe_segment(joint) for a in agents]
         assert outs[0] is not None and outs[1] is not None
         assert agents[0].flags() == agents[1].flags()

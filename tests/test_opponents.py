@@ -15,6 +15,17 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def play_rounds(pol, rounds, other=lambda r: 0):
+    """Play ``rounds`` one-round segments as player 0 of a two-player game,
+    the other player taking action ``other(r)`` in round r."""
+    seen = []
+    for r in range(rounds):
+        a = pol.act_segment(1)
+        seen.append(int(a[0]))
+        pol.observe_segment([a, np.array([other(r)], dtype=np.int64)])
+    return seen
+
+
 # -- stationary ---------------------------------------------------------------
 
 
@@ -27,30 +38,9 @@ def test_stationary_empirical_frequencies():
 
 def test_stationary_ignores_history():
     # Same stream, different observed histories: identical action sequences.
-    histories = [[(0, 0)] * 50, [(2, 1), (1, 2)] * 25]
-    seqs = []
-    for hist in histories:
-        pol = StationaryPolicy([0.5, 0.3, 0.2], rng(7))
-        seq = []
-        for joint in hist:
-            seq.append(pol.act())
-            pol.observe(joint)
-        seqs.append(seq)
+    others = [lambda r: 0, lambda r: r % 3]
+    seqs = [play_rounds(StationaryPolicy([0.5, 0.3, 0.2], rng(7)), 50, other) for other in others]
     assert seqs[0] == seqs[1]
-
-
-def test_stationary_act_idempotent_within_round():
-    pol = StationaryPolicy([0.5, 0.5], rng(3))
-    a = pol.act()
-    assert pol.act() == a  # unchanged until the round is committed
-    pol.observe((a, 0))
-
-
-def test_stationary_segment_after_uncommitted_act_raises():
-    pol = StationaryPolicy([0.5, 0.5], rng())
-    pol.act()
-    with pytest.raises(RuntimeError):
-        pol.act_segment(5)
 
 
 def test_stationary_rejects_bad_probs():
@@ -62,23 +52,14 @@ def test_stationary_rejects_bad_probs():
 
 
 def test_scripted_repeats_last_action():
-    pol = ScriptedPolicy([0, 1])
-    seen = []
-    for _ in range(4):
-        seen.append(pol.act())
-        pol.observe((seen[-1], 0))
-    assert seen == [0, 1, 1, 1]
+    assert play_rounds(ScriptedPolicy([0, 1]), 4) == [0, 1, 1, 1]
 
 
 def test_scripted_segment_matches_per_round():
     a = ScriptedPolicy([2, 0, 1])
-    b = ScriptedPolicy([2, 0, 1])
     seg = a.act_segment(6)
-    per_round = []
-    for _ in range(6):
-        per_round.append(b.act())
-        b.observe((per_round[-1],))
-    assert seg.tolist() == per_round
+    assert seg.dtype == np.int64
+    assert seg.tolist() == play_rounds(ScriptedPolicy([2, 0, 1]), 6)
 
 
 def test_scripted_rejects_empty():
@@ -92,11 +73,7 @@ def test_scripted_rejects_empty():
 def test_eventually_stationary_switch_contract():
     pre = ScriptedPolicy([0])
     pol = EventuallyStationaryPolicy(pre, 500, [0.5, 0.3, 0.2], rng(9))
-    draws = []
-    for _ in range(2000):
-        a = pol.act()
-        draws.append(a)
-        pol.observe((a, 0))
+    draws = play_rounds(pol, 2000)
     assert set(draws[:500]) == {0}
     post = np.bincount(draws[500:], minlength=3) / 1500
     # 4-sigma multinomial band at n=1500 is about 0.052.
@@ -124,12 +101,12 @@ def test_fictitious_play_best_responds_to_counts():
     pol = FictitiousPlayPolicy(g, 1)
     opponent_script = [0, 0, 0, 1, 2, 0, 0, 1, 1, 0]
     for opp_action in opponent_script:
-        my_action = pol.act()
+        my_action = pol.act_segment(1)
         # Replay check: the action is a best response to current counts.
         freqs = [pol.counts[0] / pol.counts[0].sum()]
         expected, _ = best_response(g, 1, freqs)
-        assert my_action == expected
-        pol.observe((opp_action, my_action))
+        assert my_action.tolist() == [expected]
+        pol.observe_segment([np.array([opp_action]), my_action])
 
 
 def test_fictitious_play_initial_counts_validation():
@@ -144,3 +121,27 @@ def test_fictitious_play_is_history_dependent():
     g = matching_pennies()
     assert FictitiousPlayPolicy(g, 0).history_dependent
     assert not StationaryPolicy([0.5, 0.5], rng()).history_dependent
+
+
+def test_fictitious_play_acts_one_round_at_a_time():
+    pol = FictitiousPlayPolicy(matching_pennies(), 0)
+    for length in (0, 2, 10):
+        with pytest.raises(ValueError):
+            pol.act_segment(length)
+
+
+def test_eventually_stationary_fictitious_pre_switches_at_switch_round():
+    # Fictitious play as player 1 of RPS against a scripted Rock: it plays
+    # Paper from its first round, so every pre-switch round is Paper and the
+    # stationary post policy (pure Scissors) takes over exactly at round 7.
+    g = rock_paper_scissors()
+    pre = FictitiousPlayPolicy(g, 1, initial_counts=[[2.0, 1.0, 1.0]])
+    pol = EventuallyStationaryPolicy(pre, 7, [0.0, 0.0, 1.0], rng(4))
+    assert pol.history_dependent
+    seen = []
+    for _ in range(12):
+        a = pol.act_segment(1)
+        seen.append(int(a[0]))
+        pol.observe_segment([np.array([0], dtype=np.int64), a])
+    assert seen == [1] * 7 + [2] * 5
+    assert pre.counts[0].tolist() == [9.0, 1.0, 1.0]  # observed the 7 pre-switch rounds only

@@ -7,7 +7,6 @@ from repgame.schedule import (
     PRODUCT_LIMIT,
     Schedule,
     check_valid_prefix,
-    epoch_params,
     never_restart_lower_bound,
 )
 
@@ -18,19 +17,16 @@ DEFAULT = Schedule(epsilon_base=0.5, actions_total=4)
 
 
 def test_epoch_params_default_family_frozen_values():
-    p0 = epoch_params(DEFAULT, 0)
-    assert (p0.eps_e, p0.eps_s, p0.rounds) == (0.5, 0.5, 32)
-    p1 = epoch_params(DEFAULT, 1)
-    assert (p1.eps_e, p1.eps_s, p1.rounds) == (0.25, 0.5, 128)
-    p2 = epoch_params(DEFAULT, 2)
-    assert p2.eps_e == pytest.approx(1 / 6)
-    assert p2.eps_s == 0.25
-    assert p2.rounds == 906
+    assert (DEFAULT.eps_e(0), DEFAULT.eps_s(0), DEFAULT.rounds(0)) == (0.5, 0.5, 32)
+    assert (DEFAULT.eps_e(1), DEFAULT.eps_s(1), DEFAULT.rounds(1)) == (0.25, 0.5, 128)
+    assert DEFAULT.eps_e(2) == pytest.approx(1 / 6)
+    assert DEFAULT.eps_s(2) == 0.25
+    assert DEFAULT.rounds(2) == 906
 
 
 def test_epoch_params_six_action_values():
     s = Schedule(epsilon_base=0.5, actions_total=6)
-    assert [epoch_params(s, t).rounds for t in range(3)] == [48, 192, 1358]
+    assert [s.rounds(t) for t in range(3)] == [48, 192, 1358]
 
 
 def test_eps_coupling():
@@ -41,8 +37,8 @@ def test_eps_coupling():
 
 
 def test_epoch_params_pure_function():
-    a = epoch_params(DEFAULT, 5)
-    b = epoch_params(DEFAULT, 5)
+    a = (DEFAULT.eps_e(5), DEFAULT.eps_s(5), DEFAULT.rounds(5))
+    b = (DEFAULT.eps_e(5), DEFAULT.eps_s(5), DEFAULT.rounds(5))
     assert a == b
 
 
