@@ -22,10 +22,13 @@ from .opponents import (
     OpponentPolicy,
     ScriptedPolicy,
     StationaryPolicy,
+    as_initial_counts,
+    as_script,
+    as_switch_round,
 )
 from .schedule import Schedule
 
-TRACE_SCHEMA = 2
+TRACE_SCHEMA = 3
 
 
 def agent_stream(master_seed: int, trial: int, player: int, purpose: int) -> np.random.Generator:
@@ -190,15 +193,19 @@ def _check_policy(desc: dict, game: StageGame, player: int) -> None:
     """ValueError when the opponent descriptor ``desc`` cannot play
     ``player``'s actions in ``game``."""
     n_actions = game.action_counts[player]
-    kind = desc.get("kind")
+    kind = desc.get("kind") if isinstance(desc, dict) else None
     if kind == "scripted":
-        actions = np.asarray(desc["actions"])
-        if actions.dtype.kind not in "iu" or not ((actions >= 0) & (actions < n_actions)).all():
-            raise ValueError(f"scripted actions {desc['actions']} must be integers in [0, {n_actions})")
-    if kind in ("stationary", "eventually_stationary"):
+        as_script(desc["actions"], n_actions)
+    elif kind == "stationary":
         as_strategy(desc["probs"], n_actions)
-    if kind == "eventually_stationary":
+    elif kind == "eventually_stationary":
+        as_strategy(desc["probs"], n_actions)
+        as_switch_round(desc["switch_round"])
         _check_policy(desc["pre"], game, player)
+    elif kind == "fictitious_play":
+        as_initial_counts(game, player, desc.get("initial_counts"))
+    else:
+        raise ValueError(f"unknown opponent policy kind {kind!r}")
 
 
 def _build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSequence) -> OpponentPolicy:
@@ -206,7 +213,7 @@ def _build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSe
     if kind == "stationary":
         return StationaryPolicy(desc["probs"], np.random.Generator(np.random.PCG64(ss)))
     if kind == "scripted":
-        return ScriptedPolicy(desc["actions"])
+        return ScriptedPolicy(desc["actions"], game.action_counts[player])
     if kind == "eventually_stationary":
         post_ss, pre_ss = ss.spawn(2)
         pre = _build_policy(desc["pre"], game, player, pre_ss)
@@ -271,21 +278,25 @@ def _outcome_record(outcome: EpochOutcome, seq: int) -> dict:
 # -- trial driver ------------------------------------------------------------
 
 
-def run_trial(config: RunConfig, trial: int) -> RunTrace:
+def run_trial(config: RunConfig, trial: int, eq: EquilibriumProfile | None = None) -> RunTrace:
     """Play one seeded trial to its budget and return the full trace.
 
     Rounds are strictly simultaneous: all actions for a round are drawn
-    before any agent observes the joint profile.  Deterministic in
-    (config, trial).
+    before any agent observes the joint profile.  ``eq`` is the config's
+    equilibrium, solved here when not given.  Deterministic in (config,
+    trial).
     """
-    eq = compute_equilibrium(config.game, config.eq_override)
+    if eq is None:
+        eq = compute_equilibrium(config.game, config.eq_override)
     learners, policies = _build_agents(config, trial, eq)
     agents = {**learners, **policies}
     players = [agents[p] for p in range(config.game.num_players)]
     learner_list = [learners[p] for p in sorted(learners)]
     first = learner_list[0]
     # History-dependent policies react to every round, so they play one
-    # round per segment; otherwise a segment runs to the epoch's end.
+    # round of actions per segment.  Otherwise every player's draws are
+    # independent of the others', the learners read only histograms, and a
+    # segment runs to the epoch's end as one histogram per player.
     one_round = any(pol.history_dependent for pol in policies.values())
 
     header = {
@@ -302,12 +313,14 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     while rounds_used < config.round_budget and epochs < config.epoch_budget:
         if one_round:
             length = 1
+            joint = [agent.act_segment(1) for agent in players]
+            outcomes = [lr.observe_segment(joint) for lr in learner_list]
+            for pol in policies.values():
+                pol.observe_segment(joint)
         else:
             length = min(first.rounds_left_in_epoch(), config.round_budget - rounds_used)
-        joint = [agent.act_segment(length) for agent in players]
-        outcomes = [lr.observe_segment(joint) for lr in learner_list]
-        for pol in policies.values():
-            pol.observe_segment(joint)
+            hists = [agent.act_counts(length) for agent in players]
+            outcomes = [lr.observe_counts(hists) for lr in learner_list]
         rounds_used += length
         if all(out is None for out in outcomes):
             continue
@@ -555,9 +568,9 @@ def _aggregate(config: RunConfig, summaries: list[RunSummary], traces=None) -> B
     )
 
 
-def _one_trial(args):
-    config, trial = args
-    trace = run_trial(config, trial)
+def _one_trial(job):
+    config, trial, eq = job
+    trace = run_trial(config, trial, eq)
     return trace, detect_convergence(trace)
 
 
@@ -571,9 +584,11 @@ def run_batch(
 
     ``on_trace(trace, summary)`` is called per trial in trial order
     (e.g. to persist traces); set ``keep_traces`` to retain them in the
-    result.
+    result.  The equilibrium is solved once, here, and every trial (in
+    a pool worker too) receives it.
     """
-    jobs = [(config, t) for t in range(config.trial_count)]
+    eq = compute_equilibrium(config.game, config.eq_override)
+    jobs = [(config, t, eq) for t in range(config.trial_count)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -137,6 +137,17 @@ class EquilibriumRetreatAgent:
         start = self.round_in_epoch
         return self._buffer[start : start + length]
 
+    def act_counts(self, length: int) -> np.ndarray:
+        """How often each action is played in the next ``length`` rounds:
+        one multinomial draw from phi on the play stream.
+
+        The histogram path, for rosters with no history-dependent policy;
+        its draws differ from act_segment's.
+        """
+        if length > self.rounds_left_in_epoch():
+            raise ValueError("segment crosses an epoch boundary")
+        return self._play_rng.multinomial(length, self.phi)
+
     def observe(self, joint) -> EpochOutcome | None:
         """Commit one round's joint action profile; the segment of length 1."""
         return self.observe_segment([np.array([a], dtype=np.int64) for a in joint])
@@ -156,10 +167,30 @@ class EquilibriumRetreatAgent:
         n_rounds = len(joint[0])
         if any(len(a) != n_rounds for a in joint):
             raise ValueError("joint profile needs equally long action arrays")
+        hists = [np.bincount(a, minlength=len(h)) for a, h in zip(joint, self.h_curr)]
+        return self._commit(hists, n_rounds)
+
+    def observe_counts(self, hists: list[np.ndarray]) -> EpochOutcome | None:
+        """Commit a block of rounds given as one action histogram per
+        player (own included), each totalling the block's length; the
+        histogram path's observe_segment."""
+        if len(hists) != self.n_players:
+            raise ValueError(f"{len(hists)} histograms for {self.n_players} players")
+        n_rounds = int(hists[0].sum())
+        if any(h.sum() != n_rounds or h.min(initial=0) < 0 for h in hists):
+            raise ValueError("histograms need nonnegative counts with one total")
+        return self._commit(hists, n_rounds)
+
+    def _commit(self, hists: list[np.ndarray], n_rounds: int) -> EpochOutcome | None:
         if n_rounds > self.rounds_left_in_epoch():
             raise ValueError("segment crosses an epoch boundary")
-        for h, a in zip(self.h_curr, joint):
-            h += np.bincount(a, minlength=len(h))
+        for h, cur in zip(hists, self.h_curr):
+            if h.shape != cur.shape:
+                raise ValueError(
+                    f"a histogram of {len(h)} entries for a player with {len(cur)} actions"
+                )
+        for h, cur in zip(hists, self.h_curr):
+            cur += h
         self.round_in_epoch += n_rounds
         if self.round_in_epoch == self.epoch_rounds:
             return self._epoch_end()

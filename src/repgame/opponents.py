@@ -2,17 +2,58 @@
 fictitious play (a nonstationary stressor)."""
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .games import StageGame, as_strategy, pure_action_values
+from .games import StageGame, as_strategy
+
+
+def as_script(actions, n_actions: int) -> np.ndarray:
+    """A nonempty script of integer actions in ``[0, n_actions)``, as int64."""
+    arr = np.asarray(actions)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("script must be a nonempty list of actions")
+    if arr.dtype.kind not in "iu" or not ((arr >= 0) & (arr < n_actions)).all():
+        raise ValueError(f"scripted actions {list(actions)} must be integers in [0, {n_actions})")
+    return arr.astype(np.int64)
+
+
+def as_switch_round(value) -> int:
+    """A round index: an integer (not a bool) of at least 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"switch_round {value!r} must be an integer >= 0")
+    return int(value)
+
+
+def as_initial_counts(game: StageGame, player: int, counts=None) -> list[np.ndarray]:
+    """Fictitious play's starting counts: one vector per opponent of
+    ``player``, in player order, each of that opponent's length and with a
+    nonnegative entries and a positive total; one of each action when
+    ``counts`` is None."""
+    lengths = [c for p, c in enumerate(game.action_counts) if p != player]
+    if counts is None:
+        return [np.ones(k) for k in lengths]
+    counts = [np.array(c, dtype=np.float64) for c in counts]
+    if [c.shape for c in counts] != [(k,) for k in lengths]:
+        raise ValueError(f"initial_counts need one vector per opponent, of lengths {lengths}")
+    if any(not (c >= 0).all() or c.sum() <= 0 for c in counts):  # NaN fails too
+        raise ValueError("initial_counts need nonnegative entries and positive totals")
+    return counts
 
 
 class OpponentPolicy:
-    """Base class.  A policy plays ``length`` rounds at once with
-    ``act_segment``, which returns one int64 action per round, and then
-    sees the same rounds through ``observe_segment(joint)``, where
-    ``joint`` holds one int64 action array per player.  History-dependent
-    policies play one round at a time."""
+    """Base class.  A policy plays ``length`` rounds at once in one of two
+    ways, chosen by the trial for its whole roster:
+
+    - actions: ``act_segment(length)`` returns one int64 action per round,
+      and ``observe_segment(joint)`` then shows the policy the same rounds,
+      with one int64 action array per player.  History-dependent policies
+      play this way, one round at a time.
+    - histogram: ``act_counts(length)`` returns how often the policy plays
+      each action over the next ``length`` rounds, and moves past them.
+      Only history-free policies play this way; they observe nothing.
+    """
 
     history_dependent = False
 
@@ -21,6 +62,9 @@ class OpponentPolicy:
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
         pass
+
+    def act_counts(self, length: int) -> np.ndarray:
+        raise NotImplementedError
 
 
 class StationaryPolicy(OpponentPolicy):
@@ -33,15 +77,16 @@ class StationaryPolicy(OpponentPolicy):
     def act_segment(self, length: int) -> np.ndarray:
         return self.rng.choice(len(self.probs), size=length, p=self.probs)
 
+    def act_counts(self, length: int) -> np.ndarray:
+        return self.rng.multinomial(length, self.probs)
+
 
 class ScriptedPolicy(OpponentPolicy):
     """Plays a fixed action list, then repeats the last action forever."""
 
-    def __init__(self, actions):
-        actions = [int(a) for a in actions]
-        if not actions:
-            raise ValueError("script must be nonempty")
-        self.actions = np.asarray(actions, dtype=np.int64)
+    def __init__(self, actions, n_actions: int):
+        self.actions = as_script(actions, n_actions)
+        self.n_actions = int(n_actions)
         self.pos = 0
 
     def act_segment(self, length: int) -> np.ndarray:
@@ -50,6 +95,15 @@ class ScriptedPolicy(OpponentPolicy):
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
         self.pos += len(joint[0])
+
+    def act_counts(self, length: int) -> np.ndarray:
+        # Exact: the part of the script these rounds reach, and the rest on
+        # the last action.
+        played = self.actions[self.pos : self.pos + length]
+        counts = np.bincount(played, minlength=self.n_actions)
+        counts[self.actions[-1]] += length - len(played)
+        self.pos += length
+        return counts
 
 
 class EventuallyStationaryPolicy(OpponentPolicy):
@@ -60,10 +114,8 @@ class EventuallyStationaryPolicy(OpponentPolicy):
     """
 
     def __init__(self, pre: OpponentPolicy, switch_round: int, probs, rng: np.random.Generator):
-        if switch_round < 0:
-            raise ValueError("switch_round must be >= 0")
         self.pre = pre
-        self.switch_round = int(switch_round)
+        self.switch_round = as_switch_round(switch_round)
         self.post = StationaryPolicy(probs, rng)
         self.round = 0
         self.history_dependent = pre.history_dependent
@@ -88,6 +140,14 @@ class EventuallyStationaryPolicy(OpponentPolicy):
             self.pre.observe_segment([a[:pre_len] for a in joint])
         self.round += length
 
+    def act_counts(self, length: int) -> np.ndarray:
+        pre_len = self._pre_len(length)
+        counts = self.post.act_counts(length - pre_len)
+        if pre_len:
+            counts += self.pre.act_counts(pre_len)
+        self.round += length
+        return counts
+
 
 class FictitiousPlayPolicy(OpponentPolicy):
     """Pure best response to opponents' empirical action counts.
@@ -102,23 +162,20 @@ class FictitiousPlayPolicy(OpponentPolicy):
     def __init__(self, game: StageGame, player: int, initial_counts=None):
         self.game = game
         self.player = int(player)
-        if initial_counts is None:
-            initial_counts = [
-                np.ones(c) for p, c in enumerate(game.action_counts) if p != self.player
-            ]
-        self.counts = [np.asarray(c, dtype=np.float64).copy() for c in initial_counts]
-        opp_counts = [c for p, c in enumerate(game.action_counts) if p != self.player]
-        if [len(c) for c in self.counts] != opp_counts:
-            raise ValueError("initial_counts do not match opponents' action counts")
-        if any(c.sum() <= 0 for c in self.counts):
-            raise ValueError("initial_counts need positive totals")
+        self.counts = as_initial_counts(game, self.player, initial_counts)
         self._others = [p for p in range(game.num_players) if p != self.player]
+        self._payoffs = game.own_axis_payoffs[self.player]
 
     def act_segment(self, length: int) -> np.ndarray:
         if length != 1:
             raise ValueError(f"fictitious play acts one round at a time, not {length}")
-        freqs = [c / c.sum() for c in self.counts]
-        values = pure_action_values(self.game, self.player, freqs)
+        # Values against the unnormalised counts, contracted from the last
+        # opponent's axis inwards: they are the values against the
+        # empirical frequencies times a positive constant, so the argmax
+        # (the first maximiser) is the same.
+        values = self._payoffs
+        for counts in reversed(self.counts):
+            values = values @ counts
         return np.array([np.argmax(values)], dtype=np.int64)
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:

@@ -257,6 +257,13 @@ def test_cli_missing_output_dir_rejected(tmp_path, capsys):
         {"kind": "scripted", "actions": [-1]},
         {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [0]},
          "switch_round": 5, "probs": [0.2, 0.2, 0.6]},
+        *(
+            {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [0]},
+             "switch_round": bad, "probs": [0.5, 0.5]}
+            for bad in (2.5, -1, True)
+        ),
+        {"kind": "fictitious_play", "initial_counts": [[1.0, 1.0, 1.0]]},
+        {"kind": "fictitious_play", "initial_counts": [[0.0, 0.0]]},
     ],
 )
 def test_cli_rejects_opponent_that_does_not_fit_game(tmp_path, capsys, policy):

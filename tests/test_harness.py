@@ -1,12 +1,13 @@
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repgame import traceio
+from repgame import harness, traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, rock_paper_scissors
 from repgame.equilibrium import EquilibriumUnavailableError, compute_equilibrium
 from repgame.games import StageGame
@@ -105,6 +106,21 @@ def test_budget_truncation_marks_partial_epoch():
          "switch_round": 5, "probs": [0.5, 0.5]},
         {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [3]},
          "switch_round": 5, "probs": [0.5, 0.3, 0.2]},
+        *(
+            {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [0]},
+             "switch_round": bad, "probs": [0.5, 0.3, 0.2]}
+            for bad in (2.5, -1, True, "3")
+        ),
+        {"kind": "fictitious_play", "initial_counts": [[1.0, 1.0]]},
+        {"kind": "fictitious_play", "initial_counts": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]},
+        {"kind": "fictitious_play", "initial_counts": [[0.0, 0.0, 0.0]]},
+        {"kind": "fictitious_play", "initial_counts": [[-1.0, 1.0, 2.0]]},
+        {"kind": "eventually_stationary", "pre": {"kind": "fictitious_play", "initial_counts": [[1.0]]},
+         "switch_round": 5, "probs": [0.5, 0.3, 0.2]},
+        *(
+            {"kind": "eventually_stationary", "pre": pre, "switch_round": 5, "probs": [0.5, 0.3, 0.2]}
+            for pre in ({"kind": "psychic"}, 5)
+        ),
     ],
 )
 def test_run_config_rejects_opponent_that_does_not_fit_game(policy):
@@ -391,6 +407,25 @@ def test_batch_single_trial_matches_run_trial():
     direct = detect_convergence(run_trial(cfg, 0))
     assert result.summaries == [direct]
     assert trace_bytes(result.traces[0]) == trace_bytes(run_trial(cfg, 0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_solves_the_equilibrium_once(monkeypatch, tmp_path, workers):
+    # Pool workers are forked with the patch, so a solve in a worker would
+    # be logged with the worker's pid.
+    log = tmp_path / "solves"
+
+    def logged(game, override=None):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return compute_equilibrium(game, override)
+
+    cfg = mp_config(trial_count=3)
+    monkeypatch.setattr(harness, "compute_equilibrium", logged)
+    result = run_batch(cfg, workers=workers, keep_traces=True)
+    assert log.read_text().split() == [str(os.getpid())]
+    monkeypatch.undo()
+    assert [trace_bytes(t) for t in result.traces] == [trace_bytes(run_trial(cfg, t)) for t in range(3)]
 
 
 def test_batch_deterministic_aggregates():

@@ -150,6 +150,64 @@ def test_observe_rejects_unequal_segment_lengths():
     assert agent.round_in_epoch == 0
 
 
+def test_counts_and_segment_paths_decide_alike():
+    # The same epoch fed as action arrays and as their histograms gives
+    # the same outcome.
+    g = rock_paper_scissors()
+    sched = FixedSchedule([0.2, 0.1], [60, 60], actions_total=6)
+    eq = compute_equilibrium(g)
+    a, b = (EquilibriumRetreatAgent(g, 0, sched, eq, seed=3) for _ in range(2))
+    opp = np.random.default_rng(6).integers(0, 3, size=60)
+    own = a.act_segment(60)
+    out_a = a.observe_segment([own, opp])
+    out_b = b.observe_counts([np.bincount(own, minlength=3), np.bincount(opp, minlength=3)])
+    assert out_a == out_b
+
+
+def test_locked_learner_counts_every_round_on_its_action():
+    g = rock_paper_scissors()
+    sched = FixedSchedule([0.5], [1000], actions_total=6)
+    agent = make_agent(g, schedule=sched, seed=3)
+    force_pure_phi(agent, 2)
+    own = agent.act_counts(1000)
+    assert own.tolist() == [0, 0, 1000]
+    out = agent.observe_counts([own, np.array([500, 300, 200])])
+    assert out.counts[0] == (0, 0, 1000)
+
+
+@pytest.mark.parametrize(
+    "hists",
+    [
+        [np.array([4]), np.array([1, 1, 2])],  # too short: must not broadcast
+        [np.array([1, 1, 1, 1]), np.array([1, 1, 2])],
+        [np.array([1, 1, 2]), np.array([1, 1, 1])],  # unequal totals
+        [np.array([-1, 3, 2]), np.array([1, 1, 2])],
+        [np.array([1, 1, 2])] * 3,
+    ],
+)
+def test_observe_counts_rejects_malformed_histograms(hists):
+    agent = make_agent(rock_paper_scissors())
+    with pytest.raises(ValueError):
+        agent.observe_counts(hists)
+    assert agent.round_in_epoch == 0
+    assert all(h.sum() == 0 for h in agent.h_curr)
+
+
+def test_observe_rejects_action_outside_the_player():
+    agent = make_agent(matching_pennies())
+    with pytest.raises(ValueError):
+        agent.observe_segment([np.zeros(2, dtype=np.int64), np.array([0, 2])])
+    assert agent.round_in_epoch == 0
+    assert all(h.sum() == 0 for h in agent.h_curr)
+
+
+def test_act_counts_stays_inside_the_epoch():
+    agent = make_agent(matching_pennies(), schedule=FixedSchedule([0.5], [10]))
+    assert agent.act_counts(10).sum() == 10
+    with pytest.raises(ValueError):
+        agent.act_counts(11)
+
+
 # -- equilibrium hypothesis test ----------------------------------------------------------
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repgame.catalog import matching_pennies, rock_paper_scissors
-from repgame.games import best_response
+from repgame.games import StageGame, best_response
 from repgame.opponents import (
     EventuallyStationaryPolicy,
     FictitiousPlayPolicy,
@@ -43,6 +45,12 @@ def test_stationary_ignores_history():
     assert seqs[0] == seqs[1]
 
 
+def test_stationary_counts_follow_probs():
+    counts = StationaryPolicy([0.5, 0.3, 0.2], rng(1)).act_counts(100_000)
+    assert counts.dtype == np.int64 and counts.sum() == 100_000
+    assert np.all(np.abs(counts / 100_000 - [0.5, 0.3, 0.2]) < 0.01)
+
+
 def test_stationary_rejects_bad_probs():
     with pytest.raises(ValueError):
         StationaryPolicy([0.7, 0.7], rng())
@@ -52,26 +60,46 @@ def test_stationary_rejects_bad_probs():
 
 
 def test_scripted_repeats_last_action():
-    assert play_rounds(ScriptedPolicy([0, 1]), 4) == [0, 1, 1, 1]
+    assert play_rounds(ScriptedPolicy([0, 1], 2), 4) == [0, 1, 1, 1]
 
 
 def test_scripted_segment_matches_per_round():
-    a = ScriptedPolicy([2, 0, 1])
+    a = ScriptedPolicy([2, 0, 1], 3)
     seg = a.act_segment(6)
     assert seg.dtype == np.int64
-    assert seg.tolist() == play_rounds(ScriptedPolicy([2, 0, 1]), 6)
+    assert seg.tolist() == play_rounds(ScriptedPolicy([2, 0, 1], 3), 6)
 
 
 def test_scripted_rejects_empty():
     with pytest.raises(ValueError):
-        ScriptedPolicy([])
+        ScriptedPolicy([], 2)
+
+
+@pytest.mark.parametrize("actions", [[0, 2], [-1], [0.5]])
+def test_scripted_rejects_actions_outside_the_player(actions):
+    with pytest.raises(ValueError):
+        ScriptedPolicy(actions, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    script=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    pos=st.integers(0, 10),
+    length=st.integers(0, 12),
+)
+def test_scripted_counts_equal_bincount_of_its_segment(script, pos, length):
+    pol = ScriptedPolicy(script, 3)
+    pol.act_counts(pos)
+    expected = np.bincount(pol.act_segment(length), minlength=3)
+    assert pol.act_counts(length).tolist() == expected.tolist()
+    assert pol.pos == pos + length
 
 
 # -- eventually stationary --------------------------------------------------------
 
 
 def test_eventually_stationary_switch_contract():
-    pre = ScriptedPolicy([0])
+    pre = ScriptedPolicy([0], 3)
     pol = EventuallyStationaryPolicy(pre, 500, [0.5, 0.3, 0.2], rng(9))
     draws = play_rounds(pol, 2000)
     assert set(draws[:500]) == {0}
@@ -81,7 +109,7 @@ def test_eventually_stationary_switch_contract():
 
 
 def test_eventually_stationary_segment_splits_at_switch():
-    pre = ScriptedPolicy([1])
+    pre = ScriptedPolicy([1], 2)
     a = EventuallyStationaryPolicy(pre, 10, [1.0, 0.0], rng(2))
     seg = a.act_segment(25)
     assert seg[:10].tolist() == [1] * 10
@@ -90,7 +118,33 @@ def test_eventually_stationary_segment_splits_at_switch():
 
 def test_eventually_stationary_rejects_negative_switch():
     with pytest.raises(ValueError):
-        EventuallyStationaryPolicy(ScriptedPolicy([0]), -1, [1.0, 0.0], rng())
+        EventuallyStationaryPolicy(ScriptedPolicy([0], 2), -1, [1.0, 0.0], rng())
+
+
+@pytest.mark.parametrize("switch_round", [2.5, True, "3"])
+def test_eventually_stationary_rejects_non_integer_switch(switch_round):
+    with pytest.raises(ValueError):
+        EventuallyStationaryPolicy(ScriptedPolicy([0], 2), switch_round, [1.0, 0.0], rng())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    script=st.lists(st.integers(0, 1), min_size=1, max_size=6),
+    switch=st.integers(0, 15),
+    pos=st.integers(0, 20),
+    length=st.integers(0, 20),
+)
+def test_eventually_stationary_counts_are_exact_before_the_switch(script, switch, pos, length):
+    # The script plays actions 0 and 1 only and the stationary part plays
+    # only action 2, so the histogram shows the two parts apart.
+    pol = EventuallyStationaryPolicy(ScriptedPolicy(script, 3), switch, [0.0, 0.0, 1.0], rng())
+    pol.act_counts(pos)
+    pre_len = min(max(switch - pos, 0), length)
+    pre = [script[min(r, len(script) - 1)] for r in range(pos, pos + pre_len)]
+    counts = pol.act_counts(length)
+    assert counts[:2].tolist() == [pre.count(0), pre.count(1)]
+    assert counts[2] == length - pre_len
+    assert counts.sum() == length and pol.round == pos + length
 
 
 # -- fictitious play ------------------------------------------------------------------
@@ -109,12 +163,26 @@ def test_fictitious_play_best_responds_to_counts():
         pol.observe_segment([np.array([opp_action]), my_action])
 
 
+def test_fictitious_play_best_responds_in_three_player_games():
+    # Unequal action counts, so contracting the counts against the wrong
+    # axes cannot go unnoticed.
+    gen = np.random.default_rng(11)
+    for _ in range(20):
+        g = StageGame(gen.normal(size=(3, 2, 3, 4)))
+        counts = [gen.integers(1, 9, size=2).astype(float), gen.integers(1, 9, size=4).astype(float)]
+        pol = FictitiousPlayPolicy(g, 1, initial_counts=counts)
+        expected, _ = best_response(g, 1, [c / c.sum() for c in counts])
+        assert pol.act_segment(1).tolist() == [expected]
+
+
 def test_fictitious_play_initial_counts_validation():
     g = matching_pennies()
     with pytest.raises(ValueError):
         FictitiousPlayPolicy(g, 0, initial_counts=[[1.0, 1.0, 1.0]])
     with pytest.raises(ValueError):
         FictitiousPlayPolicy(g, 0, initial_counts=[[0.0, 0.0]])
+    with pytest.raises(ValueError):
+        FictitiousPlayPolicy(g, 0, initial_counts=[[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_fictitious_play_is_history_dependent():
