@@ -20,8 +20,8 @@ from .games import (
     pure_strategy,
     regret,
 )
+from .config import RunConfig
 from .harness import (
-    RunConfig,
     RunSummary,
     RunTrace,
     detect_convergence,

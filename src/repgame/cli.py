@@ -47,7 +47,10 @@ def _apply_seed_env(config):
         seed = int(raw)
     except ValueError:
         raise _CliError(f"{SEED_ENV} must be an integer, got {raw!r}", EXIT_CONFIG)
-    return dataclasses.replace(config, master_seed=seed)
+    try:
+        return dataclasses.replace(config, master_seed=seed)
+    except ValueError as exc:
+        raise _CliError(f"{SEED_ENV}: {exc}", EXIT_CONFIG)
 
 
 def _prepare_output_dir(path: Path, make_dirs: bool):
@@ -151,6 +154,8 @@ def _summary_line(summary) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.trial < 0:
+        raise _CliError(f"--trial must be >= 0, got {args.trial}", EXIT_CONFIG)
     config, output = _load_config(args.config)
     trace = run_trial(config, args.trial)
     summary = detect_convergence(trace)

@@ -1,5 +1,5 @@
-"""Human-writable file formats: the game text grammar and the YAML run
-configuration.
+"""Human-writable file formats: the game text grammar and the run
+document, with the RunConfig it builds.
 
 Game file grammar (line-oriented, ``#`` comments)::
 
@@ -17,19 +17,20 @@ lexicographic profile order with player 0 varying slowest, holding one
 payoff per player.  Parse failures raise ConfigError with the file and
 line number.
 
-The run configuration is a YAML mapping with explicit keys; see
-load_run_config for the field list.
+The run document is a mapping with explicit keys, read from YAML by
+load_run_config and from a mapping by build_run_config.  config_to_dict
+writes the same document, so a trace header's ``config`` re-runs its
+trial.
 """
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from .equilibrium import EquilibriumProfile
-from .games import StageGame
-from .harness import RunConfig, game_from_dict
+from .games import StageGame, as_strategy
+from .opponents import as_initial_counts, as_script, as_switch_round
 from .schedule import Schedule
 
 
@@ -141,44 +142,144 @@ def format_game_text(game: StageGame) -> str:
 
 # -- run configuration ---------------------------------------------------------
 
+# Integer fields of a run and the least value each may take.
+_INT_FIELDS = {
+    "round_budget": 1,
+    "epoch_budget": 1,
+    "master_seed": 0,
+    "trial_count": 1,
+    "window": 1,
+}
+# The keys of a run document; ``output`` is read by load_run_config alone.
+_DOC_KEYS = {"game", "roster", "schedule", "equilibrium_override", "output", *_INT_FIELDS}
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key {key!r}", where)
-    return mapping[key]
+
+def _check_policy(desc: dict, game: StageGame, player: int) -> None:
+    """ValueError when the opponent descriptor ``desc`` cannot play
+    ``player``'s actions in ``game``."""
+    n_actions = game.action_counts[player]
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if kind == "scripted":
+        as_script(desc["actions"], n_actions)
+    elif kind == "stationary":
+        as_strategy(desc["probs"], n_actions)
+    elif kind == "eventually_stationary":
+        as_strategy(desc["probs"], n_actions)
+        as_switch_round(desc["switch_round"])
+        _check_policy(desc["pre"], game, player)
+    elif kind == "fictitious_play":
+        as_initial_counts(game, player, desc.get("initial_counts"))
+    else:
+        raise ValueError(f"unknown opponent policy kind {kind!r}")
 
 
-def _roster_entry(entry, idx: int, source: str) -> dict:
-    where = f"{source}: roster[{idx}]"
-    if not isinstance(entry, dict):
-        raise ConfigError("roster entry must be a mapping", where)
-    agent = _require(entry, "agent", where)
-    if agent == "learner":
-        return {"agent": "learner"}
-    if agent == "opponent":
-        policy = _require(entry, "policy", where)
-        if not isinstance(policy, dict) or "kind" not in policy:
-            raise ConfigError("opponent policy must be a mapping with 'kind'", where)
-        kind = policy["kind"]
-        if kind == "stationary":
-            _require(policy, "probs", where)
-        elif kind == "scripted":
-            _require(policy, "actions", where)
-        elif kind == "eventually_stationary":
-            for k in ("pre", "switch_round", "probs"):
-                _require(policy, k, where)
-        elif kind == "fictitious_play":
-            pass
-        else:
-            raise ConfigError(f"unknown policy kind {kind!r}", where)
-        return {"agent": "opponent", "policy": policy}
-    raise ConfigError(f"agent must be 'learner' or 'opponent', got {agent!r}", where)
+def _override_strategies(rows, game: StageGame) -> tuple[np.ndarray, ...]:
+    if not isinstance(rows, (list, tuple)) or len(rows) != game.num_players:
+        raise ValueError(
+            f"equilibrium_override needs one probability vector per player ({game.num_players})"
+        )
+    strategies = []
+    for player, (row, count) in enumerate(zip(rows, game.action_counts)):
+        try:
+            strategies.append(as_strategy(row, count))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"equilibrium_override for player {player}: {exc}") from exc
+    return tuple(strategies)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything needed to reproduce a trial or batch.
+
+    Every check of a configuration is made here, so a config built in code
+    fails as the same config read from a document does.
+    """
+
+    game: StageGame
+    roster: tuple[dict, ...]  # per-player agent descriptors
+    schedule: Schedule
+    eq_override: tuple[np.ndarray, ...] | None = None  # one strategy per player
+    round_budget: int = 1_000_000
+    epoch_budget: int = 1_000_000
+    master_seed: int = 0
+    trial_count: int = 1
+    window: int = 3
+
+    def __post_init__(self):
+        n = self.game.num_players
+        if not isinstance(self.roster, (list, tuple)) or len(self.roster) != n:
+            raise ValueError(f"roster must list one agent per player ({n})")
+        for key, least in _INT_FIELDS.items():
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+        for player, entry in enumerate(self.roster):
+            agent = entry.get("agent") if isinstance(entry, dict) else None
+            if agent == "opponent":
+                # A descriptor that does not fit the game fails here, not
+                # partway through a run.
+                try:
+                    _check_policy(entry.get("policy"), self.game, player)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"roster[{player}]: invalid opponent policy: {exc}") from exc
+            elif agent != "learner":
+                raise ValueError(
+                    f"roster[{player}]: need a mapping with agent 'learner' or 'opponent', got {entry!r}"
+                )
+        if not any(entry["agent"] == "learner" for entry in self.roster):
+            raise ValueError("roster needs at least one learner")
+        object.__setattr__(self, "roster", tuple(dict(r) for r in self.roster))
+        if self.eq_override is not None:
+            object.__setattr__(self, "eq_override", _override_strategies(self.eq_override, self.game))
+
+
+def game_to_dict(game: StageGame) -> dict:
+    return {
+        "num_players": game.num_players,
+        "action_names": [list(per) for per in game.action_names]
+        if game.action_names
+        else None,
+        "payoffs": game.payoffs.tolist(),
+    }
+
+
+def game_from_dict(d: dict) -> StageGame:
+    names = d.get("action_names")
+    game = StageGame(
+        np.asarray(d["payoffs"], dtype=np.float64),
+        action_names=tuple(tuple(per) for per in names) if names else None,
+    )
+    if d.get("num_players", game.num_players) != game.num_players:
+        raise ValueError(
+            f"num_players is {d['num_players']!r}, but the payoffs are for {game.num_players}"
+        )
+    return game
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    """The run document of ``config``, with the game inline;
+    ``build_run_config`` reads it back to the same config."""
+    return {
+        "game": game_to_dict(config.game),
+        "roster": [dict(r) for r in config.roster],
+        "schedule": asdict(config.schedule),
+        "equilibrium_override": [list(map(float, s)) for s in config.eq_override]
+        if config.eq_override is not None
+        else None,
+        **{key: getattr(config, key) for key in _INT_FIELDS},
+    }
 
 
 def build_run_config(doc: dict, source: str = "<config>", base_dir=None) -> RunConfig:
+    """The RunConfig of a run document.  RunConfig checks the fields; this
+    resolves a game path against ``base_dir``, takes the schedule's
+    ``actions_total`` from the game unless given, and locates errors."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a mapping", source)
-    game_field = _require(doc, "game", source)
+    unknown = sorted(map(str, set(doc) - _DOC_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown keys {', '.join(unknown)}", source)
+    game_field = doc.get("game")
     if isinstance(game_field, str):
         path = Path(game_field)
         if base_dir is not None and not path.is_absolute():
@@ -187,62 +288,25 @@ def build_run_config(doc: dict, source: str = "<config>", base_dir=None) -> RunC
     elif isinstance(game_field, dict):
         try:
             game = game_from_dict(game_field)
-        except Exception as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid inline game: {exc}", f"{source}: game")
     else:
         raise ConfigError("game must be a file path or inline mapping", f"{source}: game")
 
-    roster_field = _require(doc, "roster", source)
-    if not isinstance(roster_field, list) or len(roster_field) != game.num_players:
-        raise ConfigError(
-            f"roster must list one agent per player ({game.num_players})",
-            f"{source}: roster",
-        )
-    roster = tuple(_roster_entry(e, i, source) for i, e in enumerate(roster_field))
-
-    sched_field = dict(doc.get("schedule") or {})
-    sched_field.setdefault("actions_total", game.actions_total)
     try:
+        sched_field = dict(doc.get("schedule") or {})
+        sched_field.setdefault("actions_total", game.actions_total)
         schedule = Schedule(**sched_field)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid schedule: {exc}", f"{source}: schedule")
 
-    override = None
-    if doc.get("equilibrium_override") is not None:
-        rows = doc["equilibrium_override"]
-        where = f"{source}: equilibrium_override"
-        if not isinstance(rows, list) or len(rows) != game.num_players:
-            raise ConfigError("need one probability vector per player", where)
-        try:
-            strategies = tuple(np.asarray(r, dtype=np.float64) for r in rows)
-            override = EquilibriumProfile(strategies, "mixed", "user-supplied")
-        except Exception as exc:
-            raise ConfigError(f"invalid override: {exc}", where)
-        for p, s in enumerate(strategies):
-            if len(s) != game.action_counts[p]:
-                raise ConfigError(
-                    f"override for player {p} has {len(s)} entries, "
-                    f"expected {game.action_counts[p]}",
-                    where,
-                )
-
-    def _int_field(key, default):
-        val = doc.get(key, default)
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"{key} must be an integer", f"{source}: {key}")
-        return val
-
     try:
         return RunConfig(
             game=game,
-            roster=roster,
+            roster=doc.get("roster"),
             schedule=schedule,
-            eq_override=override,
-            round_budget=_int_field("round_budget", 1_000_000),
-            epoch_budget=_int_field("epoch_budget", 1_000_000),
-            master_seed=_int_field("master_seed", 0),
-            trial_count=_int_field("trial_count", 1),
-            window=_int_field("window", 3),
+            eq_override=doc.get("equilibrium_override"),
+            **{key: doc[key] for key in _INT_FIELDS if key in doc},
         )
     except ValueError as exc:
         raise ConfigError(str(exc), source)
@@ -255,6 +319,8 @@ def load_run_config(path) -> tuple[RunConfig, dict]:
     ``summary_csv``, ``report_json``, ``make_dirs`` (bool; whether
     missing output directories are created rather than rejected).
     """
+    import yaml
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

@@ -43,6 +43,11 @@ class EquilibriumProfile:
         object.__setattr__(self, "strategies", tuple(frozen))
 
 
+def _profile(strategies, provenance: str) -> EquilibriumProfile:
+    kind = "pure" if all(is_pure(s) for s in strategies) else "mixed"
+    return EquilibriumProfile(strategies, kind, provenance)
+
+
 def _verify(game: StageGame, strategies) -> bool:
     return all(
         regret(game, strategies, p) <= REGRET_TOL for p in range(game.num_players)
@@ -131,10 +136,8 @@ def _iter_support_equilibria(game: StageGame):
                 if pi0 is None:
                     continue
                 strategies = (pi0, pi1)
-                if not _verify(game, strategies):
-                    continue
-                kind = "pure" if all(is_pure(s) for s in strategies) else "mixed"
-                yield EquilibriumProfile(strategies, kind, "support-enumeration-2p")
+                if _verify(game, strategies):
+                    yield _profile(strategies, "support-enumeration-2p")
 
 
 def support_enumeration_2p(game: StageGame) -> list[EquilibriumProfile]:
@@ -147,33 +150,23 @@ def support_enumeration_2p(game: StageGame) -> list[EquilibriumProfile]:
     return list(_iter_support_equilibria(game))
 
 
-def profile_from_pure(game: StageGame, profile, provenance: str = "pure-enumeration") -> EquilibriumProfile:
-    strategies = tuple(
-        pure_strategy(a, c) for a, c in zip(profile, game.action_counts)
-    )
-    return EquilibriumProfile(strategies, "pure", provenance)
-
-
-def compute_equilibrium(
-    game: StageGame, override: EquilibriumProfile | None = None
-) -> EquilibriumProfile:
+def compute_equilibrium(game: StageGame, override=None) -> EquilibriumProfile:
     """The shared equilibrium every learner in a run precomputes.
 
     Deterministic selection rule: first support-enumeration result for
-    2-player games, first lexicographic pure NE otherwise.  An override
-    (verified against the regret tolerance) takes precedence.
+    2-player games, first lexicographic pure NE otherwise.  An override,
+    one strategy per player, takes precedence once it passes the regret
+    tolerance; it is ``pure`` when every strategy is.
     """
     if override is not None:
-        strategies = tuple(
-            as_strategy(s, c) for s, c in zip(override.strategies, game.action_counts)
-        )
-        if len(strategies) != game.num_players:
+        if len(override) != game.num_players:
             raise ValueError("override needs one strategy per player")
+        strategies = tuple(as_strategy(s, c) for s, c in zip(override, game.action_counts))
         if not _verify(game, strategies):
             raise ValueError(
                 f"override profile fails the regret <= {REGRET_TOL} check"
             )
-        return EquilibriumProfile(strategies, override.kind, "user-supplied")
+        return _profile(strategies, "user-supplied")
     if game.num_players == 2:
         for profile in _iter_support_equilibria(game):
             return profile
@@ -186,4 +179,5 @@ def compute_equilibrium(
             f"no pure equilibrium in a {game.num_players}-player game; "
             "supply an override (general n-player mixed solving is out of scope)"
         )
-    return profile_from_pure(game, pure[0])
+    strategies = tuple(pure_strategy(a, c) for a, c in zip(pure[0], game.action_counts))
+    return _profile(strategies, "pure-enumeration")

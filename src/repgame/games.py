@@ -111,11 +111,6 @@ class StageGame:
         """Total number of actions summed over all players."""
         return sum(self.action_counts)
 
-    def action_name(self, player: int, action: int) -> str:
-        if self.action_names is not None:
-            return self.action_names[player][action]
-        return str(action)
-
     def payoff(self, player: int, profile) -> float:
         return float(self.payoffs[player][tuple(int(a) for a in profile)])
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig, config_to_dict, game_from_dict
 from .equilibrium import EquilibriumProfile, compute_equilibrium
-from .games import StageGame, as_strategy, payoff_range
+from .games import StageGame, payoff_range
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EpochOutcome, EquilibriumRetreatAgent, epoch_step
 from .opponents import (
     EventuallyStationaryPolicy,
@@ -22,55 +23,16 @@ from .opponents import (
     OpponentPolicy,
     ScriptedPolicy,
     StationaryPolicy,
-    as_initial_counts,
-    as_script,
-    as_switch_round,
 )
 from .schedule import Schedule
 
-TRACE_SCHEMA = 3
+TRACE_SCHEMA = 4
 
 
 def agent_stream(master_seed: int, trial: int, player: int, purpose: int) -> np.random.Generator:
     """The documented seed-splitting scheme; see module docstring."""
     ss = np.random.SeedSequence([int(master_seed), int(trial), int(player), int(purpose)])
     return np.random.Generator(np.random.PCG64(ss))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce a trial or batch."""
-
-    game: StageGame
-    roster: tuple[dict, ...]  # per-player agent descriptors
-    schedule: Schedule
-    eq_override: EquilibriumProfile | None = None
-    round_budget: int = 1_000_000
-    epoch_budget: int = 1_000_000
-    master_seed: int = 0
-    trial_count: int = 1
-    window: int = 3
-
-    def __post_init__(self):
-        if len(self.roster) != self.game.num_players:
-            raise ValueError("roster length must equal the number of players")
-        if not any(r.get("agent") == "learner" for r in self.roster):
-            raise ValueError("roster needs at least one learner")
-        if self.round_budget < 1 or self.epoch_budget < 1:
-            raise ValueError("budgets must be at least 1")
-        if self.trial_count < 1:
-            raise ValueError("trial_count must be at least 1")
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        object.__setattr__(self, "roster", tuple(dict(r) for r in self.roster))
-        for player, entry in enumerate(self.roster):
-            if entry.get("agent") == "opponent":
-                # A descriptor that does not fit the game fails here, not
-                # partway through a run.
-                try:
-                    _check_policy(entry["policy"], self.game, player)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"roster[{player}]: invalid opponent policy: {exc}") from exc
 
 
 @dataclass
@@ -102,42 +64,6 @@ class ValidationReport:
     divergence: dict | None  # first divergence: {epoch, player, field, message}
 
 
-# -- configuration (de)serialisation ---------------------------------------
-
-
-def game_to_dict(game: StageGame) -> dict:
-    return {
-        "num_players": game.num_players,
-        "action_names": [list(per) for per in game.action_names]
-        if game.action_names
-        else None,
-        "payoffs": game.payoffs.tolist(),
-    }
-
-
-def game_from_dict(d: dict) -> StageGame:
-    names = d.get("action_names")
-    return StageGame(
-        np.asarray(d["payoffs"], dtype=np.float64),
-        action_names=tuple(tuple(per) for per in names) if names else None,
-    )
-
-
-def schedule_to_dict(s: Schedule) -> dict:
-    return {
-        "epsilon_base": s.epsilon_base,
-        "actions_total": s.actions_total,
-        "decay": s.decay,
-        "offset": s.offset,
-        "rate": s.rate,
-        "epoch0_rounds": s.epoch0_rounds,
-    }
-
-
-def schedule_from_dict(d: dict) -> Schedule:
-    return Schedule(**d)
-
-
 def equilibrium_to_dict(eq: EquilibriumProfile) -> dict:
     return {
         "strategies": [list(map(float, s)) for s in eq.strategies],
@@ -146,66 +72,7 @@ def equilibrium_to_dict(eq: EquilibriumProfile) -> dict:
     }
 
 
-def equilibrium_from_dict(d: dict) -> EquilibriumProfile:
-    return EquilibriumProfile(
-        tuple(np.asarray(s, dtype=np.float64) for s in d["strategies"]),
-        d["kind"],
-        d["provenance"],
-    )
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "game": game_to_dict(config.game),
-        "roster": [dict(r) for r in config.roster],
-        "schedule": schedule_to_dict(config.schedule),
-        "eq_override": equilibrium_to_dict(config.eq_override)
-        if config.eq_override
-        else None,
-        "round_budget": config.round_budget,
-        "epoch_budget": config.epoch_budget,
-        "master_seed": config.master_seed,
-        "trial_count": config.trial_count,
-        "window": config.window,
-    }
-
-
-def config_from_dict(d: dict) -> RunConfig:
-    return RunConfig(
-        game=game_from_dict(d["game"]),
-        roster=tuple(d["roster"]),
-        schedule=schedule_from_dict(d["schedule"]),
-        eq_override=equilibrium_from_dict(d["eq_override"])
-        if d.get("eq_override")
-        else None,
-        round_budget=d["round_budget"],
-        epoch_budget=d["epoch_budget"],
-        master_seed=d["master_seed"],
-        trial_count=d["trial_count"],
-        window=d["window"],
-    )
-
-
 # -- agent construction -----------------------------------------------------
-
-
-def _check_policy(desc: dict, game: StageGame, player: int) -> None:
-    """ValueError when the opponent descriptor ``desc`` cannot play
-    ``player``'s actions in ``game``."""
-    n_actions = game.action_counts[player]
-    kind = desc.get("kind") if isinstance(desc, dict) else None
-    if kind == "scripted":
-        as_script(desc["actions"], n_actions)
-    elif kind == "stationary":
-        as_strategy(desc["probs"], n_actions)
-    elif kind == "eventually_stationary":
-        as_strategy(desc["probs"], n_actions)
-        as_switch_round(desc["switch_round"])
-        _check_policy(desc["pre"], game, player)
-    elif kind == "fictitious_play":
-        as_initial_counts(game, player, desc.get("initial_counts"))
-    else:
-        raise ValueError(f"unknown opponent policy kind {kind!r}")
 
 
 def _build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSequence) -> OpponentPolicy:
@@ -240,13 +107,11 @@ def _build_agents(config: RunConfig, trial: int, eq: EquilibriumProfile):
             learners[player] = EquilibriumRetreatAgent(
                 config.game, player, config.schedule, eq, streams=streams
             )
-        elif entry["agent"] == "opponent":
+        else:
             ss = np.random.SeedSequence(
                 [int(config.master_seed), int(trial), int(player), STREAM_PLAY]
             )
             policies[player] = _build_policy(entry["policy"], config.game, player, ss)
-        else:
-            raise ValueError(f"unknown roster entry {entry!r}")
     return learners, policies
 
 
@@ -471,8 +336,8 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     """
     cfg = trace.header["config"]
     game = game_from_dict(cfg["game"])
-    sched = schedule_from_dict(cfg["schedule"])
-    eq = equilibrium_from_dict(trace.header["equilibrium"])
+    sched = Schedule(**cfg["schedule"])
+    eq = EquilibriumProfile(**trace.header["equilibrium"])
     shape = game.action_counts
     players = range(game.num_players)
     groups = _epoch_groups(trace)

@@ -11,7 +11,7 @@ import conftest
 
 from repgame import traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, prisoners_dilemma, rock_paper_scissors
-from repgame.equilibrium import EquilibriumProfile, compute_equilibrium, support_enumeration_2p
+from repgame.equilibrium import compute_equilibrium, support_enumeration_2p
 from repgame.games import StageGame, expected_utility, payoff_range, pure_action_values, pure_strategy, regret
 from repgame.harness import RunConfig, run_batch, validate_trace
 from repgame.schedule import PRODUCT_LIMIT, Schedule, never_restart_lower_bound
@@ -85,9 +85,7 @@ def config_c5() -> RunConfig:
 
 
 def config_c6() -> RunConfig:
-    mixed = EquilibriumProfile(
-        (np.array([2 / 3, 1 / 3]), np.array([1 / 3, 2 / 3])), "mixed", "user-supplied"
-    )
+    mixed = (np.array([2 / 3, 1 / 3]), np.array([1 / 3, 2 / 3]))
     return RunConfig(
         game=battle_of_sexes(),
         roster=(LEARNER, LEARNER),

@@ -106,6 +106,11 @@ def test_build_run_config_roster_mismatch(tmp_path):
     doc = make_config_doc(tmp_path, roster=[{"agent": "learner"}])
     with pytest.raises(ConfigError, match="roster"):
         build_run_config(doc)
+    # An inline game whose num_players disagrees with its payoffs.
+    game = {"num_players": 3, "payoffs": matching_pennies().payoffs.tolist()}
+    doc = make_config_doc(tmp_path, game=game, roster=[{"agent": "learner"}] * 3)
+    with pytest.raises(ConfigError, match="num_players"):
+        build_run_config(doc)
 
 
 def test_build_run_config_without_learner(tmp_path):
@@ -125,6 +130,17 @@ def test_build_run_config_bad_policy(tmp_path):
 def test_build_run_config_override_validation(tmp_path):
     doc = make_config_doc(tmp_path, equilibrium_override=[[0.5, 0.5], [0.5, 0.5, 0.0]])
     with pytest.raises(ConfigError, match="player 1"):
+        build_run_config(doc)
+
+
+def test_build_run_config_rejects_unknown_keys(tmp_path):
+    # A typo would otherwise run with the default budget of 1,000,000.
+    doc = make_config_doc(tmp_path, round_budjet=500)
+    with pytest.raises(ConfigError, match="round_budjet"):
+        build_run_config(doc)
+    # A schema-3 trace header named the override eq_override.
+    doc = make_config_doc(tmp_path, eq_override={"strategies": [[0.5, 0.5], [0.5, 0.5]]})
+    with pytest.raises(ConfigError, match="eq_override"):
         build_run_config(doc)
 
 
@@ -304,3 +320,24 @@ def test_cli_master_seed_env_override(tmp_path, monkeypatch, capsys):
     overridden = (out_dir / "trial-0000.jsonl").read_bytes()
     assert baseline != overridden
     assert b'"master_seed": 999' in overridden or b'"master_seed":999' in overridden
+
+
+def test_cli_rejects_negative_master_seed(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    output = {"trace_dir": str(out_dir), "make_dirs": True}
+    cfg = write_yaml_config(tmp_path, master_seed=-5, output=output)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "master_seed" in capsys.readouterr().err
+    cfg = write_yaml_config(tmp_path, output=output)
+    monkeypatch.setenv("REPGAME_MASTER_SEED", "-5")
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "master_seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_rejects_negative_trial(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = write_yaml_config(tmp_path, output={"trace_dir": str(out_dir), "make_dirs": True})
+    assert main(["run", str(cfg), "--trial", "-1"]) == EXIT_CONFIG
+    assert "--trial" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -11,7 +11,6 @@ from repgame.catalog import (
     rock_paper_scissors,
 )
 from repgame.equilibrium import (
-    EquilibriumProfile,
     EquilibriumUnavailableError,
     compute_equilibrium,
     enumerate_pure_nash,
@@ -149,22 +148,28 @@ def test_compute_three_player_coordination_pure():
 
 def test_compute_override_passthrough():
     g = battle_of_sexes()
-    override = EquilibriumProfile(
-        (np.array([2 / 3, 1 / 3]), np.array([1 / 3, 2 / 3])), "mixed", "user-supplied"
-    )
+    override = (np.array([2 / 3, 1 / 3]), np.array([1 / 3, 2 / 3]))
     eq = compute_equilibrium(g, override)
     assert eq.kind == "mixed" and eq.provenance == "user-supplied"
-    for got, given in zip(eq.strategies, override.strategies):
+    for got, given in zip(eq.strategies, override):
         assert np.asarray(got).tobytes() == given.tobytes()
+
+
+def test_compute_override_kind_follows_its_strategies():
+    eq = compute_equilibrium(battle_of_sexes(), ([1.0, 0.0], [1.0, 0.0]))
+    assert eq.kind == "pure" and eq.provenance == "user-supplied"
 
 
 def test_compute_rejects_bad_override():
     g = battle_of_sexes()
-    bad = EquilibriumProfile(
-        (np.array([0.5, 0.5]), np.array([0.5, 0.5])), "mixed", "user-supplied"
-    )
+    bad = (np.array([0.5, 0.5]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         compute_equilibrium(g, bad)
+
+
+def test_compute_rejects_override_with_extra_strategies():
+    with pytest.raises(ValueError, match="one strategy per player"):
+        compute_equilibrium(battle_of_sexes(), ([1.0, 0.0], [1.0, 0.0], [1.0, 0.0]))
 
 
 def test_compute_three_player_without_pure_ne_raises():

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from repgame import harness, traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, rock_paper_scissors
+from repgame.config import build_run_config, config_to_dict
 from repgame.equilibrium import EquilibriumUnavailableError, compute_equilibrium
 from repgame.games import StageGame
 from repgame.harness import (
     RunConfig,
-    config_from_dict,
-    config_to_dict,
     detect_convergence,
     run_batch,
     run_trial,
@@ -220,6 +219,8 @@ def test_every_roster_validates_and_reruns_byte_identical(cfg):
     assert report.ok, report.divergence
     assert trace.rounds_used == cfg.round_budget or trace.epochs == cfg.epoch_budget
     assert trace_bytes(run_trial(cfg, 0)) == trace_bytes(trace)
+    rebuilt = build_run_config(json.loads(json.dumps(trace.header["config"])))
+    assert trace_bytes(run_trial(rebuilt, 0)) == trace_bytes(trace)
 
 
 # -- convergence detection ---------------------------------------------------------
@@ -392,10 +393,16 @@ def test_trace_lines_are_canonical_json(sample_trace):
 
 
 def test_config_dict_round_trip():
-    cfg = mp_config()
-    rebuilt = config_from_dict(config_to_dict(cfg))
+    # The header's config is a run document: read back through JSON, it
+    # rebuilds the config, override included, and re-runs the trial.
+    override = [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]
+    cfg = mp_config(game=battle_of_sexes(), roster=(LEARNER, LEARNER), eq_override=override)
+    trace = run_trial(cfg, 0)
+    doc = json.loads(json.dumps(trace.header["config"]))
+    assert doc["equilibrium_override"] == override
+    rebuilt = build_run_config(doc)
     assert config_to_dict(rebuilt) == config_to_dict(cfg)
-    assert trace_bytes(run_trial(rebuilt, 0)) == trace_bytes(run_trial(cfg, 0))
+    assert trace_bytes(run_trial(rebuilt, 0)) == trace_bytes(trace)
 
 
 # -- batch ---------------------------------------------------------------------------------
