@@ -71,10 +71,7 @@ def _fmt_vec(vec) -> str:
 
 def cmd_solve(args) -> int:
     game = load_game_file(args.game_file)
-    try:
-        eq = compute_equilibrium(game)
-    except EquilibriumUnavailableError as exc:
-        raise _CliError(str(exc), EXIT_SOLVER)
+    eq = compute_equilibrium(game)
     names = game.action_names
     print(f"equilibrium kind: {eq.kind} ({eq.provenance})")
     for p, strat in enumerate(eq.strategies):
@@ -276,6 +273,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except EquilibriumUnavailableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -29,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .equilibrium import REGRET_TOL, is_equilibrium
 from .games import StageGame, as_strategy
 from .opponents import as_initial_counts, as_script, as_switch_round
-from .schedule import Schedule
+from .schedule import Schedule, check_count
 
 
 class ConfigError(ValueError):
@@ -184,6 +185,8 @@ def _override_strategies(rows, game: StageGame) -> tuple[np.ndarray, ...]:
             strategies.append(as_strategy(row, count))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"equilibrium_override for player {player}: {exc}") from exc
+    if not is_equilibrium(game, strategies):
+        raise ValueError(f"equilibrium_override is not an equilibrium: a regret exceeds {REGRET_TOL}")
     return tuple(strategies)
 
 
@@ -210,9 +213,7 @@ class RunConfig:
         if not isinstance(self.roster, (list, tuple)) or len(self.roster) != n:
             raise ValueError(f"roster must list one agent per player ({n})")
         for key, least in _INT_FIELDS.items():
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{key} must be an integer >= {least}, got {value!r}")
+            check_count(key, getattr(self, key), least)
         for player, entry in enumerate(self.roster):
             agent = entry.get("agent") if isinstance(entry, dict) else None
             if agent == "opponent":

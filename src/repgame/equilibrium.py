@@ -48,7 +48,8 @@ def _profile(strategies, provenance: str) -> EquilibriumProfile:
     return EquilibriumProfile(strategies, kind, provenance)
 
 
-def _verify(game: StageGame, strategies) -> bool:
+def is_equilibrium(game: StageGame, strategies) -> bool:
+    """Whether every player's regret under ``strategies`` is within REGRET_TOL."""
     return all(
         regret(game, strategies, p) <= REGRET_TOL for p in range(game.num_players)
     )
@@ -136,7 +137,7 @@ def _iter_support_equilibria(game: StageGame):
                 if pi0 is None:
                     continue
                 strategies = (pi0, pi1)
-                if _verify(game, strategies):
+                if is_equilibrium(game, strategies):
                     yield _profile(strategies, "support-enumeration-2p")
 
 
@@ -162,7 +163,7 @@ def compute_equilibrium(game: StageGame, override=None) -> EquilibriumProfile:
         if len(override) != game.num_players:
             raise ValueError("override needs one strategy per player")
         strategies = tuple(as_strategy(s, c) for s, c in zip(override, game.action_counts))
-        if not _verify(game, strategies):
+        if not is_equilibrium(game, strategies):
             raise ValueError(
                 f"override profile fails the regret <= {REGRET_TOL} check"
             )

@@ -106,6 +106,11 @@ class StageGame:
         """Each player's payoff tensor with that player's own action axis first."""
         return tuple(np.moveaxis(self.payoffs[p], p, 0) for p in range(self.num_players))
 
+    @cached_property
+    def payoff_ranges(self) -> tuple[float, ...]:
+        """Each player's best minus worst outcome over all joint profiles."""
+        return tuple(float(u.max() - u.min()) for u in self.payoffs)
+
     @property
     def actions_total(self) -> int:
         """Total number of actions summed over all players."""
@@ -177,8 +182,7 @@ def best_response(game: StageGame, player: int, others) -> tuple[int, float]:
 def payoff_range(game: StageGame, player: int) -> float:
     """Best minus worst outcome for ``player`` over all joint profiles."""
     game._check_player(player)
-    arr = game.payoffs[player]
-    return float(arr.max() - arr.min())
+    return game.payoff_ranges[player]
 
 
 def regret(game: StageGame, profile, player: int) -> float:

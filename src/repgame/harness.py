@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict, game_from_dict
 from .equilibrium import EquilibriumProfile, compute_equilibrium
-from .games import StageGame, payoff_range
-from .learner import STREAM_PLAY, STREAM_RESET_PICK, EpochOutcome, EquilibriumRetreatAgent, epoch_step
+from .games import StageGame
+from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
 from .opponents import (
     EventuallyStationaryPolicy,
     FictitiousPlayPolicy,
@@ -115,31 +115,6 @@ def _build_agents(config: RunConfig, trial: int, eq: EquilibriumProfile):
     return learners, policies
 
 
-def _outcome_record(outcome: EpochOutcome, seq: int) -> dict:
-    return {
-        "type": "epoch",
-        "seq": seq,
-        "player": outcome.me,
-        "t": outcome.t,
-        "rounds": outcome.rounds,
-        "counts": [list(c) for c in outcome.counts],
-        "eps_e": outcome.eps_e,
-        "eps_s": outcome.eps_s,
-        "eps_s_next": outcome.eps_s_next,
-        "margin": outcome.margin,
-        "eq_hyp_before": outcome.eq_hyp_before,
-        "eq_hyp_after": outcome.eq_hyp_after,
-        "grace_before": outcome.grace_before,
-        "grace_after": outcome.grace_after,
-        "stat_hyp_after": outcome.stat_hyp_after,
-        "phi_before": list(outcome.phi_before),
-        "phi_after": list(outcome.phi_after),
-        "switched": outcome.switched,
-        "restart": outcome.restart,
-        "restarts_total": outcome.restarts_total,
-    }
-
-
 # -- trial driver ------------------------------------------------------------
 
 
@@ -192,7 +167,7 @@ def run_trial(config: RunConfig, trial: int, eq: EquilibriumProfile | None = Non
         for out in outcomes:
             if out is None:
                 raise RuntimeError("learners disagree on where the epoch ends")
-            events.append(_outcome_record(out, epochs))
+            events.append({"type": "epoch", "seq": epochs, **vars(out)})
         epochs += 1
 
     partial = first.round_in_epoch
@@ -344,16 +319,12 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     # t never exceeds the epoch index, so one N^t per epoch covers every record.
     rounds = [int(sched.rounds(t)) for t in range(len(groups))]
 
-    def fresh(p: int, restarts: int) -> dict:
-        return dict(t=0, eq_hyp=True, grace=False, phi=eq.strategies[p], h_prev=None, restarts=restarts)
-
     def diverged(seq, player, fieldname, message) -> ValidationReport:
         info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
         return ValidationReport(ok=False, epochs_checked=len(groups), divergence=info)
 
     learners = [rec.get("player") for rec in groups[0]] if groups else []
-    state = {p: fresh(p, 0) for p in learners if p in players}
-    mu = {p: payoff_range(game, p) for p in state}
+    state = {p: fresh_state(eq, p) for p in learners if p in players}
 
     def pick() -> int:
         # Reads the record being replayed.  A phi_after that is not a pure
@@ -371,28 +342,16 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
             p = rec.get("player")
             if p not in players or p not in state:
                 return diverged(seq, p, "player", "not a learner of the first epoch")
-            st = state[p]
             hists = rec.get("counts")
-            if not _histograms_fit(hists, shape, rounds[st["t"]]):
+            if not _histograms_fit(hists, shape, rounds[state[p].t]):
                 return diverged(seq, p, "counts", "need one histogram per player totalling N^t")
-            outcome = epoch_step(game, p, sched, eq, mu[p], hists=hists, pick=pick, **st)
-            replay = _outcome_record(outcome, seq)
+            outcome, state[p] = epoch_step(game, p, sched, eq, state[p], hists, pick)
+            replay = {"type": "epoch", "seq": seq, **vars(outcome)}
             if replay != rec:
                 for key, want in replay.items():
                     got = rec.get(key)
                     if got != want:
                         return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
-            if outcome.restart:
-                state[p] = fresh(p, outcome.restarts_total)
-            else:
-                state[p] = dict(
-                    t=outcome.t + 1,
-                    eq_hyp=outcome.eq_hyp_after,
-                    grace=outcome.grace_after,
-                    phi=outcome.phi_after,
-                    h_prev=hists,
-                    restarts=outcome.restarts_total,
-                )
     return ValidationReport(ok=True, epochs_checked=len(groups), divergence=None)
 
 

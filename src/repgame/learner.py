@@ -10,7 +10,7 @@ flags at every epoch boundary.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +27,17 @@ STREAM_RESET_PICK = 1
 class EpochOutcome:
     """Everything observable about one completed epoch of one learner.
 
-    This is the unit of trace persistence: flag transitions, histograms
-    and thresholds recorded here are sufficient to re-derive every
-    decision the learner made (except the uniformly random action pick,
-    whose legality but not value can be rechecked).
+    Its fields, plus ``type`` and ``seq``, are the trace's epoch record:
+    flag transitions, histograms and thresholds recorded here are
+    sufficient to re-derive every decision the learner made (except the
+    uniformly random action pick, whose legality but not value can be
+    rechecked).
     """
 
-    me: int
+    player: int
     t: int
     rounds: int
-    counts: tuple[tuple[int, ...], ...]
+    counts: list[list[int]]
     eps_e: float
     eps_s: float
     eps_s_next: float
@@ -46,15 +47,39 @@ class EpochOutcome:
     grace_before: bool
     grace_after: bool
     stat_hyp_after: bool
-    phi_before: tuple[float, ...]
-    phi_after: tuple[float, ...]
+    phi_before: list[float]
+    phi_after: list[float]
     switched: bool
     restart: bool
     restarts_total: int
 
 
+@dataclass(frozen=True)
+class EpochState:
+    """The learner's state at the start of an epoch.
+
+    ``eq_hyp``: the equilibrium null hypothesis is alive; ``grace``: the
+    one-epoch stationarity grace after its rejection; ``h_prev``: the
+    previous epoch's histograms, or None.
+    """
+
+    phi: Sequence[float]
+    t: int
+    eq_hyp: bool
+    grace: bool
+    h_prev: list[list[int]] | None
+    restarts: int
+
+
+def fresh_state(eq_profile: EquilibriumProfile, me: int, restarts: int = 0) -> EpochState:
+    """The start-of-run and after-restart state: forget histories and
+    flags, keep the precomputed equilibrium and the restart count."""
+    return EpochState(eq_profile.strategies[me], 0, True, False, None, restarts)
+
+
 class EquilibriumRetreatAgent:
-    """One player's learning state machine.
+    """One player's learning state machine: ``state`` plus the
+    accumulator of the epoch in progress.
 
     Mutable and single-threaded; distinct agents own independent random
     streams and may run in parallel trials.
@@ -85,31 +110,14 @@ class EquilibriumRetreatAgent:
         self._play_rng, self._pick_rng = streams
         self.n_players = game.num_players
         self.n_actions = game.action_counts[self.me]
-        self.mu = payoff_range(game, self.me)
-        self.restarts = 0
-        self._reset()
-
-    # -- state management -------------------------------------------------
-
-    def _reset(self) -> None:
-        """Fresh restart state: forget histories and flags, keep the
-        precomputed equilibrium and the random streams."""
-        self.t = 0
-        self.eq_hyp = True  # equilibrium null hypothesis alive
-        self.stat_hyp = True  # stationarity null hypothesis alive
-        self.grace = False  # one-epoch stationarity grace after eq rejection
-        self.phi = np.array(self.eq_profile.strategies[self.me])
-        self.h_prev: list[np.ndarray] | None = None
+        self.state = fresh_state(eq_profile, self.me)
         self._start_epoch()
 
     def _start_epoch(self) -> None:
-        self.epoch_rounds = int(self.schedule.rounds(self.t))
+        self.epoch_rounds = int(self.schedule.rounds(self.state.t))
         self.round_in_epoch = 0
         self.h_curr = [np.zeros(c, dtype=np.int64) for c in self.game.action_counts]
         self._buffer: np.ndarray | None = None
-
-    def flags(self) -> tuple[int, bool, bool, bool, int]:
-        return (self.t, self.eq_hyp, self.stat_hyp, self.grace, self.restarts)
 
     def rounds_left_in_epoch(self) -> int:
         return self.epoch_rounds - self.round_in_epoch
@@ -132,7 +140,7 @@ class EquilibriumRetreatAgent:
             raise ValueError("segment crosses an epoch boundary")
         if self._buffer is None:
             self._buffer = self._play_rng.choice(
-                self.n_actions, size=self.epoch_rounds, p=self.phi
+                self.n_actions, size=self.epoch_rounds, p=self.state.phi
             )
         start = self.round_in_epoch
         return self._buffer[start : start + length]
@@ -146,7 +154,7 @@ class EquilibriumRetreatAgent:
         """
         if length > self.rounds_left_in_epoch():
             raise ValueError("segment crosses an epoch boundary")
-        return self._play_rng.multinomial(length, self.phi)
+        return self._play_rng.multinomial(length, self.state.phi)
 
     def observe(self, joint) -> EpochOutcome | None:
         """Commit one round's joint action profile; the segment of length 1."""
@@ -199,21 +207,10 @@ class EquilibriumRetreatAgent:
     # -- epoch-end processing ----------------------------------------------
 
     def _epoch_end(self) -> EpochOutcome:
-        outcome = epoch_step(
-            self.game, self.me, self.schedule, self.eq_profile, self.mu,
-            self.t, self.eq_hyp, self.grace, self.phi, self.h_prev, self.restarts,
-            self.h_curr,
+        outcome, self.state = epoch_step(
+            self.game, self.me, self.schedule, self.eq_profile, self.state, self.h_curr,
             pick=lambda: int(self._pick_rng.integers(self.n_actions)),
         )
-        self.restarts = outcome.restarts_total
-        if outcome.restart:
-            self._reset()
-            return outcome
-        self.t += 1
-        self.eq_hyp = outcome.eq_hyp_after
-        self.grace = outcome.grace_after
-        self.phi = np.array(outcome.phi_after)
-        self.h_prev = self.h_curr
         self._start_epoch()
         return outcome
 
@@ -223,33 +220,27 @@ def epoch_step(
     me: int,
     schedule,
     eq_profile: EquilibriumProfile,
-    mu: float,
-    t: int,
-    eq_hyp: bool,
-    grace: bool,
-    phi,
-    h_prev,
-    restarts: int,
+    state: EpochState,
     hists,
     pick: Callable[[], int],
-) -> EpochOutcome:
-    """The AWESOME epoch-end rule for player ``me``: one pure decision.
+) -> tuple[EpochOutcome, EpochState]:
+    """The AWESOME epoch-end rule for player ``me``: one pure transition.
 
-    ``t``, ``eq_hyp``, ``grace``, ``phi``, ``h_prev`` (the previous
-    epoch's histograms, or None) and ``restarts`` are the state the epoch
-    started in; ``hists`` holds its per-player action histograms, which
-    total N^t each.  ``pick()`` returns the uniformly random pure action
-    taken when the equilibrium hypothesis is rejected and is called only
-    then.  The outcome carries every post-epoch value: on ``restart`` the
-    caller returns to the fresh state, otherwise it moves to epoch t+1
-    with the ``*_after`` flags, ``phi_after`` and ``hists`` as ``h_prev``.
+    ``state`` is the state the epoch started in; ``hists`` holds its
+    per-player action histograms, which total N^t each.  ``pick()``
+    returns the uniformly random pure action taken when the equilibrium
+    hypothesis is rejected and is called only then.  Returns the epoch's
+    outcome and the state the next epoch starts in: the fresh state after
+    a restart, otherwise epoch t+1 with the ``*_after`` flags,
+    ``phi_after`` and this epoch's counts as ``h_prev``.
     """
+    t, eq_hyp, grace, phi, h_prev = state.t, state.eq_hyp, state.grace, state.phi, state.h_prev
     shape = game.action_counts
     n_rounds = int(schedule.rounds(t))
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
     eps_s_next = schedule.eps_s(t + 1)
-    margin = len(shape) * max(shape) * eps_s_next * mu
+    margin = len(shape) * max(shape) * eps_s_next * payoff_range(game, me)
     freq = [np.asarray(h, dtype=np.float64) / n_rounds for h in hists]
     eq_after, grace_after, stat_after = eq_hyp, grace, True
     phi_after = phi
@@ -281,11 +272,12 @@ def epoch_step(
         phi_after = pure_strategy(pick(), shape[me])
 
     restart = not stat_after
-    return EpochOutcome(
-        me=me,
+    restarts = state.restarts + restart
+    outcome = EpochOutcome(
+        player=me,
         t=t,
         rounds=n_rounds,
-        counts=tuple(tuple(map(int, h)) for h in hists),
+        counts=[list(map(int, h)) for h in hists],
         eps_e=eps_e_t,
         eps_s=eps_s_t,
         eps_s_next=eps_s_next,
@@ -295,9 +287,12 @@ def epoch_step(
         grace_before=grace,
         grace_after=grace_after,
         stat_hyp_after=stat_after,
-        phi_before=tuple(map(float, phi)),
-        phi_after=tuple(map(float, phi_after)),
+        phi_before=list(map(float, phi)),
+        phi_after=list(map(float, phi_after)),
         switched=switched,
         restart=restart,
-        restarts_total=restarts + restart,
+        restarts_total=restarts,
     )
+    if restart:
+        return outcome, fresh_state(eq_profile, me, restarts)
+    return outcome, EpochState(outcome.phi_after, t + 1, eq_after, grace_after, outcome.counts, restarts)

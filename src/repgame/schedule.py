@@ -16,6 +16,12 @@ import numpy as np
 PRODUCT_LIMIT = 2.0 ** -(math.pi**2 / 6.0)
 
 
+def check_count(name: str, value, least: int) -> None:
+    """ValueError unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Built-in threshold/epoch-length family.
@@ -36,16 +42,15 @@ class Schedule:
     def __post_init__(self):
         if not 0.0 < self.epsilon_base <= 1.0:
             raise ValueError("epsilon_base must be in (0, 1]")
-        if self.actions_total < 2:
-            raise ValueError("actions_total must be at least 2")
+        check_count("actions_total", self.actions_total, 2)
         if self.decay not in ("harmonic", "geometric"):
             raise ValueError(f"unknown decay family {self.decay!r}")
         if self.decay == "geometric" and not 0.0 < self.rate < 1.0:
             raise ValueError("geometric rate must be in (0, 1)")
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
-        if self.epoch0_rounds is not None and self.epoch0_rounds < 1:
-            raise ValueError("epoch0_rounds must be a positive integer")
+        if self.epoch0_rounds is not None:
+            check_count("epoch0_rounds", self.epoch0_rounds, 1)
 
     def eps_e(self, t: int) -> float:
         if t < 0:

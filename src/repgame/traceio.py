@@ -13,6 +13,13 @@ from pathlib import Path
 
 from .harness import TRACE_SCHEMA, BatchResult, RunSummary, RunTrace
 
+# The fields each record type must carry; read_trace rejects a record without them.
+_RECORD_FIELDS = {
+    "header": frozenset({"schema", "trial", "config", "equilibrium"}),
+    "epoch": frozenset({"seq"}),
+    "end": frozenset({"rounds_used", "epochs", "truncated", "partial_rounds"}),
+}
+
 
 def _dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -50,22 +57,29 @@ def read_trace(path) -> RunTrace:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            kind = rec.get("type")
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            kind = rec.get("type") if isinstance(rec, dict) else None
+            fields = _RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
+            if fields is None:
+                raise ValueError(f"{path}:{lineno}: not a header, epoch or end record: {line[:60]}")
+            if not rec.keys() >= fields:
+                missing = ", ".join(sorted(fields - rec.keys()))
+                raise ValueError(f"{path}:{lineno}: {kind} record without {missing}")
             if kind == "header":
                 if header is not None:
                     raise ValueError(f"{path}:{lineno}: duplicate header record")
                 header = rec
             elif kind == "epoch":
                 events.append(rec)
-            elif kind == "end":
-                end = rec
             else:
-                raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
+                end = rec
     if header is None or end is None:
         raise ValueError(f"{path}: trace must contain header and end records")
-    if header.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"{path}: trace schema {header.get('schema')!r}, expected {TRACE_SCHEMA}")
+    if header["schema"] != TRACE_SCHEMA:
+        raise ValueError(f"{path}: trace schema {header['schema']!r}, expected {TRACE_SCHEMA}")
     return RunTrace(
         header=header,
         events=events,

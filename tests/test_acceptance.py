@@ -2,6 +2,7 @@
 single pass/fail line (echoed after the run via conftest's terminal
 summary hook so the verdicts always appear in the run log)."""
 import copy
+import hashlib
 import time
 
 import numpy as np
@@ -429,3 +430,28 @@ def test_criterion_9_determinism(tmp_path, batch3, batch4, batch5, batch6):
         f"re-ran all four batches with the same master seeds; "
         f"{compared} trace files compared byte-for-byte, {mismatches} mismatches",
     )
+
+
+# -- frozen trace bytes ---------------------------------------------------------------------------
+
+# SHA-256 over every trace line, header included, of each batch.  A change
+# that alters trace bytes must update these and say why in CHANGES.md.
+FROZEN_DIGESTS = {
+    "batch3": "ba189593e974d8670a71d6b58e1f39571838932dcd16b07f39872260580eb75f",
+    "batch4": "00d16f259e895437c7a039df3e12e8be4f4432bfad6809e5f1f14af2c2d71b6f",
+    "batch5": "f4b591a9a5aa9969254d9d3d5fe90bd23a814d40107baf5a343c7c7c4cf8e383",
+    "batch6": "713a500b4b8334dafeff56952d3146cdf2f30bea1c1fdeee33ac788714016f96",
+}
+
+
+def trace_digest(traces) -> str:
+    digest = hashlib.sha256()
+    for trace in traces:
+        for line in traceio.trace_lines(trace):
+            digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("batch", sorted(FROZEN_DIGESTS))
+def test_trace_bytes_are_frozen(request, batch):
+    assert trace_digest(request.getfixturevalue(batch).traces) == FROZEN_DIGESTS[batch]

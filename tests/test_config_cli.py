@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -341,3 +343,78 @@ def test_cli_rejects_negative_trial(tmp_path, capsys):
     assert main(["run", str(cfg), "--trial", "-1"]) == EXIT_CONFIG
     assert "--trial" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_cli_rejects_override_that_is_not_an_equilibrium(tmp_path, capsys, command):
+    game_path = tmp_path / "bos.game"
+    game_path.write_text(format_game_text(battle_of_sexes()))
+    out_dir = tmp_path / "out"
+    cfg = write_yaml_config(
+        tmp_path,
+        game=str(game_path),
+        roster=[{"agent": "learner"}, {"agent": "learner"}],
+        equilibrium_override=[[0.5, 0.5], [0.5, 0.5]],
+        output={"trace_dir": str(out_dir), "make_dirs": True},
+    )
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    assert "not an equilibrium" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_cli_unavailable_equilibrium_exits_3(tmp_path, capsys, command):
+    game_path = tmp_path / "hard.game"
+    game_path.write_text(NO_PURE_NE_3P)
+    cfg = write_yaml_config(tmp_path, game=str(game_path), roster=[{"agent": "learner"}] * 3)
+    assert main([command, str(cfg)]) == EXIT_SOLVER
+    assert "override" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_integer_schedule_count(tmp_path, capsys):
+    cfg = write_yaml_config(tmp_path, schedule={"epsilon_base": 0.5, "epoch0_rounds": 2.5})
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid schedule" in err and "epoch0_rounds" in err
+
+
+def _drop(key):
+    def edit(lines, index):
+        rec = json.loads(lines[index])
+        del rec[key]
+        lines[index] = json.dumps(rec)
+
+    return edit
+
+
+def _replace(text):
+    def edit(lines, index):
+        lines[index] = text
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "index, edit, message",
+    [
+        (-1, _drop("rounds_used"), "end record without rounds_used"),
+        (1, _replace("[1, 2]"), "not a header, epoch or end record"),
+        (1, _drop("seq"), "epoch record without seq"),
+        (0, _drop("config"), "header record without config"),
+        (0, _drop("equilibrium"), "header record without equilibrium"),
+    ],
+    ids=["end-without-rounds_used", "not-an-object", "epoch-without-seq",
+         "header-without-config", "header-without-equilibrium"],
+)
+def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, message):
+    out_dir = tmp_path / "out"
+    cfg = write_yaml_config(tmp_path, output={"trace_dir": str(out_dir), "make_dirs": True})
+    assert main(["run", str(cfg)]) == EXIT_OK
+    trace_path = out_dir / "trial-0000.jsonl"
+    lines = trace_path.read_text().splitlines()
+    edit(lines, index)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(trace_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{trace_path}:{index % len(lines) + 1}: {message}" in err

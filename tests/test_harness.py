@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 
@@ -145,6 +146,19 @@ def test_history_dependent_opponent_uses_per_round_path():
     trace = run_trial(cfg, 0)
     assert trace.epochs >= 1
     assert validate_trace(trace).ok
+
+
+def test_per_round_trace_bytes_are_frozen():
+    # SHA-256 over every line of a matching-pennies trial against fictitious
+    # play (6 epochs, a restart and a switch).  A change that alters trace
+    # bytes must update it and say why in CHANGES.md.
+    fp = {"agent": "opponent", "policy": {"kind": "fictitious_play"}}
+    cfg = mp_config(
+        roster=(LEARNER, fp), round_budget=5000, epoch_budget=1000, master_seed=9, trial_count=1
+    )
+    lines = "".join(line + "\n" for line in traceio.trace_lines(run_trial(cfg, 0)))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "0353b9d710aef8c43438ca46e8c904e3e23b80d8f3ed259312d607094c84a6f8"
 
 
 def test_self_play_flag_tuples_synchronized():

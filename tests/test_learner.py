@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,13 +46,14 @@ def drive_epoch(agent, own_actions, opp_actions):
 
 def test_init_state_matching_pennies():
     agent = make_agent(matching_pennies())
-    np.testing.assert_array_equal(agent.phi, [0.5, 0.5])
-    assert agent.flags() == (0, True, True, False, 0)
+    np.testing.assert_array_equal(agent.state.phi, [0.5, 0.5])
+    st = agent.state
+    assert (st.t, st.eq_hyp, st.grace, st.restarts) == (0, True, False, 0)
 
 
 def test_init_state_prisoners_dilemma_pure():
     agent = make_agent(prisoners_dilemma(), me=1)
-    np.testing.assert_array_equal(agent.phi, [0.0, 1.0])
+    np.testing.assert_array_equal(agent.state.phi, [0.0, 1.0])
 
 
 def test_init_deterministic():
@@ -66,7 +69,7 @@ def test_act_pure_strategy_is_constant():
     g = rock_paper_scissors()
     sched = FixedSchedule([0.5], [50], actions_total=6)
     agent = make_agent(g, schedule=sched)
-    agent.phi = pure_strategy(2, 3)
+    agent.state = dataclasses.replace(agent.state, phi=pure_strategy(2, 3))
     agent._buffer = None
     assert set(agent.act_segment(50).tolist()) == {2}
 
@@ -122,8 +125,8 @@ def test_epoch_rollover_moves_histograms():
     own = agent.act_segment(10).tolist()
     outcome = drive_epoch(agent, own, [0] * 10)
     assert outcome is not None and outcome.t == 0
-    assert agent.t == 1
-    assert [h.tolist() for h in agent.h_prev] == [list(c) for c in outcome.counts]
+    assert agent.state.t == 1
+    assert [list(h) for h in agent.state.h_prev] == [list(c) for c in outcome.counts]
     assert all(h.sum() == 0 for h in agent.h_curr)
 
 
@@ -172,7 +175,7 @@ def test_locked_learner_counts_every_round_on_its_action():
     own = agent.act_counts(1000)
     assert own.tolist() == [0, 0, 1000]
     out = agent.observe_counts([own, np.array([500, 300, 200])])
-    assert out.counts[0] == (0, 0, 1000)
+    assert out.counts[0] == [0, 0, 1000]
 
 
 @pytest.mark.parametrize(
@@ -218,7 +221,7 @@ def test_equilibrium_test_within_threshold_keeps_hypothesis():
     # Own column crafted too: distance 0.1 <= 0.15 for both players.
     outcome = drive_epoch(agent, [0] * 60 + [1] * 40, [0] * 60 + [1] * 40)
     assert outcome.eq_hyp_after
-    assert outcome.phi_after == (0.5, 0.5)
+    assert outcome.phi_after == [0.5, 0.5]
 
 
 def test_equilibrium_test_beyond_threshold_rejects():
@@ -265,15 +268,16 @@ def test_grace_skips_exactly_one_stationarity_test():
     assert out0.grace_after and not out0.eq_hyp_after
     # Epoch 1: opponent switches to pure 1 -- a stationarity violation, but
     # the grace flag suppresses the test once.
-    own = [int(np.argmax(agent.phi))] * 100
+    own = [int(np.argmax(agent.state.phi))] * 100
     out1 = drive_epoch(agent, own, [1] * 100)
     assert out1.stat_hyp_after and not out1.restart
     assert not out1.grace_after
     # Epoch 2: opponent switches back -- now the test fires and restarts.
-    own = [int(np.argmax(agent.phi))] * 100
+    own = [int(np.argmax(agent.state.phi))] * 100
     out2 = drive_epoch(agent, own, [0] * 100)
     assert not out2.stat_hyp_after and out2.restart
-    assert agent.flags() == (0, True, True, False, 1)
+    st = agent.state
+    assert (st.t, st.eq_hyp, st.grace, st.restarts) == (0, True, False, 1)
 
 
 def test_stationarity_identical_histograms_pass():
@@ -281,7 +285,7 @@ def test_stationarity_identical_histograms_pass():
     sched = FixedSchedule([0.15, 0.15, 0.15], [100, 100, 100])
     agent = make_agent(g, schedule=sched, seed=4)
     reject_equilibrium(agent, 100)
-    own = [int(np.argmax(agent.phi))] * 100
+    own = [int(np.argmax(agent.state.phi))] * 100
     drive_epoch(agent, own, [1] * 100)  # grace epoch
     out = drive_epoch(agent, own, [1] * 100)  # identical to previous epoch
     assert out.stat_hyp_after and not out.restart
@@ -293,7 +297,7 @@ def test_stationarity_boundary_drift_not_rejected():
     sched = FixedSchedule([0.15, 0.1, 0.1], [100, 100, 100])
     agent = make_agent(g, schedule=sched, seed=4)
     reject_equilibrium(agent, 100)
-    own = [int(np.argmax(agent.phi))] * 100
+    own = [int(np.argmax(agent.state.phi))] * 100
     drive_epoch(agent, own, [0] * 50 + [1] * 50)  # grace epoch
     out = drive_epoch(agent, own, [0] * 60 + [1] * 40)  # drift exactly 0.1
     assert out.stat_hyp_after
@@ -304,26 +308,27 @@ def test_restart_equals_fresh_init_except_rng_and_counter():
     sched = FixedSchedule([0.15, 0.15, 0.15], [100, 100, 100])
     agent = make_agent(g, schedule=sched, seed=4)
     reject_equilibrium(agent, 100)
-    own = [int(np.argmax(agent.phi))] * 100
+    own = [int(np.argmax(agent.state.phi))] * 100
     drive_epoch(agent, own, [1] * 100)
-    own = [int(np.argmax(agent.phi))] * 100
+    own = [int(np.argmax(agent.state.phi))] * 100
     out = drive_epoch(agent, own, [0] * 100)
     assert out.restart
-    assert agent.t == 0
-    assert agent.eq_hyp and agent.stat_hyp and not agent.grace
-    np.testing.assert_array_equal(agent.phi, [0.5, 0.5])
-    assert agent.h_prev is None
+    assert agent.state.t == 0
+    assert agent.state.eq_hyp and not agent.state.grace
+    np.testing.assert_array_equal(agent.state.phi, [0.5, 0.5])
+    assert agent.state.h_prev is None
     assert all(h.sum() == 0 for h in agent.h_curr)
-    assert agent.restarts == 1
+    assert agent.state.restarts == 1
 
 
 # -- best-response hysteresis -------------------------------------------------------------
 
 
 def force_pure_phi(agent, action):
-    agent.eq_hyp = False
-    agent.grace = True  # skip the stationarity test in the driven epoch
-    agent.phi = pure_strategy(action, agent.n_actions)
+    # grace=True skips the stationarity test in the driven epoch.
+    agent.state = dataclasses.replace(
+        agent.state, eq_hyp=False, grace=True, phi=pure_strategy(action, agent.n_actions)
+    )
     agent._buffer = None
 
 
@@ -336,7 +341,7 @@ def test_hysteresis_switch_when_gap_beats_margin():
     opp = [0] * 500 + [1] * 300 + [2] * 200  # empirical (0.5, 0.3, 0.2)
     out = drive_epoch(agent, [0] * 1000, opp)
     assert out.switched
-    assert out.phi_after == (0.0, 1.0, 0.0)  # Paper
+    assert out.phi_after == [0.0, 1.0, 0.0]  # Paper
 
 
 def test_hysteresis_holds_when_margin_exceeds_gap():
@@ -348,7 +353,7 @@ def test_hysteresis_holds_when_margin_exceeds_gap():
     opp = [0] * 500 + [1] * 300 + [2] * 200
     out = drive_epoch(agent, [0] * 1000, opp)
     assert not out.switched
-    assert out.phi_after == (1.0, 0.0, 0.0)
+    assert out.phi_after == [1.0, 0.0, 0.0]
 
 
 def test_no_switch_when_already_best_response():
@@ -359,17 +364,17 @@ def test_no_switch_when_already_best_response():
     opp = [0] * 500 + [1] * 300 + [2] * 200
     out = drive_epoch(agent, [1] * 1000, opp)
     assert not out.switched
-    assert out.phi_after == (0.0, 1.0, 0.0)
+    assert out.phi_after == [0.0, 1.0, 0.0]
 
 
 def test_phi_constant_within_epoch():
     g = matching_pennies()
     sched = FixedSchedule([0.15], [50])
     agent = make_agent(g, schedule=sched, seed=4)
-    before = agent.phi.copy()
+    before = agent.state.phi.copy()
     for _ in range(49):
         agent.observe_segment([agent.act_segment(1), np.zeros(1, dtype=np.int64)])
-        np.testing.assert_array_equal(agent.phi, before)
+        np.testing.assert_array_equal(agent.state.phi, before)
 
 
 # -- self-play synchronization ----------------------------------------------------------
@@ -388,4 +393,5 @@ def test_self_play_flag_tuples_identical():
         joint = [a.act_segment(n) for a in agents]
         outs = [a.observe_segment(joint) for a in agents]
         assert outs[0] is not None and outs[1] is not None
-        assert agents[0].flags() == agents[1].flags()
+        flags = [(a.state.t, a.state.eq_hyp, a.state.grace, a.state.restarts) for a in agents]
+        assert flags[0] == flags[1]

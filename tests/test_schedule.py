@@ -69,6 +69,11 @@ def test_invalid_parameters_rejected():
         Schedule(epsilon_base=0.5, actions_total=0)
     with pytest.raises(ValueError):
         Schedule(epsilon_base=0.5, actions_total=4, decay="cubic")
+    # Counts are integers, not floats or bools.
+    for bad in ({"epoch0_rounds": 2.5}, {"epoch0_rounds": True}, {"epoch0_rounds": 0},
+                {"actions_total": 4.5}, {"actions_total": True}, {"actions_total": 4.0}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Schedule(**{"epsilon_base": 0.5, "actions_total": 4, **bad})
 
 
 # -- validity checking -------------------------------------------------------------
