@@ -161,6 +161,35 @@ def test_per_round_trace_bytes_are_frozen():
     assert digest == "0353b9d710aef8c43438ca46e8c904e3e23b80d8f3ed259312d607094c84a6f8"
 
 
+def test_three_player_trace_bytes_are_frozen():
+    # SHA-256 over every line of a 3-player trial with non-integer payoffs
+    # and a pure equilibrium: two learners and a stationary opponent on the
+    # histogram path, 8 epochs with switches and restarts.  With 3 players
+    # the order of the payoff contraction can change the float values, so
+    # this pins it.  A change that alters trace bytes must update it and
+    # say why in CHANGES.md.
+    payoffs = [
+        [[[0.17, -0.53, 1.46], [1.66, 0.53, 1.92]], [[0.93, 1.32, 1.58], [-0.91, 1.95, -0.44]]],
+        [[[-0.01, -1.28, 1.29], [-0.65, 0.76, -1.13]], [[-0.59, -0.46, -1.05], [-1.86, 1.08, 1.8]]],
+        [[[-1.1, -1.35, -0.61], [-1.67, 0.6, -0.53]], [[0.25, 1.62, 1.45], [1.69, 1.74, 0.36]]],
+    ]
+    cfg = RunConfig(
+        game=StageGame(np.array(payoffs)),
+        roster=(LEARNER, LEARNER, stationary([0.01, 0.07, 0.92])),
+        schedule=Schedule(epsilon_base=1 / 30, actions_total=7, offset=29.0, epoch0_rounds=200),
+        round_budget=400_000,
+        epoch_budget=8,
+        master_seed=502,
+        trial_count=1,
+    )
+    trace = run_trial(cfg, 0)
+    assert any(rec["switched"] for rec in trace.events)
+    assert any(rec["restart"] for rec in trace.events)
+    lines = "".join(line + "\n" for line in traceio.trace_lines(trace))
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "d25071a5102bbf2719515e651a9f9638ac63b12b2b76699697a6cc2147c1bae2"
+
+
 def test_self_play_flag_tuples_synchronized():
     cfg = mp_config(roster=(LEARNER, LEARNER), epoch_budget=6)
     trace = run_trial(cfg, 0)
