@@ -23,7 +23,7 @@ from .config import ConfigError, load_game_file, load_run_config
 from .equilibrium import EquilibriumUnavailableError, compute_equilibrium
 from .games import regret
 from .harness import detect_convergence, run_batch, run_trial, validate_trace
-from .schedule import Schedule, check_valid_prefix, never_restart_lower_bound
+from .schedule import Schedule, check_valid_prefix, never_restart_products
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,14 +102,13 @@ def cmd_schedule(args) -> int:
     print(f"{'t':>4} {'eps_e':>12} {'eps_s':>12} {'N':>10} {'prod_s':>10} {'prod_e':>10}")
     if T > 0:
         try:
-            prod_s, prod_e = never_restart_lower_bound(sched, T)
+            products = never_restart_products(sched, T)
         except ValueError:
-            prod_s = prod_e = None
+            products = None
         for t in range(T):
             row = f"{t:>4} {sched.eps_e(t):>12.6g} {sched.eps_s(t):>12.6g} {sched.rounds(t):>10d}"
-            if prod_s is not None:
-                ps, pe = never_restart_lower_bound(sched, t + 1)
-                row += f" {ps:>10.6g} {pe:>10.6g}"
+            if products is not None:
+                row += f" {products[0][t]:>10.6g} {products[1][t]:>10.6g}"
             print(row)
         if T >= 2:
             report = check_valid_prefix(sched, T)
@@ -216,7 +215,10 @@ def cmd_validate(args) -> int:
         raise _CliError(f"cannot read trace: {exc}", EXIT_IO)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_CONFIG)
-    report = validate_trace(trace)
+    try:
+        report = validate_trace(trace)
+    except ValueError as exc:
+        raise _CliError(f"{args.trace}: {exc}", EXIT_CONFIG)
     if report.ok:
         print(f"OK: {report.epochs_checked} epochs replayed, zero divergences")
         return EXIT_OK

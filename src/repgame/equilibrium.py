@@ -89,11 +89,8 @@ def _solve_support(game: StageGame, whose: int, support_own, support_opp):
     # Unknowns: probability on each opp support action, plus the common value.
     mat = np.zeros((k_own + 1, k_opp + 1))
     rhs = np.zeros(k_own + 1)
-    for r, a in enumerate(support_own):
-        for c, b in enumerate(support_opp):
-            profile = (a, b) if whose == 0 else (b, a)
-            mat[r, c] = game.payoffs[(whose, *profile)]
-        mat[r, k_opp] = -1.0
+    mat[:k_own, :k_opp] = game.own_axis_payoffs[whose][np.ix_(support_own, support_opp)]
+    mat[:k_own, k_opp] = -1.0
     mat[k_own, :k_opp] = 1.0
     rhs[k_own] = 1.0
     try:

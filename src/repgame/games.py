@@ -2,8 +2,8 @@
 
 A game is a dense payoff tensor ``u[i, a_0, ..., a_{n-1}]`` giving player
 ``i``'s utility for every joint action profile.  Strategies are plain 1-D
-numpy probability vectors.  All operations here are pure functions that
-enumerate profiles exactly; nothing is sampled.
+numpy probability vectors.  All operations here are exact pure functions,
+and every action value comes from one contraction, ``action_values``.
 """
 from __future__ import annotations
 
@@ -119,45 +119,24 @@ class StageGame:
     def payoff(self, player: int, profile) -> float:
         return float(self.payoffs[player][tuple(int(a) for a in profile)])
 
+    def action_values(self, player: int, weights) -> np.ndarray:
+        """Each of ``player``'s pure-action values against one weight vector
+        per opponent (in player order), contracted with ``@`` from the last
+        opponent inwards.  Unchecked: raw counts give the values against
+        their frequencies times the product of the count totals."""
+        values = self.own_axis_payoffs[player]
+        for w in reversed(weights):
+            values = values @ w
+        return values
+
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.num_players:
             raise ValueError(f"player {player} out of range")
 
 
-def _full_profile(game: StageGame, player: int, own, others) -> list[np.ndarray]:
-    """Assemble the per-player strategy list, validating shapes."""
-    others = list(others)
-    if len(others) != game.num_players - 1:
-        raise ValueError(
-            f"expected {game.num_players - 1} opponent strategies, got {len(others)}"
-        )
-    strategies = []
-    j = 0
-    for p, count in enumerate(game.action_counts):
-        if p == player:
-            strategies.append(as_strategy(own, count))
-        else:
-            strategies.append(as_strategy(others[j], count))
-            j += 1
-    return strategies
-
-
-def expected_utility(game: StageGame, player: int, own, others) -> float:
-    """Exact expected utility of ``own`` against independent opponent mixes.
-
-    Sums payoff times product probability over every joint profile via
-    tensor contraction, so the result is exact up to float round-off.
-    """
-    game._check_player(player)
-    strategies = _full_profile(game, player, own, others)
-    arr = game.payoffs[player]
-    for strat in strategies:
-        arr = np.tensordot(strat, arr, axes=(0, 0))
-    return float(arr)
-
-
 def pure_action_values(game: StageGame, player: int, others) -> np.ndarray:
-    """Expected utility of each of ``player``'s pure actions vs. ``others``."""
+    """Expected utility of each of ``player``'s pure actions vs. ``others``,
+    one checked strategy per opponent in player order."""
     game._check_player(player)
     others = list(others)
     if len(others) != game.num_players - 1:
@@ -165,11 +144,14 @@ def pure_action_values(game: StageGame, player: int, others) -> np.ndarray:
             f"expected {game.num_players - 1} opponent strategies, got {len(others)}"
         )
     opp_counts = [c for p, c in enumerate(game.action_counts) if p != player]
-    validated = [as_strategy(s, c) for s, c in zip(others, opp_counts)]
-    arr = game.own_axis_payoffs[player]
-    for strat in validated:
-        arr = np.tensordot(arr, strat, axes=(1, 0))
-    return arr
+    return game.action_values(player, [as_strategy(s, c) for s, c in zip(others, opp_counts)])
+
+
+def expected_utility(game: StageGame, player: int, own, others) -> float:
+    """Exact expected utility of ``own`` against independent opponent mixes:
+    ``own`` weighted over ``pure_action_values``."""
+    values = pure_action_values(game, player, others)
+    return float(as_strategy(own, game.action_counts[player]) @ values)
 
 
 def best_response(game: StageGame, player: int, others) -> tuple[int, float]:
@@ -194,7 +176,6 @@ def regret(game: StageGame, profile, player: int) -> float:
     profile = list(profile)
     if len(profile) != game.num_players:
         raise ValueError("profile needs one strategy per player")
-    others = [s for p, s in enumerate(profile) if p != player]
-    _, br_value = best_response(game, player, others)
-    own_value = expected_utility(game, player, profile[player], others)
-    return br_value - own_value
+    values = pure_action_values(game, player, profile[:player] + profile[player + 1 :])
+    own = as_strategy(profile[player], game.action_counts[player])
+    return float(values.max() - own @ values)

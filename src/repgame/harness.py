@@ -297,6 +297,14 @@ def _histograms_fit(hists, shape, rounds: int) -> bool:
     )
 
 
+def _from_header(field: str, build):
+    """``build()``, with a failure reported as a ValueError naming ``field``."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"trace header {field} cannot be built: {type(exc).__name__}: {exc}") from exc
+
+
 def validate_trace(trace: RunTrace) -> ValidationReport:
     """Replay every epoch record through the learner's own ``epoch_step``
     and report the first field that differs from the replay.
@@ -307,12 +315,13 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     action picked at random after an equilibrium rejection is read from
     the record's ``phi_after``.  Traces produced by run_trial validate
     cleanly; any tampering with a record shows up as a divergence at
-    that epoch.
+    that epoch.  A header whose game, schedule or equilibrium cannot be
+    built raises ValueError naming that field.
     """
-    cfg = trace.header["config"]
-    game = game_from_dict(cfg["game"])
-    sched = Schedule(**cfg["schedule"])
-    eq = EquilibriumProfile(**trace.header["equilibrium"])
+    header = trace.header
+    game = _from_header("config.game", lambda: game_from_dict(header["config"]["game"]))
+    sched = _from_header("config.schedule", lambda: Schedule(**header["config"]["schedule"]))
+    eq = _from_header("equilibrium", lambda: EquilibriumProfile(**header["equilibrium"]))
     shape = game.action_counts
     players = range(game.num_players)
     groups = _epoch_groups(trace)
@@ -324,7 +333,8 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         return ValidationReport(ok=False, epochs_checked=len(groups), divergence=info)
 
     learners = [rec.get("player") for rec in groups[0]] if groups else []
-    state = {p: fresh_state(eq, p) for p in learners if p in players}
+    # Only int indices: 0.0 and True would match an int key.
+    state = {p: fresh_state(eq, p) for p in learners if type(p) is int and p in players}
 
     def pick() -> int:
         # Reads the record being replayed.  A phi_after that is not a pure
@@ -340,7 +350,7 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                 return diverged(seq, rec.get("player"), "counts", "learners' histograms differ")
         for rec in group:
             p = rec.get("player")
-            if p not in players or p not in state:
+            if type(p) is not int or p not in state:
                 return diverged(seq, p, "player", "not a learner of the first epoch")
             hists = rec.get("counts")
             if not _histograms_fit(hists, shape, rounds[state[p].t]):

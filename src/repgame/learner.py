@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .games import StageGame, expected_utility, linf_distance, payoff_range, pure_action_values, pure_strategy
+from .games import StageGame, linf_distance, payoff_range, pure_action_values, pure_strategy
 
 # Stream-purpose codes for the documented seed-splitting scheme.
 STREAM_PLAY = 0
@@ -263,7 +263,7 @@ def epoch_step(
         others = [f for p, f in enumerate(freq) if p != me]
         values = pure_action_values(game, me, others)
         best_action = int(np.argmax(values))
-        if float(values[best_action]) > expected_utility(game, me, phi, others) + margin:
+        if float(values[best_action]) > float(phi @ values) + margin:
             phi_after = pure_strategy(best_action, shape[me])
             switched = True
     elif any(linf_distance(f, s) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):

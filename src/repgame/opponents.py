@@ -164,18 +164,14 @@ class FictitiousPlayPolicy(OpponentPolicy):
         self.player = int(player)
         self.counts = as_initial_counts(game, self.player, initial_counts)
         self._others = [p for p in range(game.num_players) if p != self.player]
-        self._payoffs = game.own_axis_payoffs[self.player]
 
     def act_segment(self, length: int) -> np.ndarray:
         if length != 1:
             raise ValueError(f"fictitious play acts one round at a time, not {length}")
-        # Values against the unnormalised counts, contracted from the last
-        # opponent's axis inwards: they are the values against the
-        # empirical frequencies times a positive constant, so the argmax
-        # (the first maximiser) is the same.
-        values = self._payoffs
-        for counts in reversed(self.counts):
-            values = values @ counts
+        # Values against the unnormalised counts are the values against
+        # the empirical frequencies times a positive constant, so the
+        # argmax (the first maximiser) is the same.
+        values = self.game.action_values(self.player, self.counts)
         return np.array([np.argmax(values)], dtype=np.int64)
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:

@@ -85,20 +85,6 @@ class Schedule:
         return n
 
 
-def _arrays(schedule, T: int):
-    ts = np.arange(0, T + 1, dtype=np.float64)
-    if hasattr(schedule, "eps_e_array") and hasattr(schedule, "rounds_array"):
-        eps_e = schedule.eps_e_array(ts)
-        rounds = schedule.rounds_array(ts)
-        # coupling eps_s^{t+1} = eps_e^t, eps_s^0 := eps_e^0
-        eps_s = np.concatenate([[eps_e[0]], eps_e[:-1]])
-    else:  # duck-typed custom schedules
-        eps_e = np.array([schedule.eps_e(int(t)) for t in ts])
-        rounds = np.array([float(schedule.rounds(int(t))) for t in ts])
-        eps_s = np.array([schedule.eps_s(int(t)) for t in ts])
-    return ts, eps_e, eps_s, rounds
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Prefix check of the four schedule validity conditions up to T."""
@@ -122,8 +108,12 @@ class ValidityReport:
         )
 
 
-def _factors(schedule, T: int):
-    _, eps_e, eps_s, rounds = _arrays(schedule, T + 1)
+def _factors(schedule: Schedule, T: int):
+    ts = np.arange(0, T + 2, dtype=np.float64)
+    eps_e = schedule.eps_e_array(ts)
+    # coupling eps_s^{t+1} = eps_e^t, eps_s^0 := eps_e^0
+    eps_s = np.concatenate([[eps_e[0]], eps_e[:-1]])
+    rounds = schedule.rounds_array(ts)
     # Factors are indexed t = 1..T.
     t_idx = np.arange(1, T + 1)
     a = float(schedule.actions_total)
@@ -132,7 +122,7 @@ def _factors(schedule, T: int):
     return eps_e[: T + 1], eps_s[: T + 1], rounds[: T + 1], fac_s, fac_e
 
 
-def check_valid_prefix(schedule, T: int) -> ValidityReport:
+def check_valid_prefix(schedule: Schedule, T: int) -> ValidityReport:
     """Verify the schedule validity conditions on the prefix t <= T.
 
     The built-in family is valid analytically (factors are bounded below
@@ -168,7 +158,17 @@ def check_valid_prefix(schedule, T: int) -> ValidityReport:
     )
 
 
-def never_restart_lower_bound(schedule, T: int) -> tuple[float, float]:
+def _positive_factors(schedule: Schedule, T: int):
+    if T < 1:
+        raise ValueError("horizon must be at least 1")
+    _, _, _, fac_s, fac_e = _factors(schedule, T)
+    if np.any(fac_s <= 0) or np.any(fac_e <= 0):
+        bad = int(np.nonzero((fac_s <= 0) | (fac_e <= 0))[0][0]) + 1
+        raise ValueError(f"nonpositive validity factor at t={bad}")
+    return fac_s, fac_e
+
+
+def never_restart_lower_bound(schedule: Schedule, T: int) -> tuple[float, float]:
     """Partial products of the two validity factors over t = 1..T.
 
     These lower-bound the probability that the stationarity (resp.
@@ -176,12 +176,15 @@ def never_restart_lower_bound(schedule, T: int) -> tuple[float, float]:
     Both are nonincreasing in T; for the built-in family each is at
     least ``2 ** -(sum_{t<=T} (1/t)^2)``.
     """
-    if T < 1:
-        raise ValueError("horizon must be at least 1")
-    _, _, _, fac_s, fac_e = _factors(schedule, T)
-    if np.any(fac_s <= 0) or np.any(fac_e <= 0):
-        bad = int(np.nonzero((fac_s <= 0) | (fac_e <= 0))[0][0]) + 1
-        raise ValueError(f"nonpositive validity factor at t={bad}")
-    prod_s = float(np.exp(np.sum(np.log(fac_s))))
-    prod_e = float(np.exp(np.sum(np.log(fac_e))))
-    return prod_s, prod_e
+    fac_s, fac_e = _positive_factors(schedule, T)
+    return float(np.exp(np.sum(np.log(fac_s)))), float(np.exp(np.sum(np.log(fac_e))))
+
+
+def never_restart_products(schedule: Schedule, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """``never_restart_lower_bound`` at every horizon 1..T, as two arrays.
+
+    One pass over the factors; the running sum may differ from the
+    bound's pairwise sum in the last bits.
+    """
+    fac_s, fac_e = _positive_factors(schedule, T)
+    return np.exp(np.cumsum(np.log(fac_s))), np.exp(np.cumsum(np.log(fac_e)))

@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 from .harness import TRACE_SCHEMA, BatchResult, RunSummary, RunTrace
+from .schedule import check_count
 
 # The fields each record type must carry; read_trace rejects a record without them.
 _RECORD_FIELDS = {
@@ -73,6 +74,10 @@ def read_trace(path) -> RunTrace:
                     raise ValueError(f"{path}:{lineno}: duplicate header record")
                 header = rec
             elif kind == "epoch":
+                try:
+                    check_count("seq", rec["seq"], 0)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: epoch {exc}") from None
                 events.append(rec)
             else:
                 end = rec

@@ -12,6 +12,7 @@ from repgame.config import (
     load_run_config,
     parse_game_text,
 )
+from repgame.schedule import Schedule, never_restart_lower_bound
 
 MP_TEXT = """\
 players: 2
@@ -218,6 +219,14 @@ def test_cli_schedule_table(capsys):
     assert "valid" in out
 
 
+def test_cli_schedule_product_columns_match_the_bound(capsys):
+    assert main(["schedule", "-T", "100"]) == EXIT_OK
+    rows = [l.split() for l in capsys.readouterr().out.splitlines()[1:101]]
+    for horizon in (1, 10, 100):
+        prod_s, prod_e = never_restart_lower_bound(Schedule(), horizon)
+        assert rows[horizon - 1][4:] == [f"{prod_s:.6g}", f"{prod_e:.6g}"]
+
+
 def test_cli_schedule_empty_horizon(capsys):
     assert main(["schedule", "-T", "0"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -394,19 +403,52 @@ def _replace(text):
     return edit
 
 
+def _set(*keys, value):
+    """Set the record's field at ``keys`` to ``value``, or drop it when
+    ``value`` is None."""
+
+    def edit(lines, index):
+        rec = json.loads(lines[index])
+        parent = rec
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        lines[index] = json.dumps(rec)
+
+    return edit
+
+
+def _drop_eq_labels(lines, index):
+    rec = json.loads(lines[index])
+    del rec["equilibrium"]["kind"], rec["equilibrium"]["provenance"]
+    lines[index] = json.dumps(rec)
+
+
+# ``located``: the message names the record's line; otherwise it names the
+# trace file and the header field the validator cannot build.
 @pytest.mark.parametrize(
-    "index, edit, message",
+    "index, edit, message, located",
     [
-        (-1, _drop("rounds_used"), "end record without rounds_used"),
-        (1, _replace("[1, 2]"), "not a header, epoch or end record"),
-        (1, _drop("seq"), "epoch record without seq"),
-        (0, _drop("config"), "header record without config"),
-        (0, _drop("equilibrium"), "header record without equilibrium"),
+        (-1, _drop("rounds_used"), "end record without rounds_used", True),
+        (1, _replace("[1, 2]"), "not a header, epoch or end record", True),
+        (1, _drop("seq"), "epoch record without seq", True),
+        (0, _drop("config"), "header record without config", True),
+        (0, _drop("equilibrium"), "header record without equilibrium", True),
+        (1, _set("seq", value=[1]), "epoch seq must be an integer >= 0", True),
+        (0, _set("config", "game", value=None), "trace header config.game cannot be built", False),
+        (0, _set("config", "schedule", "epsilon_base", value="x"),
+         "trace header config.schedule cannot be built", False),
+        (0, _drop_eq_labels, "trace header equilibrium cannot be built", False),
     ],
     ids=["end-without-rounds_used", "not-an-object", "epoch-without-seq",
-         "header-without-config", "header-without-equilibrium"],
+         "header-without-config", "header-without-equilibrium", "epoch-seq-a-list",
+         "config-without-game", "schedule-epsilon_base-a-string",
+         "equilibrium-without-kind-and-provenance"],
 )
-def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, message):
+def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, message, located):
     out_dir = tmp_path / "out"
     cfg = write_yaml_config(tmp_path, output={"trace_dir": str(out_dir), "make_dirs": True})
     assert main(["run", str(cfg)]) == EXIT_OK
@@ -417,4 +459,5 @@ def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, m
     capsys.readouterr()
     assert main(["validate", str(trace_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"{trace_path}:{index % len(lines) + 1}: {message}" in err
+    where = f"{trace_path}:{index % len(lines) + 1}" if located else f"{trace_path}"
+    assert f"{where}: {message}" in err

@@ -99,6 +99,58 @@ def test_monte_carlo_payoff_oracle():
     assert abs(samples.mean() - exact) <= 4 * se
 
 
+# -- the payoff contraction -----------------------------------------------------
+
+
+def mixed(k: int):
+    weights = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(lambda w: sum(w) > 0)
+    return weights.map(lambda w: np.asarray(w) / np.sum(w))
+
+
+@st.composite
+def games_and_profiles(draw):
+    n = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    size = n * int(np.prod(counts))
+    payoffs = draw(st.lists(st.floats(-10.0, 10.0), min_size=size, max_size=size))
+    game = StageGame(np.reshape(payoffs, [n] + counts))
+    return game, [draw(mixed(k)) for k in counts]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(games_and_profiles())
+def test_values_equal_the_sum_over_every_joint_profile(case):
+    game, profile = case
+    for p in range(game.num_players):
+        values = np.zeros(game.action_counts[p])
+        for joint in np.ndindex(*game.action_counts):
+            weight = np.prod([s[a] for q, (s, a) in enumerate(zip(profile, joint)) if q != p])
+            values[joint[p]] += game.payoffs[p][joint] * weight
+        own = float(profile[p] @ values)
+        others = profile[:p] + profile[p + 1 :]
+        np.testing.assert_allclose(pure_action_values(game, p, others), values, rtol=0, atol=1e-12)
+        assert expected_utility(game, p, profile[p], others) == pytest.approx(own, rel=0, abs=1e-12)
+        assert regret(game, profile, p) == pytest.approx(values.max() - own, rel=0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(games_and_profiles(), st.data())
+def test_values_against_counts_scale_by_the_count_totals(case, data):
+    # Fictitious play ranks actions by their values against raw counts.
+    game, _ = case
+    for p in range(game.num_players):
+        counts = [
+            np.asarray(data.draw(st.lists(st.integers(0, 5), min_size=k, max_size=k).filter(any)), dtype=float)
+            for q, k in enumerate(game.action_counts)
+            if q != p
+        ]
+        scale = np.prod([c.sum() for c in counts])
+        freqs = [c / c.sum() for c in counts]
+        np.testing.assert_allclose(
+            game.action_values(p, counts), scale * game.action_values(p, freqs), rtol=0, atol=1e-12 * scale
+        )
+
+
 # -- best_response ---------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +266,9 @@ def test_every_roster_validates_and_reruns_byte_identical(cfg):
     assert trace_bytes(run_trial(cfg, 0)) == trace_bytes(trace)
     rebuilt = build_run_config(json.loads(json.dumps(trace.header["config"])))
     assert trace_bytes(run_trial(rebuilt, 0)) == trace_bytes(trace)
+    with tempfile.TemporaryDirectory() as tmp:
+        traceio.write_trace(trace, Path(tmp) / "trace.jsonl")
+        assert traceio.read_trace(Path(tmp) / "trace.jsonl") == trace
 
 
 # -- convergence detection ---------------------------------------------------------
@@ -384,6 +389,16 @@ def test_validate_reports_player_missing_from_first_epoch():
     assert not report.ok
     assert report.divergence["field"] == "player"
     assert report.divergence["epoch"] == 2
+
+
+@pytest.mark.parametrize("first", [0, 0.0])
+def test_validate_reports_a_player_index_that_is_not_an_int(first):
+    tampered = run_trial(mp_config(), 0)  # one learner, player 0
+    for rec in tampered.events[1:] if first == 0 else tampered.events:
+        rec["player"] = 0.0
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert report.divergence["field"] == "player"
 
 
 def test_validate_reports_too_few_histograms():

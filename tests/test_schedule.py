@@ -8,6 +8,7 @@ from repgame.schedule import (
     Schedule,
     check_valid_prefix,
     never_restart_lower_bound,
+    never_restart_products,
 )
 
 DEFAULT = Schedule(epsilon_base=0.5, actions_total=4)
@@ -87,48 +88,29 @@ def test_default_family_valid_long_prefix():
     assert report.first_bad_t is None
 
 
-class _ForcedRoundsSchedule:
+class _ForcedRoundsSchedule(Schedule):
     """Default epsilons but every epoch forced to one round."""
 
-    actions_total = 4
-
-    def eps_e(self, t):
-        return DEFAULT.eps_e(t)
-
-    def eps_s(self, t):
-        return DEFAULT.eps_s(t)
-
-    def rounds(self, t):
-        return 1
+    def rounds_array(self, ts):
+        return np.ones_like(ts)
 
 
-class _ShrinkingRoundsSchedule:
+class _ShrinkingRoundsSchedule(Schedule):
     """Default epsilons, but N^t = 10 N^12 - t shrinks while every factor
     stays positive."""
 
-    actions_total = 4
-
-    def eps_e(self, t):
-        return DEFAULT.eps_e(t)
-
-    def eps_s(self, t):
-        return DEFAULT.eps_s(t)
-
-    def rounds(self, t):
-        return 10 * DEFAULT.rounds(12) - t
+    def rounds_array(self, ts):
+        return 10.0 * DEFAULT.rounds(12) - ts
 
 
-class _ConstantEpsSchedule:
-    actions_total = 4
+class _ConstantEpsSchedule(Schedule):
+    """eps_e (and so eps_s) stays 0.5; default epoch lengths."""
 
-    def eps_e(self, t):
-        return 0.5
+    def eps_e_array(self, ts):
+        return np.full_like(ts, 0.5)
 
-    def eps_s(self, t):
-        return 0.5
-
-    def rounds(self, t):
-        return DEFAULT.rounds(t)
+    def rounds_array(self, ts):
+        return DEFAULT.rounds_array(ts)
 
 
 def test_forced_single_round_schedule_fails():
@@ -189,6 +171,15 @@ def test_partial_products_bounded_below_by_limit():
         prod_s, prod_e = never_restart_lower_bound(DEFAULT, T)
         assert prod_s >= PRODUCT_LIMIT
         assert prod_e >= PRODUCT_LIMIT
+
+
+def test_products_at_every_horizon_match_the_bound():
+    prods_s, prods_e = never_restart_products(DEFAULT, 1000)
+    assert prods_s.shape == prods_e.shape == (1000,)
+    for T in (1, 10, 100, 1000):
+        prod_s, prod_e = never_restart_lower_bound(DEFAULT, T)
+        assert prods_s[T - 1] == pytest.approx(prod_s, rel=1e-12)
+        assert prods_e[T - 1] == pytest.approx(prod_e, rel=1e-12)
 
 
 def test_product_limit_constant():
