@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import REGRET_TOL, is_equilibrium
-from .games import StageGame, as_strategy
-from .opponents import as_initial_counts, as_script, as_switch_round
+from .equilibrium import compute_equilibrium
+from .games import StageGame
+from .opponents import build_policy
 from .schedule import Schedule, check_count
 
 
@@ -153,41 +153,8 @@ _INT_FIELDS = {
 }
 # The keys of a run document; ``output`` is read by load_run_config alone.
 _DOC_KEYS = {"game", "roster", "schedule", "equilibrium_override", "output", *_INT_FIELDS}
-
-
-def _check_policy(desc: dict, game: StageGame, player: int) -> None:
-    """ValueError when the opponent descriptor ``desc`` cannot play
-    ``player``'s actions in ``game``."""
-    n_actions = game.action_counts[player]
-    kind = desc.get("kind") if isinstance(desc, dict) else None
-    if kind == "scripted":
-        as_script(desc["actions"], n_actions)
-    elif kind == "stationary":
-        as_strategy(desc["probs"], n_actions)
-    elif kind == "eventually_stationary":
-        as_strategy(desc["probs"], n_actions)
-        as_switch_round(desc["switch_round"])
-        _check_policy(desc["pre"], game, player)
-    elif kind == "fictitious_play":
-        as_initial_counts(game, player, desc.get("initial_counts"))
-    else:
-        raise ValueError(f"unknown opponent policy kind {kind!r}")
-
-
-def _override_strategies(rows, game: StageGame) -> tuple[np.ndarray, ...]:
-    if not isinstance(rows, (list, tuple)) or len(rows) != game.num_players:
-        raise ValueError(
-            f"equilibrium_override needs one probability vector per player ({game.num_players})"
-        )
-    strategies = []
-    for player, (row, count) in enumerate(zip(rows, game.action_counts)):
-        try:
-            strategies.append(as_strategy(row, count))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"equilibrium_override for player {player}: {exc}") from exc
-    if not is_equilibrium(game, strategies):
-        raise ValueError(f"equilibrium_override is not an equilibrium: a regret exceeds {REGRET_TOL}")
-    return tuple(strategies)
+# The keys of a roster entry, by its agent.
+_ENTRY_KEYS = {"learner": {"agent"}, "opponent": {"agent", "policy"}}
 
 
 @dataclass(frozen=True)
@@ -216,22 +183,26 @@ class RunConfig:
             check_count(key, getattr(self, key), least)
         for player, entry in enumerate(self.roster):
             agent = entry.get("agent") if isinstance(entry, dict) else None
-            if agent == "opponent":
-                # A descriptor that does not fit the game fails here, not
-                # partway through a run.
-                try:
-                    _check_policy(entry.get("policy"), self.game, player)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"roster[{player}]: invalid opponent policy: {exc}") from exc
-            elif agent != "learner":
+            if agent not in ("learner", "opponent"):
                 raise ValueError(
                     f"roster[{player}]: need a mapping with agent 'learner' or 'opponent', got {entry!r}"
                 )
+            unknown = sorted(map(str, entry.keys() - _ENTRY_KEYS[agent]))
+            if unknown:
+                raise ValueError(f"roster[{player}]: unknown keys {', '.join(unknown)} for agent {agent!r}")
+            if agent == "opponent":
+                # Built once here, so a descriptor that does not fit the
+                # game fails now, not partway through a run.
+                try:
+                    build_policy(entry.get("policy"), self.game, player, np.random.SeedSequence(0))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"roster[{player}]: invalid opponent policy: {exc}") from exc
         if not any(entry["agent"] == "learner" for entry in self.roster):
             raise ValueError("roster needs at least one learner")
         object.__setattr__(self, "roster", tuple(dict(r) for r in self.roster))
         if self.eq_override is not None:
-            object.__setattr__(self, "eq_override", _override_strategies(self.eq_override, self.game))
+            eq = compute_equilibrium(self.game, self.eq_override)
+            object.__setattr__(self, "eq_override", eq.strategies)
 
 
 def game_to_dict(game: StageGame) -> dict:

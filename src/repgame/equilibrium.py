@@ -157,13 +157,16 @@ def compute_equilibrium(game: StageGame, override=None) -> EquilibriumProfile:
     tolerance; it is ``pure`` when every strategy is.
     """
     if override is not None:
-        if len(override) != game.num_players:
-            raise ValueError("override needs one strategy per player")
-        strategies = tuple(as_strategy(s, c) for s, c in zip(override, game.action_counts))
+        if not isinstance(override, (list, tuple)) or len(override) != game.num_players:
+            raise ValueError(f"equilibrium_override needs one strategy per player ({game.num_players})")
+        strategies = []
+        for player, (row, count) in enumerate(zip(override, game.action_counts)):
+            try:
+                strategies.append(as_strategy(row, count))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"equilibrium_override for player {player}: {exc}") from exc
         if not is_equilibrium(game, strategies):
-            raise ValueError(
-                f"override profile fails the regret <= {REGRET_TOL} check"
-            )
+            raise ValueError(f"equilibrium_override is not an equilibrium: a regret exceeds {REGRET_TOL}")
         return _profile(strategies, "user-supplied")
     if game.num_players == 2:
         for profile in _iter_support_equilibria(game):

@@ -15,15 +15,8 @@ import numpy as np
 
 from .config import RunConfig, config_to_dict, game_from_dict
 from .equilibrium import EquilibriumProfile, compute_equilibrium
-from .games import StageGame
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
-from .opponents import (
-    EventuallyStationaryPolicy,
-    FictitiousPlayPolicy,
-    OpponentPolicy,
-    ScriptedPolicy,
-    StationaryPolicy,
-)
+from .opponents import build_policy
 from .schedule import Schedule
 
 TRACE_SCHEMA = 4
@@ -75,29 +68,9 @@ def equilibrium_to_dict(eq: EquilibriumProfile) -> dict:
 # -- agent construction -----------------------------------------------------
 
 
-def _build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSequence) -> OpponentPolicy:
-    kind = desc.get("kind")
-    if kind == "stationary":
-        return StationaryPolicy(desc["probs"], np.random.Generator(np.random.PCG64(ss)))
-    if kind == "scripted":
-        return ScriptedPolicy(desc["actions"], game.action_counts[player])
-    if kind == "eventually_stationary":
-        post_ss, pre_ss = ss.spawn(2)
-        pre = _build_policy(desc["pre"], game, player, pre_ss)
-        return EventuallyStationaryPolicy(
-            pre,
-            desc["switch_round"],
-            desc["probs"],
-            np.random.Generator(np.random.PCG64(post_ss)),
-        )
-    if kind == "fictitious_play":
-        return FictitiousPlayPolicy(game, player, desc.get("initial_counts"))
-    raise ValueError(f"unknown opponent policy kind {kind!r}")
-
-
 def _build_agents(config: RunConfig, trial: int, eq: EquilibriumProfile):
     learners: dict[int, EquilibriumRetreatAgent] = {}
-    policies: dict[int, OpponentPolicy] = {}
+    policies = {}
     for player, entry in enumerate(config.roster):
         if entry["agent"] == "learner":
             streams = (
@@ -111,7 +84,7 @@ def _build_agents(config: RunConfig, trial: int, eq: EquilibriumProfile):
             ss = np.random.SeedSequence(
                 [int(config.master_seed), int(trial), int(player), STREAM_PLAY]
             )
-            policies[player] = _build_policy(entry["policy"], config.game, player, ss)
+            policies[player] = build_policy(entry["policy"], config.game, player, ss)
     return learners, policies
 
 
@@ -315,8 +288,12 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     action picked at random after an equilibrium rejection is read from
     the record's ``phi_after``.  Traces produced by run_trial validate
     cleanly; any tampering with a record shows up as a divergence at
-    that epoch.  A header whose game, schedule or equilibrium cannot be
-    built raises ValueError naming that field.
+    that epoch, a field the replay does not give included, and so does
+    an epoch without one record of each learner of the first.  The end
+    record must count the epochs and their rounds; a field of it that
+    does not is a divergence at the epoch after the last, with player
+    None.  A header whose game, schedule or equilibrium cannot be built
+    raises ValueError naming that field.
     """
     header = trace.header
     game = _from_header("config.game", lambda: game_from_dict(header["config"]["game"]))
@@ -344,14 +321,19 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         pure = isinstance(phi, list) and sorted(phi) == [0.0] * (shape[p] - 1) + [1.0]
         return phi.index(1.0) if pure else 0
 
+    used = 0  # rounds of the epochs replayed so far
     for seq, group in enumerate(groups):
         for rec in group[1:]:
             if rec.get("counts") != group[0].get("counts"):
                 return diverged(seq, rec.get("player"), "counts", "learners' histograms differ")
+        stepped = set()
         for rec in group:
             p = rec.get("player")
             if type(p) is not int or p not in state:
                 return diverged(seq, p, "player", "not a learner of the first epoch")
+            if p in stepped:
+                return diverged(seq, p, "player", "a second record of this learner in the epoch")
+            stepped.add(p)
             hists = rec.get("counts")
             if not _histograms_fit(hists, shape, rounds[state[p].t]):
                 return diverged(seq, p, "counts", "need one histogram per player totalling N^t")
@@ -362,6 +344,24 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                     got = rec.get(key)
                     if got != want:
                         return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
+                extra = min(map(str, rec.keys() - replay.keys()))
+                return diverged(seq, p, extra, "the replay gives no such field")
+        if stepped != state.keys():
+            return diverged(seq, min(state.keys() - stepped), "player", "no record of this learner in the epoch")
+        used += outcome.rounds
+    # The end record: completed epochs, then the rounds of the epoch cut
+    # short by the budget.
+    partial = trace.partial_rounds
+    partial_ok = type(partial) is int and partial >= 0
+    for fieldname, ok, want in (
+        ("epochs", type(trace.epochs) is int and trace.epochs == len(groups), f"{len(groups)} epochs"),
+        ("partial_rounds", partial_ok, "an integer >= 0"),
+        ("truncated", partial_ok and trace.truncated is (partial > 0), "true exactly when partial_rounds > 0"),
+        ("rounds_used", partial_ok and type(trace.rounds_used) is int and trace.rounds_used == used + partial,
+         f"the epochs' {used} rounds plus partial_rounds"),
+    ):
+        if not ok:
+            return diverged(len(groups), None, fieldname, f"need {want}, trace has {getattr(trace, fieldname)!r}")
     return ValidationReport(ok=True, epochs_checked=len(groups), divergence=None)
 
 

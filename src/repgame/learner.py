@@ -82,7 +82,8 @@ class EquilibriumRetreatAgent:
     accumulator of the epoch in progress.
 
     Mutable and single-threaded; distinct agents own independent random
-    streams and may run in parallel trials.
+    streams and may run in parallel trials.  ``streams`` is the (play,
+    reset-pick) pair of generators.
     """
 
     def __init__(
@@ -91,18 +92,8 @@ class EquilibriumRetreatAgent:
         me: int,
         schedule,
         eq_profile: EquilibriumProfile,
-        seed: int | None = None,
-        streams: tuple[np.random.Generator, np.random.Generator] | None = None,
+        streams: tuple[np.random.Generator, np.random.Generator],
     ):
-        if streams is None:
-            if seed is None:
-                raise ValueError("provide either seed or streams")
-            root = np.random.SeedSequence(seed)
-            play_ss, pick_ss = root.spawn(2)
-            streams = (
-                np.random.Generator(np.random.PCG64(play_ss)),
-                np.random.Generator(np.random.PCG64(pick_ss)),
-            )
         self.game = game
         self.me = int(me)
         self.schedule = schedule

@@ -1,5 +1,6 @@
 """Opponent policies: stationary, eventually-stationary, scripted, and
-fictitious play (a nonstationary stressor)."""
+fictitious play (a nonstationary stressor), and build_policy, which makes
+one from its run-document descriptor."""
 from __future__ import annotations
 
 import numbers
@@ -177,3 +178,40 @@ class FictitiousPlayPolicy(OpponentPolicy):
     def observe_segment(self, joint: list[np.ndarray]) -> None:
         for counts, p in zip(self.counts, self._others):
             counts += np.bincount(joint[p], minlength=len(counts))
+
+
+# The keys of each policy kind's descriptor, ``kind`` included.
+_POLICY_KEYS = {
+    "stationary": {"kind", "probs"},
+    "scripted": {"kind", "actions"},
+    "eventually_stationary": {"kind", "pre", "switch_round", "probs"},
+    "fictitious_play": {"kind", "initial_counts"},
+}
+
+
+def build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSequence) -> OpponentPolicy:
+    """The policy that descriptor ``desc`` gives ``player`` in ``game``,
+    drawing from streams of ``ss``.  Raises KeyError, TypeError or
+    ValueError when ``desc`` has an unknown kind or key, lacks a key, or
+    does not fit the player's actions; building is the check."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if kind not in _POLICY_KEYS:
+        raise ValueError(f"unknown opponent policy kind {kind!r}")
+    unknown = sorted(map(str, desc.keys() - _POLICY_KEYS[kind]))
+    if unknown:
+        raise ValueError(f"unknown keys {', '.join(unknown)} in a {kind} policy")
+    n_actions = game.action_counts[player]
+    if kind == "stationary":
+        return StationaryPolicy(as_strategy(desc["probs"], n_actions), np.random.Generator(np.random.PCG64(ss)))
+    if kind == "scripted":
+        return ScriptedPolicy(desc["actions"], n_actions)
+    if kind == "eventually_stationary":
+        post_ss, pre_ss = ss.spawn(2)
+        pre = build_policy(desc["pre"], game, player, pre_ss)
+        return EventuallyStationaryPolicy(
+            pre,
+            desc["switch_round"],
+            as_strategy(desc["probs"], n_actions),
+            np.random.Generator(np.random.PCG64(post_ss)),
+        )
+    return FictitiousPlayPolicy(game, player, desc.get("initial_counts"))

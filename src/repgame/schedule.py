@@ -95,8 +95,6 @@ class ValidityReport:
     rounds_nondecreasing: bool
     factors_positive: bool
     first_bad_t: int | None
-    product_s: float
-    product_e: float
 
     @property
     def valid(self) -> bool:
@@ -141,11 +139,6 @@ def check_valid_prefix(schedule: Schedule, T: int) -> ValidityReport:
     if not positive:
         bad = np.nonzero((fac_s <= 0) | (fac_e <= 0))[0]
         first_bad = int(bad[0]) + 1
-    if positive:
-        product_s = float(np.exp(np.sum(np.log(fac_s))))
-        product_e = float(np.exp(np.sum(np.log(fac_e))))
-    else:
-        product_s = product_e = 0.0
     return ValidityReport(
         horizon=T,
         eps_e_decreasing=eps_e_dec,
@@ -153,8 +146,6 @@ def check_valid_prefix(schedule: Schedule, T: int) -> ValidityReport:
         rounds_nondecreasing=rounds_nondec,
         factors_positive=positive,
         first_bad_t=first_bad,
-        product_s=product_s,
-        product_e=product_e,
     )
 
 

@@ -291,12 +291,17 @@ def test_cli_missing_output_dir_rejected(tmp_path, capsys):
         ),
         {"kind": "fictitious_play", "initial_counts": [[1.0, 1.0, 1.0]]},
         {"kind": "fictitious_play", "initial_counts": [[0.0, 0.0]]},
+        # Unknown keys: a typo must not run with the defaults.
+        pytest.param({"kind": "fictitious_play", "initial_count": [[50, 1]]}, id="initial_count"),
+        pytest.param({"agent": "learner", "seed": 4}, id="learner-seed"),
     ],
 )
 def test_cli_rejects_opponent_that_does_not_fit_game(tmp_path, capsys, policy):
+    # A parameter with an ``agent`` key is the whole roster entry.
+    entry = policy if "agent" in policy else {"agent": "opponent", "policy": policy}
     cfg = write_yaml_config(
         tmp_path,
-        roster=[{"agent": "learner"}, {"agent": "opponent", "policy": policy}],
+        roster=[{"agent": "learner"}, entry],
         output={"trace_dir": str(tmp_path / "out"), "make_dirs": True},
     )
     assert main(["run", str(cfg)]) == EXIT_CONFIG

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -123,14 +124,29 @@ def test_budget_truncation_marks_partial_epoch():
             {"kind": "eventually_stationary", "pre": pre, "switch_round": 5, "probs": [0.5, 0.3, 0.2]}
             for pre in ({"kind": "psychic"}, 5)
         ),
+        # Unknown keys: a typo must not run with the defaults.
+        pytest.param({"kind": "fictitious_play", "initial_count": [[50, 1, 1]]}, id="initial_count"),
+        pytest.param({"kind": "stationary", "probs": [0.5, 0.3, 0.2], "seed": 4}, id="stationary-seed"),
+        pytest.param(
+            {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [0], "loop": True},
+             "switch_round": 5, "probs": [0.5, 0.3, 0.2]},
+            id="pre-loop",
+        ),
+        pytest.param({"agent": "learner", "seed": 4}, id="learner-seed"),
+        pytest.param(
+            {"agent": "opponent", "policy": {"kind": "stationary", "probs": [0.5, 0.3, 0.2]}, "seed": 4},
+            id="opponent-seed",
+        ),
     ],
 )
 def test_run_config_rejects_opponent_that_does_not_fit_game(policy):
     g = rock_paper_scissors()
+    # A parameter with an ``agent`` key is the whole roster entry.
+    entry = policy if "agent" in policy else {"agent": "opponent", "policy": policy}
     with pytest.raises(ValueError, match=r"roster\[1\]"):
         RunConfig(
             game=g,
-            roster=(LEARNER, {"agent": "opponent", "policy": policy}),
+            roster=(LEARNER, entry),
             schedule=Schedule(epsilon_base=0.5, actions_total=g.actions_total),
         )
 
@@ -269,6 +285,14 @@ def test_every_roster_validates_and_reruns_byte_identical(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         traceio.write_trace(trace, Path(tmp) / "trace.jsonl")
         assert traceio.read_trace(Path(tmp) / "trace.jsonl") == trace
+    if trace.truncated and trace.rounds_used > trace.partial_rounds:
+        # The epoch cut short by the budget is left out of the statistics:
+        # a budget that ends where that epoch began gives the same events
+        # and summary.
+        cut = run_trial(dataclasses.replace(cfg, round_budget=trace.rounds_used - trace.partial_rounds), 0)
+        assert cut.events == trace.events
+        summary = detect_convergence(trace)
+        assert detect_convergence(cut) == dataclasses.replace(summary, rounds_used=cut.rounds_used)
 
 
 # -- convergence detection ---------------------------------------------------------
@@ -407,6 +431,66 @@ def test_validate_reports_too_few_histograms():
     report = validate_trace(tampered)
     assert not report.ok
     assert report.divergence["field"] == "counts"
+
+
+def test_validate_reports_a_field_the_replay_does_not_give():
+    tampered = run_trial(mp_config(epoch_budget=3), 0)
+    tampered.events[1]["note"] = "checked by hand"
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["field"]) == (1, "note")
+
+
+@pytest.mark.parametrize(
+    "budget, field, value, reported",
+    [
+        (200_000, "epochs", 99, "epochs"),
+        (200_000, "epochs", 3.0, "epochs"),
+        (200_000, "rounds_used", 7, "rounds_used"),
+        (200_000, "rounds_used", "all", "rounds_used"),
+        (200_000, "partial_rounds", -1, "partial_rounds"),
+        (200_000, "partial_rounds", None, "partial_rounds"),
+        (200_000, "truncated", True, "truncated"),
+        # Epoch 0 needs 32 rounds, so a budget of 40 leaves 8 partial.
+        (40, "truncated", False, "truncated"),
+        (40, "truncated", 1, "truncated"),
+        (40, "partial_rounds", 0, "truncated"),
+        (40, "rounds_used", 32, "rounds_used"),
+    ],
+)
+def test_validate_checks_the_end_record(budget, field, value, reported):
+    tampered = run_trial(mp_config(round_budget=budget, epoch_budget=3), 0)
+    assert validate_trace(tampered).ok
+    setattr(tampered, field, value)
+    report = validate_trace(tampered)
+    assert not report.ok
+    epochs = len({rec["seq"] for rec in tampered.events})
+    assert (report.divergence["epoch"], report.divergence["player"]) == (epochs, None)
+    assert report.divergence["field"] == reported
+
+
+@pytest.mark.parametrize("edit", ["delete", "duplicate"])
+def test_validate_reports_one_learner_record_too_few_or_too_many(sample_trace, edit):
+    tampered = copy.deepcopy(sample_trace)  # two learners
+    last = tampered.events[-1]
+    if edit == "delete":
+        tampered.events.remove(last)
+    else:
+        tampered.events.append(copy.deepcopy(last))
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"]) == (last["seq"], last["player"])
+    assert report.divergence["field"] == "player"
+
+
+def test_validate_reports_a_deleted_last_epoch():
+    tampered = run_trial(mp_config(epoch_budget=3), 0)
+    del tampered.events[-1]
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert report.divergence == {
+        "epoch": 2, "player": None, "field": "epochs", "message": "need 2 epochs, trace has 3",
+    }
 
 
 @pytest.mark.parametrize("phi_after", [[0.5, 0.5], [0.0, 1.0, 0.0]])

@@ -28,10 +28,15 @@ class FixedSchedule:
         return self._rounds[min(t, len(self._rounds) - 1)]
 
 
+def seeded_streams(seed):
+    """The (play, reset-pick) generators of two streams spawned from ``seed``."""
+    return tuple(np.random.Generator(np.random.PCG64(ss)) for ss in np.random.SeedSequence(seed).spawn(2))
+
+
 def make_agent(game, me=0, schedule=None, seed=1, eq=None):
     schedule = schedule or Schedule(epsilon_base=0.5, actions_total=game.actions_total)
     eq = eq or compute_equilibrium(game)
-    return EquilibriumRetreatAgent(game, me, schedule, eq, seed=seed)
+    return EquilibriumRetreatAgent(game, me, schedule, eq, streams=seeded_streams(seed))
 
 
 def drive_epoch(agent, own_actions, opp_actions):
@@ -97,7 +102,7 @@ def test_segment_and_per_round_paths_agree():
     g = matching_pennies()
     sched = FixedSchedule([0.5, 0.25], [40, 40])
     eq = compute_equilibrium(g)
-    a, b, c = (EquilibriumRetreatAgent(g, 0, sched, eq, seed=21) for _ in range(3))
+    a, b, c = (EquilibriumRetreatAgent(g, 0, sched, eq, streams=seeded_streams(21)) for _ in range(3))
     opp = np.random.default_rng(5).integers(0, 2, size=40)
 
     acts_a = a.act_segment(40)
@@ -159,7 +164,7 @@ def test_counts_and_segment_paths_decide_alike():
     g = rock_paper_scissors()
     sched = FixedSchedule([0.2, 0.1], [60, 60], actions_total=6)
     eq = compute_equilibrium(g)
-    a, b = (EquilibriumRetreatAgent(g, 0, sched, eq, seed=3) for _ in range(2))
+    a, b = (EquilibriumRetreatAgent(g, 0, sched, eq, streams=seeded_streams(3)) for _ in range(2))
     opp = np.random.default_rng(6).integers(0, 3, size=60)
     own = a.act_segment(60)
     out_a = a.observe_segment([own, opp])
@@ -385,7 +390,7 @@ def test_self_play_flag_tuples_identical():
     sched = Schedule(epsilon_base=0.5, actions_total=4)
     eq = compute_equilibrium(g)
     agents = [
-        EquilibriumRetreatAgent(g, p, sched, eq, seed=100 + p) for p in range(2)
+        EquilibriumRetreatAgent(g, p, sched, eq, streams=seeded_streams(100 + p)) for p in range(2)
     ]
     rng = np.random.default_rng(0)
     for _ in range(5):
