@@ -105,8 +105,8 @@ def cmd_schedule(args) -> int:
             products = never_restart_products(sched, T)
         except ValueError:
             products = None
-        for t in range(T):
-            row = f"{t:>4} {sched.eps_e(t):>12.6g} {sched.eps_s(t):>12.6g} {sched.rounds(t):>10d}"
+        for t, (eps_e, eps_s, n) in enumerate(zip(*sched.prefix(T))):
+            row = f"{t:>4} {eps_e:>12.6g} {eps_s:>12.6g} {n:>10.0f}"
             if products is not None:
                 row += f" {products[0][t]:>10.6g} {products[1][t]:>10.6g}"
             print(row)
@@ -121,7 +121,7 @@ def cmd_schedule(args) -> int:
                         ("eps_e not strictly decreasing", report.eps_e_decreasing),
                         ("eps_s not strictly decreasing", report.eps_s_decreasing),
                         ("rounds not nondecreasing", report.rounds_nondecreasing),
-                        ("nonpositive product factor", report.factors_positive),
+                        ("nonpositive or non-finite product factor", report.factors_positive),
                     )
                     if not ok
                 ]

@@ -17,7 +17,7 @@ from .config import RunConfig, config_to_dict, game_from_dict
 from .equilibrium import EquilibriumProfile, compute_equilibrium
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
 from .opponents import build_policy
-from .schedule import Schedule
+from .schedule import Schedule, check_count
 
 TRACE_SCHEMA = 4
 
@@ -290,10 +290,13 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     cleanly; any tampering with a record shows up as a divergence at
     that epoch, a field the replay does not give included, and so does
     an epoch without one record of each learner of the first.  The end
-    record must count the epochs and their rounds; a field of it that
-    does not is a divergence at the epoch after the last, with player
-    None.  A header whose game, schedule or equilibrium cannot be built
-    raises ValueError naming that field.
+    record must count the epochs and their rounds, with partial_rounds
+    below the next epoch's N^t, and a budget must have stopped the run:
+    rounds_used at most round_budget, and equal to it unless epoch_budget
+    epochs completed.  A field of it that does not is a divergence at the
+    epoch after the last, with player None.  A header whose game,
+    schedule, equilibrium or budgets cannot be built raises ValueError
+    naming that field.
     """
     header = trace.header
     game = _from_header("config.game", lambda: game_from_dict(header["config"]["game"]))
@@ -301,9 +304,11 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     eq = _from_header("equilibrium", lambda: EquilibriumProfile(**header["equilibrium"]))
     shape = game.action_counts
     players = range(game.num_players)
+    round_budget, epoch_budget = [
+        _from_header(f"config.{key}", lambda: check_count(key, header["config"][key], 1))
+        for key in ("round_budget", "epoch_budget")
+    ]
     groups = _epoch_groups(trace)
-    # t never exceeds the epoch index, so one N^t per epoch covers every record.
-    rounds = [int(sched.rounds(t)) for t in range(len(groups))]
 
     def diverged(seq, player, fieldname, message) -> ValidationReport:
         info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
@@ -335,7 +340,7 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                 return diverged(seq, p, "player", "a second record of this learner in the epoch")
             stepped.add(p)
             hists = rec.get("counts")
-            if not _histograms_fit(hists, shape, rounds[state[p].t]):
+            if not _histograms_fit(hists, shape, sched.rounds(state[p].t)):
                 return diverged(seq, p, "counts", "need one histogram per player totalling N^t")
             outcome, state[p] = epoch_step(game, p, sched, eq, state[p], hists, pick)
             replay = {"type": "epoch", "seq": seq, **vars(outcome)}
@@ -350,15 +355,19 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
             return diverged(seq, min(state.keys() - stepped), "player", "no record of this learner in the epoch")
         used += outcome.rounds
     # The end record: completed epochs, then the rounds of the epoch cut
-    # short by the budget.
-    partial = trace.partial_rounds
-    partial_ok = type(partial) is int and partial >= 0
+    # short by the budget, which stopped the run.
+    t = next(iter(state.values())).t if groups else 0  # learners' flags, and so t, agree
+    partial, used_all = trace.partial_rounds, trace.rounds_used
+    partial_ok = type(partial) is int and 0 <= partial < sched.rounds(t)
+    used_ok = partial_ok and type(used_all) is int and used_all == used + partial
     for fieldname, ok, want in (
         ("epochs", type(trace.epochs) is int and trace.epochs == len(groups), f"{len(groups)} epochs"),
-        ("partial_rounds", partial_ok, "an integer >= 0"),
+        ("partial_rounds", partial_ok, f"an integer >= 0 below N^{t} = {sched.rounds(t)}"),
         ("truncated", partial_ok and trace.truncated is (partial > 0), "true exactly when partial_rounds > 0"),
-        ("rounds_used", partial_ok and type(trace.rounds_used) is int and trace.rounds_used == used + partial,
-         f"the epochs' {used} rounds plus partial_rounds"),
+        ("rounds_used", used_ok, f"the epochs' {used} rounds plus partial_rounds"),
+        ("rounds_used", used_ok and used_all <= round_budget, f"at most round_budget {round_budget}"),
+        ("rounds_used", used_ok and (used_all == round_budget or len(groups) == epoch_budget),
+         f"round_budget {round_budget} used up, or epoch_budget {epoch_budget} epochs"),
     ):
         if not ok:
             return diverged(len(groups), None, fieldname, f"need {want}, trace has {getattr(trace, fieldname)!r}")

@@ -105,7 +105,7 @@ class EquilibriumRetreatAgent:
         self._start_epoch()
 
     def _start_epoch(self) -> None:
-        self.epoch_rounds = int(self.schedule.rounds(self.state.t))
+        self.epoch_rounds = self.schedule.rounds(self.state.t)
         self.round_in_epoch = 0
         self.h_curr = [np.zeros(c, dtype=np.int64) for c in self.game.action_counts]
         self._buffer: np.ndarray | None = None
@@ -227,7 +227,7 @@ def epoch_step(
     """
     t, eq_hyp, grace, phi, h_prev = state.t, state.eq_hyp, state.grace, state.phi, state.h_prev
     shape = game.action_counts
-    n_rounds = int(schedule.rounds(t))
+    n_rounds = schedule.rounds(t)
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
     eps_s_next = schedule.eps_s(t + 1)

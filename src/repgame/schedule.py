@@ -16,10 +16,11 @@ import numpy as np
 PRODUCT_LIMIT = 2.0 ** -(math.pi**2 / 6.0)
 
 
-def check_count(name: str, value, least: int) -> None:
-    """ValueError unless ``value`` is an integer (not a bool) of at least ``least``."""
+def check_count(name: str, value, least: int) -> int:
+    """``value``, if it is an integer (not a bool) of at least ``least``; else ValueError."""
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -52,37 +53,47 @@ class Schedule:
         if self.epoch0_rounds is not None:
             check_count("epoch0_rounds", self.epoch0_rounds, 1)
 
-    def eps_e(self, t: int) -> float:
-        if t < 0:
-            raise ValueError("epoch index must be nonnegative")
+    def columns(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """eps_e^t and N^t (a float: it passes 2**63 on long prefixes) at the epoch
+        indices ``ts``; the one formula for each, which a custom schedule overrides."""
         if self.decay == "harmonic":
-            return self.epsilon_base * (self.offset + 1.0) / (t + self.offset + 1.0)
-        return self.epsilon_base * self.rate**t
-
-    def eps_s(self, t: int) -> float:
-        # Coupling eps_s^{t+1} = eps_e^t; eps_s^0 is never consulted by the
-        # learner and is pinned to eps_e^0 to preserve monotonicity.
-        return self.eps_e(max(t - 1, 0))
-
-    def rounds(self, t: int) -> int:
-        if t == 0 and self.epoch0_rounds is not None:
-            return self.epoch0_rounds
-        factor_bound = 1.0 - 2.0 ** -((1.0 / max(t, 1)) ** 2)
-        return math.ceil(self.actions_total / (factor_bound * self.eps_e(t) ** 2))
-
-    # Vectorised views used by the prefix checks below (fast for T ~ 1e6).
-
-    def eps_e_array(self, ts: np.ndarray) -> np.ndarray:
-        if self.decay == "harmonic":
-            return self.epsilon_base * (self.offset + 1.0) / (ts + self.offset + 1.0)
-        return self.epsilon_base * self.rate**ts
-
-    def rounds_array(self, ts: np.ndarray) -> np.ndarray:
+            eps_e = self.epsilon_base * (self.offset + 1.0) / (ts + self.offset + 1.0)
+        else:
+            eps_e = self.epsilon_base * self.rate**ts
         bound = 1.0 - np.power(2.0, -((1.0 / np.maximum(ts, 1)) ** 2))
-        n = np.ceil(self.actions_total / (bound * self.eps_e_array(ts) ** 2))
+        n = np.ceil(self.actions_total / (bound * eps_e**2))
         if self.epoch0_rounds is not None:
             n = np.where(ts == 0, float(self.epoch0_rounds), n)
-        return n
+        return eps_e, n
+
+    def prefix(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """eps_e^t, eps_s^t and N^t for t < ``size``; an overflow gives N^t = inf."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            eps_e, n = self.columns(np.arange(size, dtype=np.float64))
+        # Coupling eps_s^{t+1} = eps_e^t; eps_s^0 is never consulted by the
+        # learner and is pinned to eps_e^0 to preserve monotonicity.
+        eps_s = np.concatenate([eps_e[:1], eps_e[:-1]])
+        return eps_e, eps_s, n
+
+    def _table(self, t: int) -> tuple[list, list, list]:
+        """``prefix`` as lists, grown to cover epoch ``t``; kept out of the
+        dataclass fields, so asdict, == and hash ignore it."""
+        if t < 0:
+            raise ValueError("epoch index must be nonnegative")
+        table = self.__dict__.get("_rows")
+        if table is None or t >= len(table[0]):
+            table = tuple(column.tolist() for column in self.prefix(max(2 * t, 64)))
+            object.__setattr__(self, "_rows", table)
+        return table
+
+    def eps_e(self, t: int) -> float:
+        return self._table(t)[0][t]
+
+    def eps_s(self, t: int) -> float:
+        return self._table(t)[1][t]
+
+    def rounds(self, t: int) -> int:
+        return int(self._table(t)[2][t])
 
 
 @dataclass(frozen=True)
@@ -107,44 +118,37 @@ class ValidityReport:
 
 
 def _factors(schedule: Schedule, T: int):
-    ts = np.arange(0, T + 2, dtype=np.float64)
-    eps_e = schedule.eps_e_array(ts)
-    # coupling eps_s^{t+1} = eps_e^t, eps_s^0 := eps_e^0
-    eps_s = np.concatenate([[eps_e[0]], eps_e[:-1]])
-    rounds = schedule.rounds_array(ts)
-    # Factors are indexed t = 1..T.
-    t_idx = np.arange(1, T + 1)
+    """The prefix through T, the factors at t = 1..T, and the first t whose
+    factor or N^t is not finite, or whose factor is not positive."""
+    eps_e, eps_s, rounds = schedule.prefix(T + 2)
+    n = rounds[1 : T + 1]
     a = float(schedule.actions_total)
-    fac_s = 1.0 - a / (rounds[t_idx] * eps_s[t_idx + 1] ** 2)
-    fac_e = 1.0 - a / (rounds[t_idx] * eps_e[t_idx] ** 2)
-    return eps_e[: T + 1], eps_s[: T + 1], rounds[: T + 1], fac_s, fac_e
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fac_s = 1.0 - a / (n * eps_s[2:] ** 2)
+        fac_e = 1.0 - a / (n * eps_e[1:-1] ** 2)
+    good = np.isfinite(n) & np.isfinite(fac_s) & np.isfinite(fac_e) & (fac_s > 0) & (fac_e > 0)
+    bad = np.flatnonzero(~good)
+    first_bad = int(bad[0]) + 1 if bad.size else None
+    return eps_e[: T + 1], eps_s[: T + 1], rounds[: T + 1], fac_s, fac_e, first_bad
 
 
 def check_valid_prefix(schedule: Schedule, T: int) -> ValidityReport:
     """Verify the schedule validity conditions on the prefix t <= T.
 
     The built-in family is valid analytically (factors are bounded below
-    by ``2**-(1/t)^2`` exactly, by the ceiling in N_t); for custom
-    schedules this is an empirical prefix check only.
+    by ``2**-(1/t)^2`` exactly, by the ceiling in N_t) until N^t overflows;
+    for custom schedules this is an empirical prefix check only.
     """
     if T < 2:
         raise ValueError("horizon must be at least 2")
-    eps_e, eps_s, rounds, fac_s, fac_e = _factors(schedule, T)
-    eps_e_dec = bool(np.all(np.diff(eps_e) < 0))
-    eps_s_dec = bool(np.all(np.diff(eps_s[1:]) < 0))
-    # epoch 0 length is unconstrained by validity; check from t >= 1
-    rounds_nondec = bool(np.all(np.diff(rounds[1:]) >= 0))
-    positive = bool(np.all(fac_s > 0) and np.all(fac_e > 0))
-    first_bad = None
-    if not positive:
-        bad = np.nonzero((fac_s <= 0) | (fac_e <= 0))[0]
-        first_bad = int(bad[0]) + 1
+    eps_e, eps_s, rounds, _, _, first_bad = _factors(schedule, T)
     return ValidityReport(
         horizon=T,
-        eps_e_decreasing=eps_e_dec,
-        eps_s_decreasing=eps_s_dec,
-        rounds_nondecreasing=rounds_nondec,
-        factors_positive=positive,
+        eps_e_decreasing=bool(np.all(eps_e[1:] < eps_e[:-1])),
+        eps_s_decreasing=bool(np.all(eps_s[2:] < eps_s[1:-1])),
+        # epoch 0 length is unconstrained by validity; check from t >= 1
+        rounds_nondecreasing=bool(np.all(rounds[2:] >= rounds[1:-1])),
+        factors_positive=first_bad is None,
         first_bad_t=first_bad,
     )
 
@@ -152,10 +156,9 @@ def check_valid_prefix(schedule: Schedule, T: int) -> ValidityReport:
 def _positive_factors(schedule: Schedule, T: int):
     if T < 1:
         raise ValueError("horizon must be at least 1")
-    _, _, _, fac_s, fac_e = _factors(schedule, T)
-    if np.any(fac_s <= 0) or np.any(fac_e <= 0):
-        bad = int(np.nonzero((fac_s <= 0) | (fac_e <= 0))[0][0]) + 1
-        raise ValueError(f"nonpositive validity factor at t={bad}")
+    _, _, _, fac_s, fac_e, first_bad = _factors(schedule, T)
+    if first_bad is not None:
+        raise ValueError(f"nonpositive or non-finite validity factor at t={first_bad}")
     return fac_s, fac_e
 
 

@@ -185,7 +185,7 @@ def test_criterion_2_schedule_suite():
 
     t = np.arange(1, 10_001, dtype=np.float64)
     eps_e = 0.5 / (t + 1)
-    rounds = sched.rounds_array(t)
+    rounds = sched.columns(t)[1]
     factors = 1.0 - 4.0 / (rounds * eps_e**2)
     factor_ok = bool(np.all(factors >= 2.0 ** -(1.0 / t) ** 2))
 

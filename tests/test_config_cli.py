@@ -227,6 +227,16 @@ def test_cli_schedule_product_columns_match_the_bound(capsys):
         assert rows[horizon - 1][4:] == [f"{prod_s:.6g}", f"{prod_e:.6g}"]
 
 
+def test_cli_schedule_reports_an_infinite_epoch_length(capsys):
+    args = ["schedule", "-T", "4000", "--decay", "geometric", "--rate", "0.9"]
+    assert main(args) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    # No product columns, since the products through t = 4000 are not finite.
+    assert lines[1 + 3276].split()[3].isdigit() and len(lines[1 + 3276].split()) == 4
+    assert lines[1 + 3277].split()[3] == "inf"
+    assert lines[-1] == "INVALID: nonpositive or non-finite product factor (first offending t=3277)"
+
+
 def test_cli_schedule_empty_horizon(capsys):
     assert main(["schedule", "-T", "0"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -447,11 +457,12 @@ def _drop_eq_labels(lines, index):
         (0, _set("config", "schedule", "epsilon_base", value="x"),
          "trace header config.schedule cannot be built", False),
         (0, _drop_eq_labels, "trace header equilibrium cannot be built", False),
+        (0, _set("config", "round_budget", value=None), "trace header config.round_budget cannot be built", False),
     ],
     ids=["end-without-rounds_used", "not-an-object", "epoch-without-seq",
          "header-without-config", "header-without-equilibrium", "epoch-seq-a-list",
          "config-without-game", "schedule-epsilon_base-a-string",
-         "equilibrium-without-kind-and-provenance"],
+         "equilibrium-without-kind-and-provenance", "config-without-round_budget"],
 )
 def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, message, located):
     out_dir = tmp_path / "out"

@@ -493,6 +493,61 @@ def test_validate_reports_a_deleted_last_epoch():
     }
 
 
+def test_validate_reports_a_run_stopped_before_its_budgets():
+    tampered = run_trial(mp_config(), 0)  # epoch_budget 5, 13,955 of 200,000 rounds
+    last = tampered.events.pop()
+    tampered.epochs -= 1
+    tampered.rounds_used -= last["rounds"]
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"]) == (4, None)
+    assert report.divergence["field"] == "rounds_used"
+    assert "round_budget 200000 used up, or epoch_budget 5 epochs" in report.divergence["message"]
+
+
+@pytest.mark.parametrize(
+    "added, reported, message",
+    [
+        # Epoch 0 needs 32 rounds and epoch 1 needs 128, so a budget of 40
+        # leaves 8 partial rounds of epoch 1.
+        (10**9, "partial_rounds", "below N^1 = 128"),
+        (100, "rounds_used", "at most round_budget 40"),
+        (-4, "rounds_used", "round_budget 40 used up"),
+    ],
+)
+def test_validate_checks_the_end_record_against_the_budgets(added, reported, message):
+    tampered = run_trial(mp_config(round_budget=40, epoch_budget=3), 0)
+    assert (tampered.epochs, tampered.partial_rounds) == (1, 8)
+    tampered.partial_rounds += added
+    tampered.rounds_used += added
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"]) == (1, None)
+    assert report.divergence["field"] == reported
+    assert message in report.divergence["message"]
+
+
+def test_validate_checks_partial_rounds_of_a_trace_without_epochs():
+    tampered = run_trial(mp_config(round_budget=20), 0)
+    assert (tampered.epochs, tampered.partial_rounds) == (0, 20)
+    tampered.partial_rounds = tampered.rounds_used = 32
+    report = validate_trace(tampered)
+    assert (report.divergence["epoch"], report.divergence["field"]) == (0, "partial_rounds")
+    assert "below N^0 = 32" in report.divergence["message"]
+
+
+@pytest.mark.parametrize("budget", ["round_budget", "epoch_budget"])
+@pytest.mark.parametrize("value", [None, 0, 2.5, "many"])
+def test_validate_needs_the_header_budgets(sample_trace, budget, value):
+    tampered = copy.deepcopy(sample_trace)
+    if value is None:
+        del tampered.header["config"][budget]
+    else:
+        tampered.header["config"][budget] = value
+    with pytest.raises(ValueError, match=f"trace header config.{budget} cannot be built"):
+        validate_trace(tampered)
+
+
 @pytest.mark.parametrize("phi_after", [[0.5, 0.5], [0.0, 1.0, 0.0]])
 def test_validate_checks_post_rejection_pick(phi_after):
     scripted = {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0]}}

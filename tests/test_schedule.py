@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repgame.schedule import (
     PRODUCT_LIMIT,
     Schedule,
+    _factors,
     check_valid_prefix,
     never_restart_lower_bound,
     never_restart_products,
@@ -61,6 +65,39 @@ def test_epoch0_rounds_override():
     assert s.rounds(1) == 128  # override touches only epoch 0
 
 
+@st.composite
+def schedules(draw):
+    geometric = draw(st.booleans())
+    return Schedule(
+        epsilon_base=draw(st.floats(0.01, 1.0)),
+        actions_total=draw(st.integers(2, 12)),
+        decay="geometric" if geometric else "harmonic",
+        offset=0.0 if geometric else draw(st.floats(0.0, 50.0)),
+        rate=draw(st.floats(0.5, 0.99)) if geometric else 0.5,
+        epoch0_rounds=draw(st.one_of(st.none(), st.integers(1, 100))),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(schedules(), st.lists(st.integers(0, 399), max_size=6), st.permutations(range(400)))
+@example(Schedule(decay="geometric", rate=0.9), [], list(range(400)))
+def test_lookups_equal_the_arrays_the_prefix_check_reads(schedule, first, order):
+    # ``first`` are looked up before the rest, in ``order``, so the table
+    # grows from different sizes; every value must still be the array's.
+    eps_e, eps_s, rounds = _factors(schedule, 399)[:3]
+    for t in first + order:
+        assert (schedule.eps_e(t), schedule.eps_s(t), schedule.rounds(t)) == (
+            eps_e[t], eps_s[t], int(rounds[t])
+        ), t
+
+
+def test_the_table_is_not_a_field():
+    s = Schedule()
+    s.rounds(100)
+    assert s == Schedule() and hash(s) == hash(Schedule())
+    assert dataclasses.asdict(s) == dataclasses.asdict(Schedule())
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         Schedule(epsilon_base=0.0, actions_total=4)
@@ -91,26 +128,23 @@ def test_default_family_valid_long_prefix():
 class _ForcedRoundsSchedule(Schedule):
     """Default epsilons but every epoch forced to one round."""
 
-    def rounds_array(self, ts):
-        return np.ones_like(ts)
+    def columns(self, ts):
+        return DEFAULT.columns(ts)[0], np.ones_like(ts)
 
 
 class _ShrinkingRoundsSchedule(Schedule):
     """Default epsilons, but N^t = 10 N^12 - t shrinks while every factor
     stays positive."""
 
-    def rounds_array(self, ts):
-        return 10.0 * DEFAULT.rounds(12) - ts
+    def columns(self, ts):
+        return DEFAULT.columns(ts)[0], 10.0 * DEFAULT.rounds(12) - ts
 
 
 class _ConstantEpsSchedule(Schedule):
     """eps_e (and so eps_s) stays 0.5; default epoch lengths."""
 
-    def eps_e_array(self, ts):
-        return np.full_like(ts, 0.5)
-
-    def rounds_array(self, ts):
-        return DEFAULT.rounds_array(ts)
+    def columns(self, ts):
+        return np.full_like(ts, 0.5), DEFAULT.columns(ts)[1]
 
 
 def test_forced_single_round_schedule_fails():
@@ -131,6 +165,34 @@ def test_constant_eps_schedule_fails_monotonicity():
     report = check_valid_prefix(_ConstantEpsSchedule(), 10)
     assert not report.valid
     assert not report.eps_e_decreasing
+
+
+class _NanEpsSchedule(Schedule):
+    """Default epoch lengths, but eps_e is NaN from t = 5."""
+
+    def columns(self, ts):
+        eps_e, n = DEFAULT.columns(ts)
+        return np.where(ts >= 5, np.nan, eps_e), n
+
+
+def test_nan_factor_fails():
+    report = check_valid_prefix(_NanEpsSchedule(), 10)
+    assert not report.factors_positive
+    assert report.first_bad_t == 5
+
+
+GEOMETRIC_09 = Schedule(decay="geometric", rate=0.9)
+
+
+def test_infinite_epoch_length_fails():
+    # N^t overflows to inf from t = 3277; eps_e^2 underflows to 0 from
+    # t = 3530, where the factors become NaN.
+    assert GEOMETRIC_09.rounds(3276) > 2**1000
+    assert check_valid_prefix(GEOMETRIC_09, 3276).valid
+    report = check_valid_prefix(GEOMETRIC_09, 3600)
+    assert not report.valid
+    assert report.first_bad_t == 3277
+    assert report.eps_e_decreasing and report.eps_s_decreasing
 
 
 def test_short_horizon_rejected():
@@ -161,7 +223,7 @@ def test_factor_bound_holds_exactly():
     T = 10_000
     t = np.arange(1, T + 1, dtype=np.float64)
     eps_e = 0.5 / (t + 1)
-    rounds = DEFAULT.rounds_array(t)
+    rounds = DEFAULT.columns(t)[1]
     factors = 1.0 - 4.0 / (rounds * eps_e**2)
     assert np.all(factors >= 2.0 ** -(1.0 / t) ** 2)
 
@@ -189,3 +251,9 @@ def test_product_limit_constant():
 def test_nonpositive_factor_raises_in_bound():
     with pytest.raises(ValueError):
         never_restart_lower_bound(_ForcedRoundsSchedule(), 5)
+
+
+def test_infinite_epoch_length_raises_in_bound():
+    assert 0 < never_restart_lower_bound(GEOMETRIC_09, 3276)[0] < 1
+    with pytest.raises(ValueError, match="t=3277"):
+        never_restart_lower_bound(GEOMETRIC_09, 3600)
