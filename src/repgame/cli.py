@@ -101,17 +101,17 @@ def cmd_schedule(args) -> int:
     T = args.horizon
     print(f"{'t':>4} {'eps_e':>12} {'eps_s':>12} {'N':>10} {'prod_s':>10} {'prod_e':>10}")
     if T > 0:
-        try:
-            products = never_restart_products(sched, T)
-        except ValueError:
-            products = None
+        report = check_valid_prefix(sched, max(T, 2))
+        # Row t holds the products through t + 1; they are printed while
+        # every factor in them passes.
+        good = T if report.first_bad_t is None else min(T, report.first_bad_t - 1)
+        products = never_restart_products(sched, good) if good > 0 else None
         for t, (eps_e, eps_s, n) in enumerate(zip(*sched.prefix(T))):
             row = f"{t:>4} {eps_e:>12.6g} {eps_s:>12.6g} {n:>10.0f}"
-            if products is not None:
+            if t < good:
                 row += f" {products[0][t]:>10.6g} {products[1][t]:>10.6g}"
             print(row)
         if T >= 2:
-            report = check_valid_prefix(sched, T)
             if report.valid:
                 print(f"valid through t={T}")
             else:
@@ -158,7 +158,7 @@ def cmd_run(args) -> int:
     trace_dir = output.get("trace_dir")
     if trace_dir:
         out = Path(trace_dir)
-        _prepare_output_dir(out, bool(output.get("make_dirs", False)))
+        _prepare_output_dir(out, output.get("make_dirs", False))
         dest = out / f"trial-{args.trial:04d}.jsonl"
         try:
             traceio.write_trace(trace, dest)
@@ -172,7 +172,7 @@ def cmd_run(args) -> int:
 def cmd_batch(args) -> int:
     config, output = _load_config(args.config)
     trace_dir = output.get("trace_dir")
-    make_dirs = bool(output.get("make_dirs", False))
+    make_dirs = output.get("make_dirs", False)
     on_trace = None
     if trace_dir:
         out = Path(trace_dir)
@@ -183,6 +183,8 @@ def cmd_batch(args) -> int:
 
     try:
         result = run_batch(config, workers=args.workers, on_trace=on_trace)
+    except ValueError as exc:  # run_batch's check of --workers
+        raise _CliError(str(exc), EXIT_CONFIG)
     except OSError as exc:
         raise _CliError(f"I/O failure while writing traces: {exc}", EXIT_IO)
     for summary in result.summaries:

@@ -25,11 +25,12 @@ trial.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .equilibrium import compute_equilibrium
+from .equilibrium import EquilibriumProfile, compute_equilibrium
 from .games import StageGame
 from .opponents import build_policy
 from .schedule import Schedule, check_count
@@ -153,6 +154,8 @@ _INT_FIELDS = {
 }
 # The keys of a run document; ``output`` is read by load_run_config alone.
 _DOC_KEYS = {"game", "roster", "schedule", "equilibrium_override", "output", *_INT_FIELDS}
+# The keys of ``output``: paths, then whether to create missing directories.
+_OUTPUT_PATHS = ("trace_dir", "summary_csv", "report_json")
 # The keys of a roster entry, by its agent.
 _ENTRY_KEYS = {"learner": {"agent"}, "opponent": {"agent", "policy"}}
 
@@ -201,8 +204,14 @@ class RunConfig:
             raise ValueError("roster needs at least one learner")
         object.__setattr__(self, "roster", tuple(dict(r) for r in self.roster))
         if self.eq_override is not None:
-            eq = compute_equilibrium(self.game, self.eq_override)
-            object.__setattr__(self, "eq_override", eq.strategies)
+            object.__setattr__(self, "eq_override", self.equilibrium.strategies)
+
+    @cached_property
+    def equilibrium(self) -> EquilibriumProfile:
+        """The equilibrium every learner of the run plays: the override,
+        checked, or the solver's.  Solved on first read and kept, so a
+        pickled config carries it to a pool worker."""
+        return compute_equilibrium(self.game, self.eq_override)
 
 
 def game_to_dict(game: StageGame) -> dict:
@@ -216,6 +225,8 @@ def game_to_dict(game: StageGame) -> dict:
 
 
 def game_from_dict(d: dict) -> StageGame:
+    if not isinstance(d, dict):
+        raise TypeError(f"a game must be a mapping, got {type(d).__name__}")
     names = d.get("action_names")
     game = StageGame(
         np.asarray(d["payoffs"], dtype=np.float64),
@@ -288,8 +299,10 @@ def load_run_config(path) -> tuple[RunConfig, dict]:
     """Parse a YAML run configuration; returns (RunConfig, output options).
 
     Recognised output options (all optional): ``trace_dir``,
-    ``summary_csv``, ``report_json``, ``make_dirs`` (bool; whether
-    missing output directories are created rather than rejected).
+    ``summary_csv``, ``report_json`` (path strings), ``make_dirs`` (bool;
+    whether missing output directories are created rather than
+    rejected).  Any other key, or a value of another type, is a
+    ConfigError.
     """
     import yaml
 
@@ -306,6 +319,15 @@ def load_run_config(path) -> tuple[RunConfig, dict]:
         raise ConfigError(f"YAML parse error: {exc}", where)
     config = build_run_config(doc, source=str(path), base_dir=path.parent)
     output = doc.get("output") or {}
+    where = f"{path}: output"
     if not isinstance(output, dict):
-        raise ConfigError("output must be a mapping", f"{path}: output")
+        raise ConfigError("output must be a mapping", where)
+    unknown = sorted(map(str, output.keys() - {*_OUTPUT_PATHS, "make_dirs"}))
+    if unknown:
+        raise ConfigError(f"unknown keys {', '.join(unknown)}", where)
+    for key in _OUTPUT_PATHS:
+        if key in output and not isinstance(output[key], str):
+            raise ConfigError(f"{key} must be a path string, got {output[key]!r}", where)
+    if not isinstance(output.get("make_dirs", False), bool):
+        raise ConfigError(f"make_dirs must be true or false, got {output['make_dirs']!r}", where)
     return config, output

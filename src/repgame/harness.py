@@ -9,12 +9,13 @@ budget exhaustion are marked and excluded from statistics.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig, config_to_dict, game_from_dict
-from .equilibrium import EquilibriumProfile, compute_equilibrium
+from .equilibrium import EquilibriumProfile
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
 from .opponents import build_policy
 from .schedule import Schedule, check_count
@@ -91,16 +92,14 @@ def _build_agents(config: RunConfig, trial: int, eq: EquilibriumProfile):
 # -- trial driver ------------------------------------------------------------
 
 
-def run_trial(config: RunConfig, trial: int, eq: EquilibriumProfile | None = None) -> RunTrace:
+def run_trial(config: RunConfig, trial: int) -> RunTrace:
     """Play one seeded trial to its budget and return the full trace.
 
     Rounds are strictly simultaneous: all actions for a round are drawn
-    before any agent observes the joint profile.  ``eq`` is the config's
-    equilibrium, solved here when not given.  Deterministic in (config,
-    trial).
+    before any agent observes the joint profile.  Every learner plays
+    ``config.equilibrium``.  Deterministic in (config, trial).
     """
-    if eq is None:
-        eq = compute_equilibrium(config.game, config.eq_override)
+    eq = config.equilibrium
     learners, policies = _build_agents(config, trial, eq)
     agents = {**learners, **policies}
     players = [agents[p] for p in range(config.game.num_players)]
@@ -182,9 +181,10 @@ def _stable_suffix_start(groups: list[list[dict]]) -> int | None:
     return start
 
 
-def detect_convergence(trace: RunTrace, window: int | None = None) -> RunSummary:
-    """Window rule: converged iff the last ``window`` complete epochs saw
-    no restart and no strategy change by any learner.
+def detect_convergence(trace: RunTrace) -> RunSummary:
+    """Window rule: converged iff the last ``window`` complete epochs, the
+    header config's ``window``, saw no restart and no strategy change by
+    any learner.
 
     ``best-response-lock`` means a single learner held the same pure
     strategy, with no restart, over the window; it is not checked to be
@@ -194,8 +194,7 @@ def detect_convergence(trace: RunTrace, window: int | None = None) -> RunSummary
     finite-window detector is an operationalisation and can in
     principle mislabel.
     """
-    if window is None:
-        window = trace.header["config"]["window"]
+    window = trace.header["config"]["window"]
     groups = _epoch_groups(trace)
     trial = trace.header["trial"]
     restarts = max((rec["restarts_total"] for g in groups for rec in g), default=0)
@@ -289,34 +288,34 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     the record's ``phi_after``.  Traces produced by run_trial validate
     cleanly; any tampering with a record shows up as a divergence at
     that epoch, a field the replay does not give included, and so does
-    an epoch without one record of each learner of the first.  The end
-    record must count the epochs and their rounds, with partial_rounds
-    below the next epoch's N^t, and a budget must have stopped the run:
-    rounds_used at most round_budget, and equal to it unless epoch_budget
-    epochs completed.  A field of it that does not is a divergence at the
-    epoch after the last, with player None.  A header whose game,
-    schedule, equilibrium or budgets cannot be built raises ValueError
-    naming that field.
+    an epoch without one record of each learner of the header's roster.
+    The end record must count the epochs and their rounds, with
+    partial_rounds below the next epoch's N^t, and a budget must have
+    stopped the run: rounds_used at most round_budget, and equal to it
+    unless epoch_budget epochs completed.  A field of it that does not is
+    a divergence at the epoch after the last, with player None.  A header
+    whose game, schedule, equilibrium, budgets, window or roster cannot
+    be built raises ValueError naming that field.
     """
     header = trace.header
     game = _from_header("config.game", lambda: game_from_dict(header["config"]["game"]))
     sched = _from_header("config.schedule", lambda: Schedule(**header["config"]["schedule"]))
     eq = _from_header("equilibrium", lambda: EquilibriumProfile(**header["equilibrium"]))
     shape = game.action_counts
-    players = range(game.num_players)
-    round_budget, epoch_budget = [
+    round_budget, epoch_budget, _ = [
         _from_header(f"config.{key}", lambda: check_count(key, header["config"][key], 1))
-        for key in ("round_budget", "epoch_budget")
+        for key in ("round_budget", "epoch_budget", "window")
     ]
+    agents = _from_header("config.roster", lambda: [entry["agent"] for entry in header["config"]["roster"]])
+    if len(agents) != game.num_players:
+        raise ValueError(f"trace header config.roster lists {len(agents)} agents for {game.num_players} players")
     groups = _epoch_groups(trace)
 
     def diverged(seq, player, fieldname, message) -> ValidationReport:
         info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
         return ValidationReport(ok=False, epochs_checked=len(groups), divergence=info)
 
-    learners = [rec.get("player") for rec in groups[0]] if groups else []
-    # Only int indices: 0.0 and True would match an int key.
-    state = {p: fresh_state(eq, p) for p in learners if type(p) is int and p in players}
+    state = {p: fresh_state(eq, p) for p, agent in enumerate(agents) if agent == "learner"}
 
     def pick() -> int:
         # Reads the record being replayed.  A phi_after that is not a pure
@@ -334,8 +333,9 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         stepped = set()
         for rec in group:
             p = rec.get("player")
+            # Only int indices: 0.0 and True would match an int key.
             if type(p) is not int or p not in state:
-                return diverged(seq, p, "player", "not a learner of the first epoch")
+                return diverged(seq, p, "player", "not a learner of the header's roster")
             if p in stepped:
                 return diverged(seq, p, "player", "a second record of this learner in the epoch")
             stepped.add(p)
@@ -385,10 +385,9 @@ class BatchResult:
     kind_counts: dict
     restart_histogram: dict
     mean_epochs_to_convergence: float | None
-    traces: list[RunTrace] | None = None
 
 
-def _aggregate(config: RunConfig, summaries: list[RunSummary], traces=None) -> BatchResult:
+def _aggregate(config: RunConfig, summaries: list[RunSummary]) -> BatchResult:
     converged = [s for s in summaries if s.converged]
     kinds: dict[str, int] = {}
     restarts: dict[int, int] = {}
@@ -407,44 +406,37 @@ def _aggregate(config: RunConfig, summaries: list[RunSummary], traces=None) -> B
         mean_epochs_to_convergence=(
             sum(epochs_tc) / len(epochs_tc) if epochs_tc else None
         ),
-        traces=traces,
     )
 
 
 def _one_trial(job):
-    config, trial, eq = job
-    trace = run_trial(config, trial, eq)
+    config, trial = job
+    trace = run_trial(config, trial)
     return trace, detect_convergence(trace)
 
 
-def run_batch(
-    config: RunConfig,
-    workers: int = 1,
-    keep_traces: bool = False,
-    on_trace=None,
-) -> BatchResult:
+def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult:
     """Run all trials of the config; aggregation is order-independent.
 
-    ``on_trace(trace, summary)`` is called per trial in trial order
-    (e.g. to persist traces); set ``keep_traces`` to retain them in the
-    result.  The equilibrium is solved once, here, and every trial (in
-    a pool worker too) receives it.
+    Trials stream in trial order: ``on_trace(trace, summary)`` (e.g. to
+    persist traces) is called on each as soon as it and every trial
+    before it have finished, so a failing trial still delivers all the
+    trials before it.  Only the summaries are kept.  The config's
+    equilibrium is solved here, once, and a pool worker receives it
+    inside the pickled config.
     """
-    eq = compute_equilibrium(config.game, config.eq_override)
-    jobs = [(config, t, eq) for t in range(config.trial_count)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_trial, jobs))
-    else:
-        results = [_one_trial(j) for j in jobs]
+    check_count("workers", workers, 1)
+    config.equilibrium  # solved and cached before the config is pickled
+    jobs = [(config, t) for t in range(config.trial_count)]
     summaries = []
-    traces = [] if keep_traces else None
-    for trace, summary in results:
-        summaries.append(summary)
-        if keep_traces:
-            traces.append(trace)
-        if on_trace is not None:
-            on_trace(trace, summary)
-    return _aggregate(config, summaries, traces)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for trace, summary in mapper(_one_trial, jobs):
+            summaries.append(summary)
+            if on_trace is not None:
+                on_trace(trace, summary)
+    return _aggregate(config, summaries)

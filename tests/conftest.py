@@ -1,3 +1,7 @@
+from typing import NamedTuple
+
+from repgame.harness import run_batch
+
 ACCEPTANCE_VERDICTS: list[str] = []
 
 
@@ -8,3 +12,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+class Delivered(NamedTuple):
+    summaries: list
+    traces: list  # in the order on_trace received them
+
+
+def run_batch_delivered(config, workers: int = 1) -> Delivered:
+    """``run_batch``'s summaries, and the traces it delivered to ``on_trace``."""
+    traces = []
+    result = run_batch(config, workers=workers, on_trace=lambda trace, summary: traces.append(trace))
+    return Delivered(result.summaries, traces)

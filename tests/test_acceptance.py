@@ -14,7 +14,7 @@ from repgame import traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, prisoners_dilemma, rock_paper_scissors
 from repgame.equilibrium import compute_equilibrium, support_enumeration_2p
 from repgame.games import StageGame, expected_utility, payoff_range, pure_action_values, pure_strategy, regret
-from repgame.harness import RunConfig, run_batch, validate_trace
+from repgame.harness import RunConfig, validate_trace
 from repgame.schedule import PRODUCT_LIMIT, Schedule, never_restart_lower_bound
 
 PAPER = (0.0, 1.0, 0.0)  # pure second action of rock-paper-scissors
@@ -101,22 +101,22 @@ def config_c6() -> RunConfig:
 
 @pytest.fixture(scope="module")
 def batch3():
-    return run_batch(config_c3(), keep_traces=True)
+    return conftest.run_batch_delivered(config_c3())
 
 
 @pytest.fixture(scope="module")
 def batch4():
-    return run_batch(config_c4(), keep_traces=True)
+    return conftest.run_batch_delivered(config_c4())
 
 
 @pytest.fixture(scope="module")
 def batch5():
-    return run_batch(config_c5(), keep_traces=True)
+    return conftest.run_batch_delivered(config_c5())
 
 
 @pytest.fixture(scope="module")
 def batch6():
-    return run_batch(config_c6(), keep_traces=True)
+    return conftest.run_batch_delivered(config_c6())
 
 
 def paper_lock_count(result) -> int:
@@ -415,7 +415,7 @@ def test_criterion_9_determinism(tmp_path, batch3, batch4, batch5, batch6):
         ("c5", config_c5(), batch5),
         ("c6", config_c6(), batch6),
     ):
-        rerun = run_batch(config, keep_traces=True)
+        rerun = conftest.run_batch_delivered(config)
         for first, second in zip(batch.traces, rerun.traces):
             compared += 1
             pa = tmp_path / f"{label}-a.jsonl"

@@ -12,7 +12,7 @@ from repgame.config import (
     load_run_config,
     parse_game_text,
 )
-from repgame.schedule import Schedule, never_restart_lower_bound
+from repgame.schedule import Schedule, never_restart_lower_bound, never_restart_products
 
 MP_TEXT = """\
 players: 2
@@ -231,7 +231,11 @@ def test_cli_schedule_reports_an_infinite_epoch_length(capsys):
     args = ["schedule", "-T", "4000", "--decay", "geometric", "--rate", "0.9"]
     assert main(args) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    # No product columns, since the products through t = 4000 are not finite.
+    # Row t holds the products through t + 1.  The factor at t = 3277 fails,
+    # so row 3275 has the last products, and row 3276, whose N is finite,
+    # has none.
+    prod_s, prod_e = never_restart_products(Schedule(decay="geometric", rate=0.9), 3276)
+    assert lines[1 + 3275].split()[4:] == [f"{prod_s[-1]:.6g}", f"{prod_e[-1]:.6g}"]
     assert lines[1 + 3276].split()[3].isdigit() and len(lines[1 + 3276].split()) == 4
     assert lines[1 + 3277].split()[3] == "inf"
     assert lines[-1] == "INVALID: nonpositive or non-finite product factor (first offending t=3277)"
@@ -275,6 +279,30 @@ def test_cli_batch_row_count_and_validate(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", str(out_dir / "trial-0000.jsonl")]) == EXIT_OK
     assert "zero divergences" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "output, message",
+    [
+        ({"trace_dir": 5}, "trace_dir must be a path string, got 5"),
+        ({"trace_dirr": "out"}, "unknown keys trace_dirr"),
+        ({"trace_dir": "out", "make_dirs": "no"}, "make_dirs must be true or false, got 'no'"),
+    ],
+    ids=["path-not-a-string", "unknown-key", "make_dirs-not-a-bool"],
+)
+def test_cli_checks_the_output_section(tmp_path, capsys, monkeypatch, output, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_yaml_config(tmp_path, output=output)
+    assert main(["batch", str(cfg)]) == EXIT_CONFIG
+    assert f"output: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_batch_needs_at_least_one_worker(tmp_path, capsys, workers):
+    cfg = write_yaml_config(tmp_path)
+    assert main(["batch", str(cfg), "--workers", workers]) == EXIT_CONFIG
+    assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
 
 
 def test_cli_missing_output_dir_rejected(tmp_path, capsys):
@@ -454,6 +482,7 @@ def _drop_eq_labels(lines, index):
         (0, _drop("equilibrium"), "header record without equilibrium", True),
         (1, _set("seq", value=[1]), "epoch seq must be an integer >= 0", True),
         (0, _set("config", "game", value=None), "trace header config.game cannot be built", False),
+        (0, _set("config", "game", value="mp.game"), "trace header config.game cannot be built", False),
         (0, _set("config", "schedule", "epsilon_base", value="x"),
          "trace header config.schedule cannot be built", False),
         (0, _drop_eq_labels, "trace header equilibrium cannot be built", False),
@@ -461,7 +490,7 @@ def _drop_eq_labels(lines, index):
     ],
     ids=["end-without-rounds_used", "not-an-object", "epoch-without-seq",
          "header-without-config", "header-without-equilibrium", "epoch-seq-a-list",
-         "config-without-game", "schedule-epsilon_base-a-string",
+         "config-without-game", "config-game-a-string", "schedule-epsilon_base-a-string",
          "equilibrium-without-kind-and-provenance", "config-without-round_budget"],
 )
 def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, message, located):

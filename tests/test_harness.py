@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repgame import harness, traceio
+from repgame import config, harness, traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, rock_paper_scissors
 from repgame.config import build_run_config, config_to_dict
 from repgame.equilibrium import EquilibriumUnavailableError, compute_equilibrium
@@ -24,6 +24,8 @@ from repgame.harness import (
     validate_trace,
 )
 from repgame.schedule import Schedule
+
+from conftest import run_batch_delivered
 
 LEARNER = {"agent": "learner"}
 
@@ -306,8 +308,8 @@ def test_detect_equilibrium_hypothesis_held():
 
 
 def test_detect_insufficient_data():
-    cfg = mp_config(epoch_budget=2)
-    summary = detect_convergence(run_trial(cfg, 0), window=3)
+    cfg = mp_config(epoch_budget=2, window=3)
+    summary = detect_convergence(run_trial(cfg, 0))
     assert summary.converged is None
     assert summary.kind == "insufficient-data"
 
@@ -350,11 +352,11 @@ def test_detect_restart_in_window_is_not_converged():
         round_budget=1100,
         epoch_budget=4,
         master_seed=5,
-        window=4,
+        window=2,
     )
     trace = run_trial(cfg, 0)
     if any(rec["restart"] for rec in trace.events[-4:]):
-        summary = detect_convergence(trace, window=2)
+        summary = detect_convergence(trace)
         assert summary.converged is False
         assert summary.kind == "none"
 
@@ -404,6 +406,23 @@ def test_validate_detects_flag_perturbation(sample_trace):
     rec = tampered.events[-1]
     rec["eq_hyp_after"] = not rec["eq_hyp_after"]
     assert not validate_trace(tampered).ok
+
+
+def test_validate_takes_the_learners_from_the_header_roster():
+    tampered = run_trial(mp_config(), 0)  # one learner, player 0
+    tampered.header["config"]["roster"] = [stationary([0.5, 0.5]), LEARNER]
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"]) == (0, 0)
+    assert report.divergence["message"] == "not a learner of the header's roster"
+
+
+@pytest.mark.parametrize("roster", [None, "learner", [LEARNER], [LEARNER, 5], [LEARNER, LEARNER, LEARNER]])
+def test_validate_needs_a_header_roster_of_one_agent_per_player(roster):
+    tampered = run_trial(mp_config(), 0)
+    tampered.header["config"]["roster"] = roster
+    with pytest.raises(ValueError, match="trace header config.roster"):
+        validate_trace(tampered)
 
 
 def test_validate_reports_player_missing_from_first_epoch():
@@ -536,7 +555,7 @@ def test_validate_checks_partial_rounds_of_a_trace_without_epochs():
     assert "below N^0 = 32" in report.divergence["message"]
 
 
-@pytest.mark.parametrize("budget", ["round_budget", "epoch_budget"])
+@pytest.mark.parametrize("budget", ["round_budget", "epoch_budget", "window"])
 @pytest.mark.parametrize("value", [None, 0, 2.5, "many"])
 def test_validate_needs_the_header_budgets(sample_trace, budget, value):
     tampered = copy.deepcopy(sample_trace)
@@ -607,7 +626,7 @@ def test_config_dict_round_trip():
 
 def test_batch_single_trial_matches_run_trial():
     cfg = mp_config(trial_count=1)
-    result = run_batch(cfg, keep_traces=True)
+    result = run_batch_delivered(cfg)
     direct = detect_convergence(run_trial(cfg, 0))
     assert result.summaries == [direct]
     assert trace_bytes(result.traces[0]) == trace_bytes(run_trial(cfg, 0))
@@ -625,8 +644,8 @@ def test_batch_solves_the_equilibrium_once(monkeypatch, tmp_path, workers):
         return compute_equilibrium(game, override)
 
     cfg = mp_config(trial_count=3)
-    monkeypatch.setattr(harness, "compute_equilibrium", logged)
-    result = run_batch(cfg, workers=workers, keep_traces=True)
+    monkeypatch.setattr(config, "compute_equilibrium", logged)
+    result = run_batch_delivered(cfg, workers=workers)
     assert log.read_text().split() == [str(os.getpid())]
     monkeypatch.undo()
     assert [trace_bytes(t) for t in result.traces] == [trace_bytes(run_trial(cfg, t)) for t in range(3)]
@@ -643,11 +662,47 @@ def test_batch_deterministic_aggregates():
 
 def test_batch_parallel_matches_serial():
     cfg = mp_config(trial_count=4)
-    serial = run_batch(cfg, workers=1, keep_traces=True)
-    parallel = run_batch(cfg, workers=2, keep_traces=True)
+    serial = run_batch_delivered(cfg, workers=1)
+    parallel = run_batch_delivered(cfg, workers=2)
     assert serial.summaries == parallel.summaries
     for ta, tb in zip(serial.traces, parallel.traces):
         assert trace_bytes(ta) == trace_bytes(tb)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 5),
+    roster=st.sampled_from([(LEARNER, LEARNER), (LEARNER, stationary([0.3, 0.7]))]),
+)
+def test_batch_pool_delivers_the_serial_traces_in_trial_order(seed, trials, roster):
+    cfg = mp_config(game=battle_of_sexes(), roster=roster, master_seed=seed, trial_count=trials, epoch_budget=4)
+    serial = run_batch_delivered(cfg, workers=1)
+    parallel = run_batch_delivered(cfg, workers=2)
+    assert [t.header["trial"] for t in parallel.traces] == list(range(trials))
+    assert [trace_bytes(t) for t in parallel.traces] == [trace_bytes(t) for t in serial.traces]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_delivers_the_trials_before_a_failing_one(monkeypatch, workers):
+    def failing_at_2(run_config, trial):
+        if trial == 2:
+            raise RuntimeError("trial 2 failed")
+        return run_trial(run_config, trial)
+
+    cfg = mp_config(trial_count=4)
+    seen = []
+    monkeypatch.setattr(harness, "run_trial", failing_at_2)
+    with pytest.raises(RuntimeError, match="trial 2 failed"):
+        run_batch(cfg, workers=workers, on_trace=lambda trace, summary: seen.append(trace))
+    monkeypatch.undo()
+    assert [trace_bytes(t) for t in seen] == [trace_bytes(run_trial(cfg, t)) for t in (0, 1)]
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.0, True])
+def test_batch_needs_at_least_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        run_batch(mp_config(), workers=workers)
 
 
 def test_batch_aggregates_match_persisted_traces(tmp_path):
