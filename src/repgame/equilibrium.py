@@ -31,7 +31,6 @@ class EquilibriumProfile:
     """A verified Nash equilibrium: one strategy per player."""
 
     strategies: tuple[np.ndarray, ...]
-    kind: str  # "pure" | "mixed"
     provenance: str  # "pure-enumeration" | "support-enumeration-2p" | "user-supplied"
 
     def __post_init__(self):
@@ -42,10 +41,10 @@ class EquilibriumProfile:
             frozen.append(arr)
         object.__setattr__(self, "strategies", tuple(frozen))
 
-
-def _profile(strategies, provenance: str) -> EquilibriumProfile:
-    kind = "pure" if all(is_pure(s) for s in strategies) else "mixed"
-    return EquilibriumProfile(strategies, kind, provenance)
+    @property
+    def kind(self) -> str:
+        """``pure`` when every strategy is, otherwise ``mixed``."""
+        return "pure" if all(is_pure(s) for s in self.strategies) else "mixed"
 
 
 def is_equilibrium(game: StageGame, strategies) -> bool:
@@ -135,7 +134,7 @@ def _iter_support_equilibria(game: StageGame):
                     continue
                 strategies = (pi0, pi1)
                 if is_equilibrium(game, strategies):
-                    yield _profile(strategies, "support-enumeration-2p")
+                    yield EquilibriumProfile(strategies, "support-enumeration-2p")
 
 
 def support_enumeration_2p(game: StageGame) -> list[EquilibriumProfile]:
@@ -167,7 +166,7 @@ def compute_equilibrium(game: StageGame, override=None) -> EquilibriumProfile:
                 raise ValueError(f"equilibrium_override for player {player}: {exc}") from exc
         if not is_equilibrium(game, strategies):
             raise ValueError(f"equilibrium_override is not an equilibrium: a regret exceeds {REGRET_TOL}")
-        return _profile(strategies, "user-supplied")
+        return EquilibriumProfile(strategies, "user-supplied")
     if game.num_players == 2:
         for profile in _iter_support_equilibria(game):
             return profile
@@ -181,4 +180,4 @@ def compute_equilibrium(game: StageGame, override=None) -> EquilibriumProfile:
             "supply an override (general n-player mixed solving is out of scope)"
         )
     strategies = tuple(pure_strategy(a, c) for a, c in zip(pure[0], game.action_counts))
-    return _profile(strategies, "pure-enumeration")
+    return EquilibriumProfile(strategies, "pure-enumeration")

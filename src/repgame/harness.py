@@ -20,7 +20,7 @@ from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, ep
 from .opponents import build_policy
 from .schedule import Schedule, check_count
 
-TRACE_SCHEMA = 4
+TRACE_SCHEMA = 5
 
 
 def agent_stream(master_seed: int, trial: int, player: int, purpose: int) -> np.random.Generator:
@@ -35,8 +35,7 @@ class RunTrace:
     events: list  # epoch records, one dict per learner per epoch
     rounds_used: int
     epochs: int
-    truncated: bool
-    partial_rounds: int
+    partial_rounds: int  # > 0: the budget cut an epoch short
 
 
 @dataclass(frozen=True)
@@ -54,14 +53,13 @@ class RunSummary:
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    epochs_checked: int
+    epochs_checked: int  # epochs replayed before the first divergence
     divergence: dict | None  # first divergence: {epoch, player, field, message}
 
 
 def equilibrium_to_dict(eq: EquilibriumProfile) -> dict:
     return {
         "strategies": [list(map(float, s)) for s in eq.strategies],
-        "kind": eq.kind,
         "provenance": eq.provenance,
     }
 
@@ -69,7 +67,7 @@ def equilibrium_to_dict(eq: EquilibriumProfile) -> dict:
 # -- agent construction -----------------------------------------------------
 
 
-def _build_agents(config: RunConfig, trial: int, eq: EquilibriumProfile):
+def _build_agents(config: RunConfig, trial: int):
     learners: dict[int, EquilibriumRetreatAgent] = {}
     policies = {}
     for player, entry in enumerate(config.roster):
@@ -79,7 +77,7 @@ def _build_agents(config: RunConfig, trial: int, eq: EquilibriumProfile):
                 agent_stream(config.master_seed, trial, player, STREAM_RESET_PICK),
             )
             learners[player] = EquilibriumRetreatAgent(
-                config.game, player, config.schedule, eq, streams=streams
+                config.game, player, config.schedule, config.equilibrium, streams=streams
             )
         else:
             ss = np.random.SeedSequence(
@@ -99,8 +97,7 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     before any agent observes the joint profile.  Every learner plays
     ``config.equilibrium``.  Deterministic in (config, trial).
     """
-    eq = config.equilibrium
-    learners, policies = _build_agents(config, trial, eq)
+    learners, policies = _build_agents(config, trial)
     agents = {**learners, **policies}
     players = [agents[p] for p in range(config.game.num_players)]
     learner_list = [learners[p] for p in sorted(learners)]
@@ -116,7 +113,7 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
         "schema": TRACE_SCHEMA,
         "trial": trial,
         "config": config_to_dict(config),
-        "equilibrium": equilibrium_to_dict(eq),
+        "equilibrium": equilibrium_to_dict(config.equilibrium),
     }
     events: list[dict] = []
     rounds_used = 0
@@ -142,14 +139,12 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
             events.append({"type": "epoch", "seq": epochs, **vars(out)})
         epochs += 1
 
-    partial = first.round_in_epoch
     return RunTrace(
         header=header,
         events=events,
         rounds_used=rounds_used,
         epochs=epochs,
-        truncated=partial > 0,
-        partial_rounds=partial,
+        partial_rounds=first.round_in_epoch,
     )
 
 
@@ -313,7 +308,7 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
 
     def diverged(seq, player, fieldname, message) -> ValidationReport:
         info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
-        return ValidationReport(ok=False, epochs_checked=len(groups), divergence=info)
+        return ValidationReport(ok=False, epochs_checked=seq, divergence=info)
 
     state = {p: fresh_state(eq, p) for p, agent in enumerate(agents) if agent == "learner"}
 
@@ -340,7 +335,8 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                 return diverged(seq, p, "player", "a second record of this learner in the epoch")
             stepped.add(p)
             hists = rec.get("counts")
-            if not _histograms_fit(hists, shape, sched.rounds(state[p].t)):
+            n_rounds = sched.rounds(state[p].t)
+            if not _histograms_fit(hists, shape, n_rounds):
                 return diverged(seq, p, "counts", "need one histogram per player totalling N^t")
             outcome, state[p] = epoch_step(game, p, sched, eq, state[p], hists, pick)
             replay = {"type": "epoch", "seq": seq, **vars(outcome)}
@@ -353,7 +349,7 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                 return diverged(seq, p, extra, "the replay gives no such field")
         if stepped != state.keys():
             return diverged(seq, min(state.keys() - stepped), "player", "no record of this learner in the epoch")
-        used += outcome.rounds
+        used += n_rounds
     # The end record: completed epochs, then the rounds of the epoch cut
     # short by the budget, which stopped the run.
     t = next(iter(state.values())).t if groups else 0  # learners' flags, and so t, agree
@@ -363,7 +359,6 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     for fieldname, ok, want in (
         ("epochs", type(trace.epochs) is int and trace.epochs == len(groups), f"{len(groups)} epochs"),
         ("partial_rounds", partial_ok, f"an integer >= 0 below N^{t} = {sched.rounds(t)}"),
-        ("truncated", partial_ok and trace.truncated is (partial > 0), "true exactly when partial_rounds > 0"),
         ("rounds_used", used_ok, f"the epochs' {used} rounds plus partial_rounds"),
         ("rounds_used", used_ok and used_all <= round_budget, f"at most round_budget {round_budget}"),
         ("rounds_used", used_ok and (used_all == round_budget or len(groups) == epoch_budget),
@@ -421,9 +416,9 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
     Trials stream in trial order: ``on_trace(trace, summary)`` (e.g. to
     persist traces) is called on each as soon as it and every trial
     before it have finished, so a failing trial still delivers all the
-    trials before it.  Only the summaries are kept.  The config's
-    equilibrium is solved here, once, and a pool worker receives it
-    inside the pickled config.
+    trials before it, and a pool cancels the trials not yet started.
+    Only the summaries are kept.  The config's equilibrium is solved
+    here, once, and a pool worker receives it inside the pickled config.
     """
     check_count("workers", workers, 1)
     config.equilibrium  # solved and cached before the config is pickled
@@ -434,7 +429,16 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+
+            def cancel_queued(exc_type, exc, tb):
+                # A raise cancels the trials still queued instead of waiting
+                # for them; a batch that ends normally still joins its workers.
+                if exc_type is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
+
+            stack.push(cancel_queued)
+            mapper = pool.map
         for trace, summary in mapper(_one_trial, jobs):
             summaries.append(summary)
             if on_trace is not None:

@@ -31,22 +31,21 @@ class EpochOutcome:
     flag transitions, histograms and thresholds recorded here are
     sufficient to re-derive every decision the learner made (except the
     uniformly random action pick, whose legality but not value can be
-    rechecked).
+    rechecked).  No field restates another: N^t is the total of any
+    ``counts`` row, ε_s^{t+1} equals ``eps_e``, and the stationarity
+    hypothesis survived exactly when there was no ``restart``.
     """
 
     player: int
     t: int
-    rounds: int
     counts: list[list[int]]
     eps_e: float
     eps_s: float
-    eps_s_next: float
     margin: float
     eq_hyp_before: bool
     eq_hyp_after: bool
     grace_before: bool
     grace_after: bool
-    stat_hyp_after: bool
     phi_before: list[float]
     phi_after: list[float]
     switched: bool
@@ -230,8 +229,7 @@ def epoch_step(
     n_rounds = schedule.rounds(t)
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
-    eps_s_next = schedule.eps_s(t + 1)
-    margin = len(shape) * max(shape) * eps_s_next * payoff_range(game, me)
+    margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * payoff_range(game, me)
     freq = [np.asarray(h, dtype=np.float64) / n_rounds for h in hists]
     eq_after, grace_after, stat_after = eq_hyp, grace, True
     phi_after = phi
@@ -267,17 +265,14 @@ def epoch_step(
     outcome = EpochOutcome(
         player=me,
         t=t,
-        rounds=n_rounds,
         counts=[list(map(int, h)) for h in hists],
         eps_e=eps_e_t,
         eps_s=eps_s_t,
-        eps_s_next=eps_s_next,
         margin=margin,
         eq_hyp_before=eq_hyp,
         eq_hyp_after=eq_after,
         grace_before=grace,
         grace_after=grace_after,
-        stat_hyp_after=stat_after,
         phi_before=list(map(float, phi)),
         phi_after=list(map(float, phi_after)),
         switched=switched,

@@ -14,11 +14,13 @@ from pathlib import Path
 from .harness import TRACE_SCHEMA, BatchResult, RunSummary, RunTrace
 from .schedule import check_count
 
-# The fields each record type must carry; read_trace rejects a record without them.
+# The fields each record type must carry; read_trace rejects a record
+# without them, and a header or end record with any other.  The replay
+# checks every field of an epoch record.
 _RECORD_FIELDS = {
-    "header": frozenset({"schema", "trial", "config", "equilibrium"}),
-    "epoch": frozenset({"seq"}),
-    "end": frozenset({"rounds_used", "epochs", "truncated", "partial_rounds"}),
+    "header": frozenset({"type", "schema", "trial", "config", "equilibrium"}),
+    "epoch": frozenset({"type", "seq"}),
+    "end": frozenset({"type", "rounds_used", "epochs", "partial_rounds"}),
 }
 
 
@@ -35,7 +37,6 @@ def trace_lines(trace: RunTrace):
             "type": "end",
             "rounds_used": trace.rounds_used,
             "epochs": trace.epochs,
-            "truncated": trace.truncated,
             "partial_rounds": trace.partial_rounds,
         }
     )
@@ -69,6 +70,9 @@ def read_trace(path) -> RunTrace:
             if not rec.keys() >= fields:
                 missing = ", ".join(sorted(fields - rec.keys()))
                 raise ValueError(f"{path}:{lineno}: {kind} record without {missing}")
+            if kind != "epoch" and rec.keys() != fields:
+                unknown = ", ".join(sorted(rec.keys() - fields))
+                raise ValueError(f"{path}:{lineno}: {kind} record with unknown {unknown}")
             if kind == "header":
                 if header is not None:
                     raise ValueError(f"{path}:{lineno}: duplicate header record")
@@ -90,7 +94,6 @@ def read_trace(path) -> RunTrace:
         events=events,
         rounds_used=end["rounds_used"],
         epochs=end["epochs"],
-        truncated=end["truncated"],
         partial_rounds=end["partial_rounds"],
     )
 

@@ -335,19 +335,22 @@ def test_criterion_7_trace_replay(batch3, batch4, batch5, batch6):
         for i, r in enumerate(trace.events)
         if r["eq_hyp_before"] == r["eq_hyp_after"] and r["seq"] > 0
     )
+    # rounds, eps_s_next and stat_hyp_after restate other fields and left
+    # the record in schema 5; re-added with their true values, they are
+    # fields the replay does not give.
     perturbations = {
         "t": lambda r: r.update(t=r["t"] + 1),
-        "rounds": lambda r: r.update(rounds=r["rounds"] + 1),
+        "rounds": lambda r: r.update(rounds=sum(r["counts"][0])),
         "counts": lambda r: r["counts"][0].__setitem__(0, r["counts"][0][0] + 1),
         "eps_e": lambda r: r.update(eps_e=r["eps_e"] * 1.01),
         "eps_s": lambda r: r.update(eps_s=r["eps_s"] * 1.01),
-        "eps_s_next": lambda r: r.update(eps_s_next=r["eps_s_next"] * 1.01),
+        "eps_s_next": lambda r: r.update(eps_s_next=r["eps_e"]),
         "margin": lambda r: r.update(margin=r["margin"] + 1e-6),
         "eq_hyp_before": lambda r: r.update(eq_hyp_before=not r["eq_hyp_before"]),
         "eq_hyp_after": lambda r: r.update(eq_hyp_after=not r["eq_hyp_after"]),
         "grace_before": lambda r: r.update(grace_before=not r["grace_before"]),
         "grace_after": lambda r: r.update(grace_after=not r["grace_after"]),
-        "stat_hyp_after": lambda r: r.update(stat_hyp_after=not r["stat_hyp_after"]),
+        "stat_hyp_after": lambda r: r.update(stat_hyp_after=not r["restart"]),
         "phi_before": lambda r: r["phi_before"].__setitem__(0, 0.25),
         "phi_after": lambda r: r["phi_after"].__setitem__(0, 0.25),
         "switched": lambda r: r.update(switched=not r["switched"]),
@@ -387,7 +390,7 @@ def test_criterion_8_synchronization(batch5, batch6):
                     (
                         r["t"],
                         r["eq_hyp_after"],
-                        r["stat_hyp_after"],
+                        r["restart"],
                         r["grace_after"],
                         r["restarts_total"],
                     )
@@ -437,10 +440,10 @@ def test_criterion_9_determinism(tmp_path, batch3, batch4, batch5, batch6):
 # SHA-256 over every trace line, header included, of each batch.  A change
 # that alters trace bytes must update these and say why in CHANGES.md.
 FROZEN_DIGESTS = {
-    "batch3": "ba189593e974d8670a71d6b58e1f39571838932dcd16b07f39872260580eb75f",
-    "batch4": "00d16f259e895437c7a039df3e12e8be4f4432bfad6809e5f1f14af2c2d71b6f",
-    "batch5": "f4b591a9a5aa9969254d9d3d5fe90bd23a814d40107baf5a343c7c7c4cf8e383",
-    "batch6": "713a500b4b8334dafeff56952d3146cdf2f30bea1c1fdeee33ac788714016f96",
+    "batch3": "23f91440fb735d1ec6faca77d3cade42c3d34a917258b47b2e81c3122faef1e8",
+    "batch4": "d70eb7900ba5bb7aa3cf04c5d5fba71b04b8f4beda16de56c9af9303f1a2d004",
+    "batch5": "b2f77dc4ff40400b32b0f890ac047306cb97748fba7335addc7d53eabb8f11dc",
+    "batch6": "0dc8454701c0b244e85d54b82de7cd664a1ef1d0d34be3c7cdae776217a84762",
 }
 
 

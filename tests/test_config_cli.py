@@ -464,12 +464,6 @@ def _set(*keys, value):
     return edit
 
 
-def _drop_eq_labels(lines, index):
-    rec = json.loads(lines[index])
-    del rec["equilibrium"]["kind"], rec["equilibrium"]["provenance"]
-    lines[index] = json.dumps(rec)
-
-
 # ``located``: the message names the record's line; otherwise it names the
 # trace file and the header field the validator cannot build.
 @pytest.mark.parametrize(
@@ -485,13 +479,17 @@ def _drop_eq_labels(lines, index):
         (0, _set("config", "game", value="mp.game"), "trace header config.game cannot be built", False),
         (0, _set("config", "schedule", "epsilon_base", value="x"),
          "trace header config.schedule cannot be built", False),
-        (0, _drop_eq_labels, "trace header equilibrium cannot be built", False),
+        (0, _set("equilibrium", "provenance", value=None), "trace header equilibrium cannot be built", False),
+        (0, _set("equilibrium", "kind", value="mixed"), "trace header equilibrium cannot be built", False),
         (0, _set("config", "round_budget", value=None), "trace header config.round_budget cannot be built", False),
+        (-1, _set("truncated", value=True), "end record with unknown truncated", True),
+        (0, _set("note", value="checked by hand"), "header record with unknown note", True),
     ],
     ids=["end-without-rounds_used", "not-an-object", "epoch-without-seq",
          "header-without-config", "header-without-equilibrium", "epoch-seq-a-list",
          "config-without-game", "config-game-a-string", "schedule-epsilon_base-a-string",
-         "equilibrium-without-kind-and-provenance", "config-without-round_budget"],
+         "equilibrium-without-provenance", "equilibrium-with-kind", "config-without-round_budget",
+         "end-with-truncated", "header-with-an-extra-key"],
 )
 def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, message, located):
     out_dir = tmp_path / "out"

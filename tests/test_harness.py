@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +86,14 @@ def test_scripted_opponent_histograms_exact():
     )
     trace = run_trial(cfg, 0)
     rec = trace.events[0]
-    n = rec["rounds"]
+    n = sum(rec["counts"][0])
     assert rec["counts"][1] == [1, n - 1]  # script [0,1] then repeat-last
 
 
 def test_budget_truncation_marks_partial_epoch():
     cfg = mp_config(round_budget=40, epoch_budget=5)  # epoch 0 needs 32, epoch 1 128
     trace = run_trial(cfg, 0)
-    assert trace.truncated
+    assert trace.partial_rounds > 0
     assert trace.epochs == 1
     assert trace.partial_rounds == 8
     assert trace.rounds_used == 40
@@ -178,7 +179,7 @@ def test_per_round_trace_bytes_are_frozen():
     )
     lines = "".join(line + "\n" for line in traceio.trace_lines(run_trial(cfg, 0)))
     digest = hashlib.sha256(lines.encode()).hexdigest()
-    assert digest == "0353b9d710aef8c43438ca46e8c904e3e23b80d8f3ed259312d607094c84a6f8"
+    assert digest == "45bd25b5e4277bad9f13a8acc29fcfdfe66bddbdfc48ea6edab8aa1d489aed1c"
 
 
 def test_three_player_trace_bytes_are_frozen():
@@ -207,7 +208,7 @@ def test_three_player_trace_bytes_are_frozen():
     assert any(rec["restart"] for rec in trace.events)
     lines = "".join(line + "\n" for line in traceio.trace_lines(trace))
     digest = hashlib.sha256(lines.encode()).hexdigest()
-    assert digest == "d25071a5102bbf2719515e651a9f9638ac63b12b2b76699697a6cc2147c1bae2"
+    assert digest == "1ee88bafd08f7abe1e60c3be09fafa1d95fcaeab0b94df842ee49a2432decded"
 
 
 def test_self_play_flag_tuples_synchronized():
@@ -218,7 +219,7 @@ def test_self_play_flag_tuples_synchronized():
         by_seq.setdefault(rec["seq"], []).append(rec)
     for group in by_seq.values():
         tuples = {
-            (r["t"], r["eq_hyp_after"], r["stat_hyp_after"], r["grace_after"], r["restarts_total"])
+            (r["t"], r["eq_hyp_after"], r["restart"], r["grace_after"], r["restarts_total"])
             for r in group
         }
         assert len(group) == 2 and len(tuples) == 1
@@ -287,7 +288,7 @@ def test_every_roster_validates_and_reruns_byte_identical(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         traceio.write_trace(trace, Path(tmp) / "trace.jsonl")
         assert traceio.read_trace(Path(tmp) / "trace.jsonl") == trace
-    if trace.truncated and trace.rounds_used > trace.partial_rounds:
+    if trace.partial_rounds > 0 and trace.rounds_used > trace.partial_rounds:
         # The epoch cut short by the budget is left out of the statistics:
         # a budget that ends where that epoch began gives the same events
         # and summary.
@@ -331,8 +332,9 @@ def test_detect_best_response_lock():
 
 
 def test_detect_restart_in_window_is_not_converged():
-    # Opponent flips distribution every epoch boundary region; find a trace
-    # whose final window contains a restart.
+    # The opponent plays heads, then tails from round 1055, late in epoch 2
+    # (rounds 160-1065).  The learner rejects the equilibrium in epoch 1,
+    # takes its grace in epoch 2 and restarts in epoch 3, the last one.
     g = matching_pennies()
     cfg = RunConfig(
         game=g,
@@ -343,22 +345,23 @@ def test_detect_restart_in_window_is_not_converged():
                 "policy": {
                     "kind": "eventually_stationary",
                     "pre": {"kind": "scripted", "actions": [0]},
-                    "switch_round": 1055,  # mid-epoch-3 flip: nonstationary
+                    "switch_round": 1055,
                     "probs": [0.0, 1.0],
                 },
             },
         ),
         schedule=Schedule(epsilon_base=0.5, actions_total=4),
-        round_budget=1100,
+        round_budget=5000,
         epoch_budget=4,
         master_seed=5,
         window=2,
     )
     trace = run_trial(cfg, 0)
-    if any(rec["restart"] for rec in trace.events[-4:]):
-        summary = detect_convergence(trace)
-        assert summary.converged is False
-        assert summary.kind == "none"
+    assert trace.epochs == 4
+    assert any(rec["restart"] for rec in trace.events if rec["seq"] >= trace.epochs - cfg.window)
+    summary = detect_convergence(trace)
+    assert summary.converged is False
+    assert summary.kind == "none"
 
 
 # -- trace replay validation ----------------------------------------------------------
@@ -382,6 +385,15 @@ def test_validate_clean_trace(sample_trace):
     report = validate_trace(sample_trace)
     assert report.ok and report.divergence is None
     assert report.epochs_checked == sample_trace.epochs
+
+
+def test_validate_counts_the_epochs_replayed_before_a_divergence(sample_trace):
+    tampered = copy.deepcopy(sample_trace)  # two learners, 6 epochs
+    rec = next(r for r in tampered.events if r["seq"] == 1)
+    rec["switched"] = not rec["switched"]
+    report = validate_trace(tampered)
+    assert (report.ok, report.divergence["epoch"], report.divergence["field"]) == (False, 1, "switched")
+    assert report.epochs_checked == 1
 
 
 def test_validate_detects_count_perturbation(sample_trace):
@@ -469,11 +481,8 @@ def test_validate_reports_a_field_the_replay_does_not_give():
         (200_000, "rounds_used", "all", "rounds_used"),
         (200_000, "partial_rounds", -1, "partial_rounds"),
         (200_000, "partial_rounds", None, "partial_rounds"),
-        (200_000, "truncated", True, "truncated"),
         # Epoch 0 needs 32 rounds, so a budget of 40 leaves 8 partial.
-        (40, "truncated", False, "truncated"),
-        (40, "truncated", 1, "truncated"),
-        (40, "partial_rounds", 0, "truncated"),
+        (40, "partial_rounds", 0, "rounds_used"),
         (40, "rounds_used", 32, "rounds_used"),
     ],
 )
@@ -516,7 +525,7 @@ def test_validate_reports_a_run_stopped_before_its_budgets():
     tampered = run_trial(mp_config(), 0)  # epoch_budget 5, 13,955 of 200,000 rounds
     last = tampered.events.pop()
     tampered.epochs -= 1
-    tampered.rounds_used -= last["rounds"]
+    tampered.rounds_used -= sum(last["counts"][0])
     report = validate_trace(tampered)
     assert not report.ok
     assert (report.divergence["epoch"], report.divergence["player"]) == (4, None)
@@ -600,6 +609,23 @@ def test_read_trace_rejects_other_schema(tmp_path, sample_trace):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="schema"):
         traceio.read_trace(path)
+
+
+def test_trace_records_carry_exactly_their_fields(sample_trace):
+    header, *epochs, end = map(json.loads, traceio.trace_lines(sample_trace))
+    assert header.keys() == {"type", "schema", "trial", "config", "equilibrium"}
+    assert header["schema"] == 5
+    assert header["equilibrium"].keys() == {"strategies", "provenance"}
+    assert epochs and all(
+        rec.keys()
+        == {
+            "type", "seq", "player", "t", "counts", "eps_e", "eps_s", "margin",
+            "eq_hyp_before", "eq_hyp_after", "grace_before", "grace_after",
+            "phi_before", "phi_after", "switched", "restart", "restarts_total",
+        }
+        for rec in epochs
+    )
+    assert end.keys() == {"type", "rounds_used", "epochs", "partial_rounds"}
 
 
 def test_trace_lines_are_canonical_json(sample_trace):
@@ -697,6 +723,23 @@ def test_batch_delivers_the_trials_before_a_failing_one(monkeypatch, workers):
         run_batch(cfg, workers=workers, on_trace=lambda trace, summary: seen.append(trace))
     monkeypatch.undo()
     assert [trace_bytes(t) for t in seen] == [trace_bytes(run_trial(cfg, t)) for t in (0, 1)]
+
+
+def test_batch_pool_cancels_the_queued_trials_after_a_failing_one(monkeypatch):
+    # 8 trials of 1 s on 2 workers take 4 s; trial 1 fails at once, so the
+    # error should come once trial 0 and the trials already running end.
+    def slow_or_failing(run_config, trial):
+        if trial == 1:
+            raise RuntimeError("trial 1 failed")
+        time.sleep(1.0)
+        return run_trial(run_config, trial)
+
+    cfg = mp_config(trial_count=8, epoch_budget=1)
+    monkeypatch.setattr(harness, "run_trial", slow_or_failing)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="trial 1 failed"):
+        run_batch(cfg, workers=2)
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.0, True])
