@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, game_from_dict
+from .config import _INT_FIELDS, RunConfig, config_to_dict, game_from_dict
 from .equilibrium import EquilibriumProfile
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
 from .opponents import build_policy
@@ -176,10 +176,33 @@ def _stable_suffix_start(groups: list[list[dict]]) -> int | None:
     return start
 
 
+def _lock_kind(window_groups: list[list[dict]]) -> str:
+    """The kind of a window of epochs: ``none`` if a learner restarted or
+    changed strategy in it; else, tested in this order,
+    ``equilibrium-hypothesis-held`` (every learner's hypothesis held in the
+    last epoch), ``pure-profile-lock`` (in each epoch's first record, every
+    player's histogram has the same single nonzero entry),
+    ``best-response-lock`` (a single learner holds a pure strategy), else
+    ``none``."""
+    if _stable_suffix_start(window_groups) != 0:
+        return "none"
+    last = window_groups[-1]
+    if all(rec["eq_hyp_after"] for rec in last):
+        return "equilibrium-hypothesis-held"
+    supports = {tuple(tuple(i for i, c in enumerate(h) if c) for h in g[0]["counts"]) for g in window_groups}
+    if len(supports) == 1 and all(len(s) == 1 for s in supports.pop()):
+        return "pure-profile-lock"
+    phi = last[0]["phi_after"]
+    if len(last) == 1 and sorted(phi) == [0.0] * (len(phi) - 1) + [1.0]:
+        return "best-response-lock"
+    return "none"
+
+
 def detect_convergence(trace: RunTrace) -> RunSummary:
-    """Window rule: converged iff the last ``window`` complete epochs, the
-    header config's ``window``, saw no restart and no strategy change by
-    any learner.
+    """Window rule: converged iff ``_lock_kind`` gives the last ``window``
+    complete epochs, the header config's ``window``, a kind other than
+    ``none``, which needs no restart and no strategy change by any learner
+    in them.  With fewer complete epochs the kind is ``insufficient-data``.
 
     ``best-response-lock`` means a single learner held the same pure
     strategy, with no restart, over the window; it is not checked to be
@@ -191,61 +214,17 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
     """
     window = trace.header["config"]["window"]
     groups = _epoch_groups(trace)
-    trial = trace.header["trial"]
-    restarts = max((rec["restarts_total"] for g in groups for rec in g), default=0)
-    final_phi = (
-        {rec["player"]: tuple(rec["phi_after"]) for rec in groups[-1]} if groups else {}
-    )
-    if len(groups) < window:
-        return RunSummary(
-            trial=trial,
-            converged=None,
-            kind="insufficient-data",
-            final_phi=final_phi,
-            restarts=restarts,
-            rounds_used=trace.rounds_used,
-            epochs=trace.epochs,
-            epochs_to_convergence=None,
-        )
-    start = _stable_suffix_start(groups)
-    stable = start is not None and len(groups) - start >= window
-    kind = "none"
-    if stable:
-        last = groups[-1]
-        window_groups = groups[-window:]
-        if all(rec["eq_hyp_after"] for rec in last):
-            kind = "equilibrium-hypothesis-held"
-        else:
-            n = len(window_groups[0][0]["counts"])
-            pure_lock = True
-            for p in range(n):
-                plays = []
-                for g in window_groups:
-                    counts = g[0]["counts"][p]
-                    nonzero = [i for i, c in enumerate(counts) if c]
-                    if len(nonzero) != 1:
-                        pure_lock = False
-                        break
-                    plays.append(nonzero[0])
-                if not pure_lock or len(set(plays)) != 1:
-                    pure_lock = False
-                    break
-            if pure_lock:
-                kind = "pure-profile-lock"
-            elif len(last) == 1 and sorted(last[0]["phi_after"]) == sorted(
-                [0.0] * (len(last[0]["phi_after"]) - 1) + [1.0]
-            ):
-                kind = "best-response-lock"
-    converged = stable and kind != "none"
+    kind = _lock_kind(groups[-window:]) if len(groups) >= window else "insufficient-data"
+    converged = None if kind == "insufficient-data" else kind != "none"
     return RunSummary(
-        trial=trial,
+        trial=trace.header["trial"],
         converged=converged,
         kind=kind,
-        final_phi=final_phi,
-        restarts=restarts,
+        final_phi={rec["player"]: tuple(rec["phi_after"]) for rec in groups[-1]} if groups else {},
+        restarts=max((rec["restarts_total"] for rec in trace.events), default=0),
         rounds_used=trace.rounds_used,
         epochs=trace.epochs,
-        epochs_to_convergence=start if converged else None,
+        epochs_to_convergence=_stable_suffix_start(groups) if converged else None,
     )
 
 
@@ -289,18 +268,21 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     stopped the run: rounds_used at most round_budget, and equal to it
     unless epoch_budget epochs completed.  A field of it that does not is
     a divergence at the epoch after the last, with player None.  A header
-    whose game, schedule, equilibrium, budgets, window or roster cannot
-    be built raises ValueError naming that field.
+    whose game, schedule, equilibrium, integer config fields (budgets,
+    master_seed, trial_count, window; config's ``_INT_FIELDS``), trial
+    index or roster cannot be built raises ValueError naming that field.
     """
     header = trace.header
     game = _from_header("config.game", lambda: game_from_dict(header["config"]["game"]))
     sched = _from_header("config.schedule", lambda: Schedule(**header["config"]["schedule"]))
     eq = _from_header("equilibrium", lambda: EquilibriumProfile(**header["equilibrium"]))
     shape = game.action_counts
-    round_budget, epoch_budget, _ = [
-        _from_header(f"config.{key}", lambda: check_count(key, header["config"][key], 1))
-        for key in ("round_budget", "epoch_budget", "window")
-    ]
+    ints = {
+        key: _from_header(f"config.{key}", lambda: check_count(key, header["config"][key], least))
+        for key, least in _INT_FIELDS.items()
+    }
+    round_budget, epoch_budget = ints["round_budget"], ints["epoch_budget"]
+    _from_header("trial", lambda: check_count("trial", header["trial"], 0))
     agents = _from_header("config.roster", lambda: [entry["agent"] for entry in header["config"]["roster"]])
     if len(agents) != game.num_players:
         raise ValueError(f"trace header config.roster lists {len(agents)} agents for {game.num_players} players")

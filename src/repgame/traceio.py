@@ -1,9 +1,9 @@
 """Trace and summary persistence.
 
 Traces are JSON-lines: one header record, then epoch records in order,
-then an end record.  Every record is serialised with sorted keys so a
-trace produced from the same config and trial is byte-identical across
-runs and platforms.
+then an end record; read_trace rejects any other order.  Every record
+is serialised with sorted keys so a trace produced from the same config
+and trial is byte-identical across runs and platforms.
 """
 from __future__ import annotations
 
@@ -73,15 +73,22 @@ def read_trace(path) -> RunTrace:
             if kind != "epoch" and rec.keys() != fields:
                 unknown = ", ".join(sorted(rec.keys() - fields))
                 raise ValueError(f"{path}:{lineno}: {kind} record with unknown {unknown}")
+            # The order: the header, epochs by nondecreasing seq, the end.
+            if end is not None:
+                raise ValueError(f"{path}:{lineno}: {kind} record after the end record")
             if kind == "header":
                 if header is not None:
                     raise ValueError(f"{path}:{lineno}: duplicate header record")
                 header = rec
+            elif header is None:
+                raise ValueError(f"{path}:{lineno}: {kind} record before the header")
             elif kind == "epoch":
                 try:
                     check_count("seq", rec["seq"], 0)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: epoch {exc}") from None
+                if events and rec["seq"] < events[-1]["seq"]:
+                    raise ValueError(f"{path}:{lineno}: epoch seq {rec['seq']} after seq {events[-1]['seq']}")
                 events.append(rec)
             else:
                 end = rec

@@ -1,6 +1,6 @@
 from typing import NamedTuple
 
-from repgame.harness import run_batch
+from repgame.harness import BatchResult, run_batch
 
 ACCEPTANCE_VERDICTS: list[str] = []
 
@@ -17,10 +17,11 @@ def pytest_terminal_summary(terminalreporter):
 class Delivered(NamedTuple):
     summaries: list
     traces: list  # in the order on_trace received them
+    result: BatchResult
 
 
 def run_batch_delivered(config, workers: int = 1) -> Delivered:
-    """``run_batch``'s summaries, and the traces it delivered to ``on_trace``."""
+    """``run_batch``'s result and summaries, and the traces it delivered to ``on_trace``."""
     traces = []
     result = run_batch(config, workers=workers, on_trace=lambda trace, summary: traces.append(trace))
-    return Delivered(result.summaries, traces)
+    return Delivered(result.summaries, traces, result)

@@ -458,3 +458,37 @@ def trace_digest(traces) -> str:
 @pytest.mark.parametrize("batch", sorted(FROZEN_DIGESTS))
 def test_trace_bytes_are_frozen(request, batch):
     assert trace_digest(request.getfixturevalue(batch).traces) == FROZEN_DIGESTS[batch]
+
+
+# SHA-256 of each batch's summary CSV and batch report JSON, as written by
+# ``traceio``: every RunSummary field and every aggregate.  A change to
+# convergence detection or to the batch statistics must update these and
+# say why in CHANGES.md.
+FROZEN_OUTPUT_DIGESTS = {
+    "batch3": (
+        "5430556c9b3afae5d38d33a32adf3a58da496a4eb964df8272944ba662a8d655",
+        "f7016530324d18e079f36aaa4e219946da10cc9eb5648a116cb1c30e9879aaef",
+    ),
+    "batch4": (
+        "df608dc841a626d06b50f6485bf45529f637f17205c561476c8835f4e26b64f5",
+        "afa409c535929103e3d6745393d884acd7b1f9bcd94d6b15977ea0e4d07e9510",
+    ),
+    "batch5": (
+        "cf11cae92f80514ab7a6391568ed70ac07184e9d60a8d1422ea5d5a28f1a5f9d",
+        "4b8e52f3c9597fd3f3c0674174bf4ac1310e72d88e6572580c8aaea67edfe344",
+    ),
+    "batch6": (
+        "63847b80884c1e6156838acb660039e7c3ed3c3762eabb921e828878dc9f7a1e",
+        "bf0ec075daeb7c7f1a8c94ec5a9b2bbd1597c93ace5d95bfc3280cd6ec15ec5e",
+    ),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(FROZEN_OUTPUT_DIGESTS))
+def test_summary_and_report_bytes_are_frozen(request, tmp_path, batch):
+    result = request.getfixturevalue(batch).result
+    csv_path, report_path = tmp_path / "summary.csv", tmp_path / "report.json"
+    traceio.write_summary_csv(result.summaries, csv_path)
+    traceio.write_batch_report(result, report_path)
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, report_path))
+    assert digests == FROZEN_OUTPUT_DIGESTS[batch]

@@ -464,8 +464,18 @@ def _set(*keys, value):
     return edit
 
 
-# ``located``: the message names the record's line; otherwise it names the
-# trace file and the header field the validator cannot build.
+def _reorder(order):
+    """Put the trace's lines in the order ``order(n)`` lists, n the line count."""
+
+    def edit(lines, index):
+        lines[:] = [lines[i] for i in order(len(lines))]
+
+    return edit
+
+
+# ``located``: the message names the record's line (``index`` after the
+# edit); otherwise it names the trace file and the header field the
+# validator cannot build.
 @pytest.mark.parametrize(
     "index, edit, message, located",
     [
@@ -484,12 +494,22 @@ def _set(*keys, value):
         (0, _set("config", "round_budget", value=None), "trace header config.round_budget cannot be built", False),
         (-1, _set("truncated", value=True), "end record with unknown truncated", True),
         (0, _set("note", value="checked by hand"), "header record with unknown note", True),
+        (0, _set("config", "master_seed", value=-1), "trace header config.master_seed cannot be built", False),
+        (0, _set("config", "trial_count", value=0), "trace header config.trial_count cannot be built", False),
+        (0, _set("trial", value=-1), "trace header trial cannot be built", False),
+        (0, _set("trial", value="first"), "trace header trial cannot be built", False),
+        (-1, _reorder(lambda n: [*range(n), n - 1]), "end record after the end record", True),
+        (2, _reorder(lambda n: [0, n - 1, *range(1, n - 1)]), "epoch record after the end record", True),
+        (0, _reorder(lambda n: [*range(1, n), 0]), "epoch record before the header", True),
+        (2, _reorder(lambda n: [0, *range(n - 2, 0, -1), n - 1]), "epoch seq 2 after seq 3", True),
     ],
     ids=["end-without-rounds_used", "not-an-object", "epoch-without-seq",
          "header-without-config", "header-without-equilibrium", "epoch-seq-a-list",
          "config-without-game", "config-game-a-string", "schedule-epsilon_base-a-string",
          "equilibrium-without-provenance", "equilibrium-with-kind", "config-without-round_budget",
-         "end-with-truncated", "header-with-an-extra-key"],
+         "end-with-truncated", "header-with-an-extra-key", "config-master_seed-negative",
+         "config-trial_count-0", "trial-negative", "trial-a-string", "end-twice", "end-before-the-epochs",
+         "header-last", "epochs-reversed"],
 )
 def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, message, located):
     out_dir = tmp_path / "out"

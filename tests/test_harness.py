@@ -19,6 +19,7 @@ from repgame.equilibrium import EquilibriumUnavailableError, compute_equilibrium
 from repgame.games import StageGame
 from repgame.harness import (
     RunConfig,
+    RunTrace,
     detect_convergence,
     run_batch,
     run_trial,
@@ -364,6 +365,67 @@ def test_detect_restart_in_window_is_not_converged():
     assert summary.kind == "none"
 
 
+def _rec(player, phi, counts, *, phi_before=None, eq=False, restart=False, restarts_total=0):
+    """An epoch record with only the keys ``detect_convergence`` reads."""
+    return {
+        "player": player,
+        "phi_before": phi if phi_before is None else phi_before,
+        "phi_after": phi,
+        "counts": counts,
+        "eq_hyp_after": eq,
+        "restart": restart,
+        "restarts_total": restarts_total,
+    }
+
+
+MIXED = [[3, 2], [2, 3]]  # two players' histograms, neither pure
+PURE = [[5, 0], [0, 5]]  # player 0 plays action 0, player 1 action 1
+LEFT, RIGHT, HALF = [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "window, epochs, want",
+    [
+        (3, [[_rec(0, RIGHT, MIXED)]] * 2, (None, "insufficient-data", None, 0)),
+        (2, [[_rec(0, HALF, MIXED, eq=True)]] * 3, (True, "equilibrium-hypothesis-held", 0, 0)),
+        (2, [[_rec(0, LEFT, PURE), _rec(1, RIGHT, PURE)]] * 2, (True, "pure-profile-lock", 0, 0)),
+        (2, [[_rec(0, RIGHT, MIXED)]] * 3, (True, "best-response-lock", 0, 0)),
+        # The order of the tests: a held hypothesis first, then a pure profile.
+        (2, [[_rec(0, LEFT, PURE, eq=True), _rec(1, RIGHT, PURE, eq=True)]] * 2,
+         (True, "equilibrium-hypothesis-held", 0, 0)),
+        (2, [[_rec(0, RIGHT, [[0, 5], [5, 0]])]] * 2, (True, "pure-profile-lock", 0, 0)),
+        # The opponent's pure histogram changes action, so no pure profile.
+        (2, [[_rec(0, RIGHT, [[0, 5], [5, 0]])], [_rec(0, RIGHT, [[0, 5], [0, 5]])]],
+         (True, "best-response-lock", 0, 0)),
+        # Two learners locked on pure actions next to a mixed third player.
+        (2, [[_rec(p, [1.0 - p, float(p)], [[5, 0], [0, 5], [2, 3]]) for p in (0, 1)]] * 2,
+         (False, "none", None, 0)),
+        # A phi_after that sums to 2 is no pure strategy.
+        (2, [[_rec(0, [2.0, 0.0], MIXED)]] * 2, (False, "none", None, 0)),
+        (2, [[_rec(0, RIGHT, MIXED)], [_rec(0, RIGHT, MIXED, restart=True, restarts_total=1)],
+             [_rec(0, RIGHT, MIXED, restarts_total=1)]], (False, "none", None, 1)),
+        (2, [[_rec(0, RIGHT, MIXED, phi_before=HALF)]] + [[_rec(0, RIGHT, MIXED)]] * 3,
+         (True, "best-response-lock", 1, 0)),
+    ],
+    ids=["insufficient-data", "equilibrium-hypothesis-held", "pure-profile-lock", "best-response-lock",
+         "held-before-pure-profile", "pure-profile-before-best-response", "pure-histograms-that-change-action", "mixed-third-player", "phi-after-not-pure",
+         "restart-in-window", "suffix-longer-than-window"],
+)
+def test_detect_convergence_on_hand_made_traces(window, epochs, want):
+    events = [dict(rec, seq=seq) for seq, group in enumerate(epochs) for rec in group]
+    trace = RunTrace(
+        header={"trial": 7, "config": {"window": window}},
+        events=events,
+        rounds_used=10 * len(epochs),
+        epochs=len(epochs),
+        partial_rounds=0,
+    )
+    summary = detect_convergence(trace)
+    assert (summary.converged, summary.kind, summary.epochs_to_convergence, summary.restarts) == want
+    assert (summary.trial, summary.rounds_used, summary.epochs) == (7, 10 * len(epochs), len(epochs))
+    assert summary.final_phi == {rec["player"]: tuple(rec["phi_after"]) for rec in epochs[-1]}
+
+
 # -- trace replay validation ----------------------------------------------------------
 
 
@@ -564,16 +626,31 @@ def test_validate_checks_partial_rounds_of_a_trace_without_epochs():
     assert "below N^0 = 32" in report.divergence["message"]
 
 
-@pytest.mark.parametrize("budget", ["round_budget", "epoch_budget", "window"])
-@pytest.mark.parametrize("value", [None, 0, 2.5, "many"])
-def test_validate_needs_the_header_budgets(sample_trace, budget, value):
+# The header's integer fields and their least values: config's, and the trial index.
+HEADER_COUNTS = {**config._INT_FIELDS, "trial": 0}
+
+
+@pytest.mark.parametrize(
+    "value, budget",
+    [(value, key) for key, least in HEADER_COUNTS.items() for value in (None, least - 1, 2.5, "many", True)],
+)
+def test_validate_needs_the_header_budgets(sample_trace, value, budget):
     tampered = copy.deepcopy(sample_trace)
+    where = tampered.header if budget == "trial" else tampered.header["config"]
     if value is None:
-        del tampered.header["config"][budget]
+        del where[budget]
     else:
-        tampered.header["config"][budget] = value
-    with pytest.raises(ValueError, match=f"trace header config.{budget} cannot be built"):
+        where[budget] = value
+    name = budget if budget == "trial" else f"config.{budget}"
+    with pytest.raises(ValueError, match=f"trace header {name} cannot be built"):
         validate_trace(tampered)
+
+
+def test_validate_takes_a_trial_index_beyond_the_trial_count(sample_trace):
+    # ``repgame run --trial k`` may run any trial k >= 0.
+    tampered = copy.deepcopy(sample_trace)
+    tampered.header["trial"] = tampered.header["config"]["trial_count"] + 5
+    assert validate_trace(tampered).ok
 
 
 @pytest.mark.parametrize("phi_after", [[0.5, 0.5], [0.0, 1.0, 0.0]])
