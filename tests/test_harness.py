@@ -183,6 +183,15 @@ def test_per_round_trace_bytes_are_frozen():
     assert digest == "45bd25b5e4277bad9f13a8acc29fcfdfe66bddbdfc48ea6edab8aa1d489aed1c"
 
 
+# A 2x2x3 game with 3-decimal payoffs, under which the order of a payoff
+# contraction can change the float values.
+THREE_PLAYER_PAYOFFS = [
+    [[[0.17, -0.53, 1.46], [1.66, 0.53, 1.92]], [[0.93, 1.32, 1.58], [-0.91, 1.95, -0.44]]],
+    [[[-0.01, -1.28, 1.29], [-0.65, 0.76, -1.13]], [[-0.59, -0.46, -1.05], [-1.86, 1.08, 1.8]]],
+    [[[-1.1, -1.35, -0.61], [-1.67, 0.6, -0.53]], [[0.25, 1.62, 1.45], [1.69, 1.74, 0.36]]],
+]
+
+
 def test_three_player_trace_bytes_are_frozen():
     # SHA-256 over every line of a 3-player trial with non-integer payoffs
     # and a pure equilibrium: two learners and a stationary opponent on the
@@ -190,13 +199,8 @@ def test_three_player_trace_bytes_are_frozen():
     # the order of the payoff contraction can change the float values, so
     # this pins it.  A change that alters trace bytes must update it and
     # say why in CHANGES.md.
-    payoffs = [
-        [[[0.17, -0.53, 1.46], [1.66, 0.53, 1.92]], [[0.93, 1.32, 1.58], [-0.91, 1.95, -0.44]]],
-        [[[-0.01, -1.28, 1.29], [-0.65, 0.76, -1.13]], [[-0.59, -0.46, -1.05], [-1.86, 1.08, 1.8]]],
-        [[[-1.1, -1.35, -0.61], [-1.67, 0.6, -0.53]], [[0.25, 1.62, 1.45], [1.69, 1.74, 0.36]]],
-    ]
     cfg = RunConfig(
-        game=StageGame(np.array(payoffs)),
+        game=StageGame(np.array(THREE_PLAYER_PAYOFFS)),
         roster=(LEARNER, LEARNER, stationary([0.01, 0.07, 0.92])),
         schedule=Schedule(epsilon_base=1 / 30, actions_total=7, offset=29.0, epoch0_rounds=200),
         round_budget=400_000,
@@ -210,6 +214,56 @@ def test_three_player_trace_bytes_are_frozen():
     lines = "".join(line + "\n" for line in traceio.trace_lines(trace))
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "1ee88bafd08f7abe1e60c3be09fafa1d95fcaeab0b94df842ee49a2432decded"
+
+
+def fp(player_counts):
+    return {"agent": "opponent", "policy": {"kind": "fictitious_play", "initial_counts": player_counts}}
+
+
+@pytest.mark.parametrize(
+    "roster, want",
+    [
+        pytest.param(
+            (
+                LEARNER,
+                stationary([0.3, 0.7]),
+                {
+                    "agent": "opponent",
+                    "policy": {
+                        "kind": "eventually_stationary",
+                        "pre": fp([[0.1, 0.7], [0.3, 1.1]])["policy"],
+                        "switch_round": 3000,
+                        "probs": [0.2, 0.3, 0.5],
+                    },
+                },
+            ),
+            "956c435281b72eb3369e14763dc2502029d14c67cb797304e4a780f489b0bf7f",
+            id="fictitious-then-stationary",
+        ),
+        pytest.param(
+            (LEARNER, fp([[0.1, 0.7], [0.3, 1.1, 0.2]]), fp([[0.5, 0.25], [1.5, 0.75]])),
+            "9deecbbb082844e7801b4a5c39c5bf74f7c6495fec7f64d3c1092eedffaa9c89",
+            id="two-fictitious",
+        ),
+    ],
+)
+def test_three_player_history_dependent_trace_bytes_are_frozen(roster, want):
+    # SHA-256 over every line of a 3-player trial with non-integer payoffs
+    # and history-dependent opponents with non-integer initial counts: one
+    # fictitious player that turns stationary at round 3000 mid-epoch, and
+    # two fictitious players side by side.  A change that alters trace
+    # bytes must update it and say why in CHANGES.md.
+    cfg = RunConfig(
+        game=StageGame(np.array(THREE_PLAYER_PAYOFFS)),
+        roster=roster,
+        schedule=Schedule(epsilon_base=0.5, actions_total=7, epoch0_rounds=37),
+        round_budget=20_000,
+        epoch_budget=1000,
+        master_seed=11,
+        trial_count=1,
+    )
+    lines = "".join(line + "\n" for line in traceio.trace_lines(run_trial(cfg, 0)))
+    assert hashlib.sha256(lines.encode()).hexdigest() == want
 
 
 def test_self_play_flag_tuples_synchronized():
