@@ -123,8 +123,22 @@ class StageGame:
         """Each of ``player``'s pure-action values against one weight vector
         per opponent (in player order), contracted with ``@`` from the last
         opponent inwards.  Unchecked: raw counts give the values against
-        their frequencies times the product of the count totals."""
+        their frequencies times the product of the count totals.
+
+        Row form: with one (L, k) array per opponent, one row per round,
+        the result has shape (L, |A_player|) and row r is the 1-D form's
+        value against row r of each weight array, bit for bit.  Hence a
+        stacked matmul, the payoffs broadcast over L and each row a (k, 1)
+        matrix: a plain 2-D product sums in another order.
+        """
         values = self.own_axis_payoffs[player]
+        if weights and np.ndim(weights[0]) == 2:
+            rows = len(weights[0])
+            values = values[None]  # matmul broadcasts this axis to the L rows
+            for w in reversed(weights):
+                column = w.reshape((rows,) + (1,) * (values.ndim - 3) + (w.shape[1], 1))
+                values = np.matmul(values, column)[..., 0]
+            return values
         for w in reversed(weights):
             values = values @ w
         return values

@@ -90,6 +90,32 @@ def _build_agents(config: RunConfig, trial: int):
 # -- trial driver ------------------------------------------------------------
 
 
+def _play_segment(players, policies: dict, responders: list[int], length: int) -> list[np.ndarray]:
+    """The joint actions of the next ``length`` rounds, shown to every
+    opponent policy.  Learners and history-free policies draw theirs in
+    one call.  A history-dependent policy's action in a round depends only
+    on the rounds before it, so a single one answers the whole segment in
+    one ``respond_segment`` call; two or more answer each other one round
+    at a time."""
+    joint = [
+        np.zeros(length, dtype=np.int64) if p in responders else agent.act_segment(length)
+        for p, agent in enumerate(players)
+    ]
+    if len(responders) == 1:
+        steps = [joint]
+    else:
+        steps = ([a[r : r + 1] for a in joint] for r in range(length))
+    for step in steps:  # views into joint, so answers land there
+        for p in responders:
+            step[p][:] = policies[p].respond_segment(step)
+        for p in responders:
+            policies[p].observe_segment(step)
+    for p, pol in policies.items():
+        if p not in responders:
+            pol.observe_segment(joint)
+    return joint
+
+
 def run_trial(config: RunConfig, trial: int) -> RunTrace:
     """Play one seeded trial to its budget and return the full trace.
 
@@ -102,11 +128,11 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     players = [agents[p] for p in range(config.game.num_players)]
     learner_list = [learners[p] for p in sorted(learners)]
     first = learner_list[0]
-    # History-dependent policies react to every round, so they play one
-    # round of actions per segment.  Otherwise every player's draws are
-    # independent of the others', the learners read only histograms, and a
-    # segment runs to the epoch's end as one histogram per player.
-    one_round = any(pol.history_dependent for pol in policies.values())
+    # A segment runs to the epoch's end or the budget.  Without a
+    # history-dependent policy every player's draws are independent of the
+    # others' and the learners read only histograms, so a segment is one
+    # histogram per player; with one, it is every player's actions.
+    responders = [p for p, pol in policies.items() if pol.history_dependent]
 
     header = {
         "type": "header",
@@ -120,14 +146,11 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     epochs = 0
 
     while rounds_used < config.round_budget and epochs < config.epoch_budget:
-        if one_round:
-            length = 1
-            joint = [agent.act_segment(1) for agent in players]
+        length = min(first.rounds_left_in_epoch(), config.round_budget - rounds_used)
+        if responders:
+            joint = _play_segment(players, policies, responders, length)
             outcomes = [lr.observe_segment(joint) for lr in learner_list]
-            for pol in policies.values():
-                pol.observe_segment(joint)
         else:
-            length = min(first.rounds_left_in_epoch(), config.round_budget - rounds_used)
             hists = [agent.act_counts(length) for agent in players]
             outcomes = [lr.observe_counts(hists) for lr in learner_list]
         rounds_used += length

@@ -44,13 +44,15 @@ def as_initial_counts(game: StageGame, player: int, counts=None) -> list[np.ndar
 
 
 class OpponentPolicy:
-    """Base class.  A policy plays ``length`` rounds at once in one of two
-    ways, chosen by the trial for its whole roster:
+    """Base class.  A policy plays ``length`` rounds at once, the trial
+    choosing one of two ways for its whole roster:
 
-    - actions: ``act_segment(length)`` returns one int64 action per round,
-      and ``observe_segment(joint)`` then shows the policy the same rounds,
-      with one int64 action array per player.  History-dependent policies
-      play this way, one round at a time.
+    - actions: ``observe_segment(joint)`` shows the policy a segment of
+      rounds, with one int64 action array per player.  A history-free
+      policy draws its actions for the segment first, with
+      ``act_segment(length)``; a history-dependent one answers the other
+      players' actions with ``respond_segment(joint)``, its action in
+      round r depending only on the rounds before r.
     - histogram: ``act_counts(length)`` returns how often the policy plays
       each action over the next ``length`` rounds, and moves past them.
       Only history-free policies play this way; they observe nothing.
@@ -59,6 +61,9 @@ class OpponentPolicy:
     history_dependent = False
 
     def act_segment(self, length: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def respond_segment(self, joint: list[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
@@ -134,6 +139,13 @@ class EventuallyStationaryPolicy(OpponentPolicy):
             [self.pre.act_segment(pre_len), self.post.act_segment(length - pre_len)]
         )
 
+    def respond_segment(self, joint: list[np.ndarray]) -> np.ndarray:
+        length = len(joint[0])
+        pre_len = self._pre_len(length)
+        return np.concatenate(
+            [self.pre.respond_segment([a[:pre_len] for a in joint]), self.post.act_segment(length - pre_len)]
+        )
+
     def observe_segment(self, joint: list[np.ndarray]) -> None:
         length = len(joint[0])
         pre_len = self._pre_len(length)
@@ -153,9 +165,9 @@ class EventuallyStationaryPolicy(OpponentPolicy):
 class FictitiousPlayPolicy(OpponentPolicy):
     """Pure best response to opponents' empirical action counts.
 
-    History-dependent, so it plays one round per segment; included only
-    as a nonstationarity stressor.  Ties break toward the lowest action
-    index.
+    History-dependent: in each round it best-responds to the counts of
+    every round before it.  Included only as a nonstationarity stressor.
+    Ties break toward the lowest action index.
     """
 
     history_dependent = True
@@ -166,18 +178,28 @@ class FictitiousPlayPolicy(OpponentPolicy):
         self.counts = as_initial_counts(game, self.player, initial_counts)
         self._others = [p for p in range(game.num_players) if p != self.player]
 
-    def act_segment(self, length: int) -> np.ndarray:
-        if length != 1:
-            raise ValueError(f"fictitious play acts one round at a time, not {length}")
+    def _running_counts(self, joint: list[np.ndarray]) -> list[np.ndarray]:
+        """Per opponent, its counts before each round of the segment and
+        after the last: L + 1 rows, added up one round at a time as
+        round-by-round play adds them, so non-integer counts keep their
+        bits (adding a round's total at once rounds differently)."""
+        running = []
+        for counts, p in zip(self.counts, self._others):
+            steps = np.zeros((len(joint[p]) + 1, len(counts)))
+            steps[0] = counts
+            steps[np.arange(1, len(steps)), joint[p]] = 1.0
+            running.append(steps.cumsum(axis=0))
+        return running
+
+    def respond_segment(self, joint: list[np.ndarray]) -> np.ndarray:
         # Values against the unnormalised counts are the values against
         # the empirical frequencies times a positive constant, so the
         # argmax (the first maximiser) is the same.
-        values = self.game.action_values(self.player, self.counts)
-        return np.array([np.argmax(values)], dtype=np.int64)
+        values = self.game.action_values(self.player, [c[:-1] for c in self._running_counts(joint)])
+        return np.argmax(values, axis=1)
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
-        for counts, p in zip(self.counts, self._others):
-            counts += np.bincount(joint[p], minlength=len(counts))
+        self.counts = [c[-1].copy() for c in self._running_counts(joint)]
 
 
 # The keys of each policy kind's descriptor, ``kind`` included.

@@ -151,6 +151,28 @@ def test_values_against_counts_scale_by_the_count_totals(case, data):
         )
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_row_form_values_equal_the_one_vector_values_bit_for_bit(data):
+    # Fictitious play values a whole segment at once, one row of running
+    # counts per round; each row must rank actions as the 1-D form does.
+    shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    size = len(shape) * int(np.prod(shape))
+    payoffs = data.draw(st.lists(st.integers(-2000, 2000), min_size=size, max_size=size))
+    game = StageGame(np.reshape(np.array(payoffs) / 1000, [len(shape)] + shape))
+    rows = data.draw(st.integers(0, 30))
+    for p in range(game.num_players):
+        weights = [
+            np.reshape(data.draw(st.lists(st.floats(0.0, 100.0), min_size=rows * k, max_size=rows * k)), (rows, k))
+            for q, k in enumerate(shape)
+            if q != p
+        ]
+        values = game.action_values(p, weights)
+        assert values.shape == (rows, shape[p])
+        for r in range(rows):
+            assert values[r].tobytes() == game.action_values(p, [w[r] for w in weights]).tobytes()
+
+
 # -- best_response ---------------------------------------------------------------
 
 

@@ -36,6 +36,10 @@ def stationary(probs):
     return {"agent": "opponent", "policy": {"kind": "stationary", "probs": list(probs)}}
 
 
+def fp(initial_counts=None):
+    return {"agent": "opponent", "policy": {"kind": "fictitious_play", "initial_counts": initial_counts}}
+
+
 def mp_config(**kw):
     g = matching_pennies()
     defaults = dict(
@@ -155,19 +159,54 @@ def test_run_config_rejects_opponent_that_does_not_fit_game(policy):
         )
 
 
-def test_history_dependent_opponent_uses_per_round_path():
+def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
+    # Fictitious play answers each epoch in one respond_segment call, and
+    # the learner draws it in one act_segment call: no round is played on
+    # its own.  The budget cuts the last epoch short.
+    from repgame import learner, opponents
+
+    lengths = {"learner": [], "fictitious": []}
+
+    def recording(cls, name, key, length_of):
+        original = getattr(cls, name)
+
+        def wrapper(self, arg):
+            lengths[key].append(length_of(arg))
+            return original(self, arg)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    recording(learner.EquilibriumRetreatAgent, "act_segment", "learner", int)
+    recording(opponents.FictitiousPlayPolicy, "respond_segment", "fictitious", lambda joint: len(joint[0]))
     g = rock_paper_scissors()
     cfg = RunConfig(
         game=g,
         roster=(LEARNER, {"agent": "opponent", "policy": {"kind": "fictitious_play"}}),
         schedule=Schedule(epsilon_base=0.5, actions_total=g.actions_total),
         round_budget=2000,
-        epoch_budget=3,
+        epoch_budget=1000,
         master_seed=1,
     )
     trace = run_trial(cfg, 0)
-    assert trace.epochs >= 1
+    segments = [sum(rec["counts"][0]) for rec in trace.events] + [trace.partial_rounds]
+    assert trace.epochs == 3 and trace.partial_rounds > 0
+    assert lengths["learner"] == lengths["fictitious"] == segments
     assert validate_trace(trace).ok
+
+
+def test_scripted_opponent_moves_through_its_script_beside_fictitious_play():
+    # On the action path history-free policies observe each segment too: the
+    # script plays once, in the first epoch, and then repeats its last action.
+    cfg = RunConfig(
+        game=StageGame(np.array(THREE_PLAYER_PAYOFFS)),
+        roster=(LEARNER, {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0, 0, 1]}}, fp()),
+        schedule=Schedule(epsilon_base=0.5, actions_total=7, epoch0_rounds=37),
+        round_budget=2000,
+        epoch_budget=3,
+        master_seed=3,
+    )
+    trace = run_trial(cfg, 0)
+    assert [rec["counts"][1] for rec in trace.events] == [[2, 35], [0, 224], [0, 1584]]
 
 
 def test_per_round_trace_bytes_are_frozen():
@@ -214,10 +253,6 @@ def test_three_player_trace_bytes_are_frozen():
     lines = "".join(line + "\n" for line in traceio.trace_lines(trace))
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "1ee88bafd08f7abe1e60c3be09fafa1d95fcaeab0b94df842ee49a2432decded"
-
-
-def fp(player_counts):
-    return {"agent": "opponent", "policy": {"kind": "fictitious_play", "initial_counts": player_counts}}
 
 
 @pytest.mark.parametrize(

@@ -155,7 +155,7 @@ def test_fictitious_play_best_responds_to_counts():
     pol = FictitiousPlayPolicy(g, 1)
     opponent_script = [0, 0, 0, 1, 2, 0, 0, 1, 1, 0]
     for opp_action in opponent_script:
-        my_action = pol.act_segment(1)
+        my_action = pol.respond_segment([np.array([opp_action]), np.zeros(1, dtype=np.int64)])
         # Replay check: the action is a best response to current counts.
         freqs = [pol.counts[0] / pol.counts[0].sum()]
         expected, _ = best_response(g, 1, freqs)
@@ -172,7 +172,7 @@ def test_fictitious_play_best_responds_in_three_player_games():
         counts = [gen.integers(1, 9, size=2).astype(float), gen.integers(1, 9, size=4).astype(float)]
         pol = FictitiousPlayPolicy(g, 1, initial_counts=counts)
         expected, _ = best_response(g, 1, [c / c.sum() for c in counts])
-        assert pol.act_segment(1).tolist() == [expected]
+        assert pol.respond_segment([np.zeros(1, dtype=np.int64)] * 3).tolist() == [expected]
 
 
 def test_fictitious_play_initial_counts_validation():
@@ -191,25 +191,116 @@ def test_fictitious_play_is_history_dependent():
     assert not StationaryPolicy([0.5, 0.5], rng()).history_dependent
 
 
-def test_fictitious_play_acts_one_round_at_a_time():
+def test_fictitious_play_answers_a_whole_segment():
+    # Player 0 of matching pennies (it wins on a match) against T, H, H, T,
+    # H, H from one count of each: one call answers all six rounds, each
+    # from the counts of the rounds before it, and observing the segment
+    # adds it to the counts.
     pol = FictitiousPlayPolicy(matching_pennies(), 0)
-    for length in (0, 2, 10):
-        with pytest.raises(ValueError):
-            pol.act_segment(length)
+    other = np.array([1, 0, 0, 1, 0, 0], dtype=np.int64)
+    assert pol.respond_segment([np.zeros(6, dtype=np.int64), other]).tolist() == [0, 1, 0, 0, 0, 0]
+    assert pol.respond_segment([np.zeros(0, dtype=np.int64)] * 2).tolist() == []
+    pol.observe_segment([np.zeros(6, dtype=np.int64), other])
+    assert pol.counts[0].tolist() == [5.0, 3.0]
 
 
 def test_eventually_stationary_fictitious_pre_switches_at_switch_round():
     # Fictitious play as player 1 of RPS against a scripted Rock: it plays
     # Paper from its first round, so every pre-switch round is Paper and the
-    # stationary post policy (pure Scissors) takes over exactly at round 7.
+    # stationary post policy (pure Scissors) takes over exactly at round 7,
+    # inside the second of two segments.
     g = rock_paper_scissors()
     pre = FictitiousPlayPolicy(g, 1, initial_counts=[[2.0, 1.0, 1.0]])
     pol = EventuallyStationaryPolicy(pre, 7, [0.0, 0.0, 1.0], rng(4))
     assert pol.history_dependent
     seen = []
-    for _ in range(12):
-        a = pol.act_segment(1)
-        seen.append(int(a[0]))
-        pol.observe_segment([np.array([0], dtype=np.int64), a])
+    for length in (4, 8):
+        joint = [np.zeros(length, dtype=np.int64), np.zeros(length, dtype=np.int64)]
+        joint[1] = pol.respond_segment(joint)
+        seen += joint[1].tolist()
+        pol.observe_segment(joint)
     assert seen == [1] * 7 + [2] * 5
     assert pre.counts[0].tolist() == [9.0, 1.0, 1.0]  # observed the 7 pre-switch rounds only
+
+
+def fictitious_by_rounds(game, player, counts, others):
+    """Reference: fictitious play one round at a time, adding each round's
+    action to a copy of ``counts`` and contracting one weight vector per
+    opponent.  ``others`` holds each opponent's actions; returns the
+    actions and the final counts."""
+    counts = [c.copy() for c in counts]
+    actions = []
+    for r in range(len(others[0])):
+        actions.append(int(np.argmax(game.action_values(player, counts))))
+        for c, acts in zip(counts, others):
+            c[acts[r]] += 1.0
+    return actions, counts
+
+
+@st.composite
+def fictitious_cases(draw):
+    """A 2- or 3-player game with 3-decimal payoffs, a player, non-integer
+    initial counts, the other players' actions and where to cut them into
+    segments."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    size = len(shape) * int(np.prod(shape))
+    payoffs = draw(st.lists(st.integers(-2000, 2000), min_size=size, max_size=size))
+    game = StageGame(np.reshape(np.array(payoffs) / 1000, [len(shape)] + shape))
+    player = draw(st.integers(0, len(shape) - 1))
+    counts = [
+        np.array(draw(st.lists(st.integers(1, 3000), min_size=k, max_size=k))) / 1000
+        for q, k in enumerate(shape)
+        if q != player
+    ]
+    rounds = draw(st.integers(0, 40))
+    joint = [
+        np.array(draw(st.lists(st.integers(0, k - 1), min_size=rounds, max_size=rounds)), dtype=np.int64)
+        for k in shape
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, rounds), max_size=3)))
+    return game, player, counts, joint, [0, *cuts, rounds]
+
+
+def play_segments(pol, player, joint, bounds):
+    """Play ``joint`` through ``pol`` in the segments between ``bounds``,
+    one respond_segment and one observe_segment each; returns its actions."""
+    played = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        seg = [a[lo:hi] for a in joint]
+        seg[player] = pol.respond_segment(seg)
+        played += seg[player].tolist()
+        pol.observe_segment(seg)
+    return played
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fictitious_cases())
+def test_fictitious_play_segments_play_and_count_as_rounds_do(case):
+    game, player, counts, joint, bounds = case
+    others = [a for q, a in enumerate(joint) if q != player]
+    want, want_counts = fictitious_by_rounds(game, player, counts, others)
+    pol = FictitiousPlayPolicy(game, player, initial_counts=counts)
+    assert play_segments(pol, player, joint, bounds) == want
+    assert [c.tobytes() for c in pol.counts] == [c.tobytes() for c in want_counts]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fictitious_cases(), st.integers(0, 40), st.integers(0, 2**32))
+def test_eventually_stationary_fictitious_segments_play_as_rounds_do(case, switch, seed):
+    # The same policy played in segments and one round at a time, with the
+    # switch anywhere, inside a segment included.
+    game, player, counts, joint, bounds = case
+    probs = np.full(game.action_counts[player], 1 / game.action_counts[player])
+
+    def policy():
+        pre = FictitiousPlayPolicy(game, player, initial_counts=counts)
+        return pre, EventuallyStationaryPolicy(pre, switch, probs, rng(seed))
+
+    pre_a, a = policy()
+    pre_b, b = policy()
+    rounds = len(joint[0])
+    assert play_segments(a, player, joint, bounds) == play_segments(b, player, joint, list(range(rounds + 1)))
+    assert [c.tobytes() for c in pre_a.counts] == [c.tobytes() for c in pre_b.counts]
+    others = [x[: min(switch, rounds)] for q, x in enumerate(joint) if q != player]
+    _, want_counts = fictitious_by_rounds(game, player, counts, others)
+    assert [c.tobytes() for c in pre_a.counts] == [c.tobytes() for c in want_counts]
