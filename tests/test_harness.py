@@ -32,6 +32,15 @@ from conftest import run_batch_delivered
 LEARNER = {"agent": "learner"}
 
 
+# A 2x2x3 game with 3-decimal payoffs, under which the order of a payoff
+# contraction can change the float values.
+THREE_PLAYER_PAYOFFS = [
+    [[[0.17, -0.53, 1.46], [1.66, 0.53, 1.92]], [[0.93, 1.32, 1.58], [-0.91, 1.95, -0.44]]],
+    [[[-0.01, -1.28, 1.29], [-0.65, 0.76, -1.13]], [[-0.59, -0.46, -1.05], [-1.86, 1.08, 1.8]]],
+    [[[-1.1, -1.35, -0.61], [-1.67, 0.6, -0.53]], [[0.25, 1.62, 1.45], [1.69, 1.74, 0.36]]],
+]
+
+
 def stationary(probs):
     return {"agent": "opponent", "policy": {"kind": "stationary", "probs": list(probs)}}
 
@@ -220,15 +229,6 @@ def test_per_round_trace_bytes_are_frozen():
     lines = "".join(line + "\n" for line in traceio.trace_lines(run_trial(cfg, 0)))
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "45bd25b5e4277bad9f13a8acc29fcfdfe66bddbdfc48ea6edab8aa1d489aed1c"
-
-
-# A 2x2x3 game with 3-decimal payoffs, under which the order of a payoff
-# contraction can change the float values.
-THREE_PLAYER_PAYOFFS = [
-    [[[0.17, -0.53, 1.46], [1.66, 0.53, 1.92]], [[0.93, 1.32, 1.58], [-0.91, 1.95, -0.44]]],
-    [[[-0.01, -1.28, 1.29], [-0.65, 0.76, -1.13]], [[-0.59, -0.46, -1.05], [-1.86, 1.08, 1.8]]],
-    [[[-1.1, -1.35, -0.61], [-1.67, 0.6, -0.53]], [[0.25, 1.62, 1.45], [1.69, 1.74, 0.36]]],
-]
 
 
 def test_three_player_trace_bytes_are_frozen():
