@@ -7,6 +7,7 @@ and every action value comes from one contraction, ``action_values``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,12 +52,12 @@ def is_pure(strategy: np.ndarray) -> bool:
 
 
 def linf_distance(p, q) -> float:
-    """Max-over-actions absolute difference between two frequency vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
-    return float(np.abs(p - q).max())
+    """Max-over-actions absolute difference between two frequency vectors,
+    given as plain sequences: one float subtraction per action, as the
+    float64 vector form would do."""
+    if len(p) != len(q):
+        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    return float(max(map(abs, map(operator.sub, p, q))))
 
 
 @dataclass(frozen=True)

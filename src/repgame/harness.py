@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import _INT_FIELDS, RunConfig, config_to_dict, game_from_dict
 from .equilibrium import EquilibriumProfile
+from .games import as_strategy
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
 from .opponents import build_policy
 from .schedule import Schedule, check_count
@@ -274,6 +275,13 @@ def _from_header(field: str, build):
         raise ValueError(f"trace header {field} cannot be built: {type(exc).__name__}: {exc}") from exc
 
 
+def _equilibrium_from(doc: dict, shape) -> EquilibriumProfile:
+    """The header's equilibrium, one checked probability vector per player
+    of its action count: the epoch rule takes it as given."""
+    strategies = [as_strategy(s, k) for s, k in zip(doc["strategies"], shape, strict=True)]
+    return EquilibriumProfile(**{**doc, "strategies": strategies})
+
+
 def validate_trace(trace: RunTrace) -> ValidationReport:
     """Replay every epoch record through the learner's own ``epoch_step``
     and report the first field that differs from the replay.
@@ -291,15 +299,16 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     stopped the run: rounds_used at most round_budget, and equal to it
     unless epoch_budget epochs completed.  A field of it that does not is
     a divergence at the epoch after the last, with player None.  A header
-    whose game, schedule, equilibrium, integer config fields (budgets,
-    master_seed, trial_count, window; config's ``_INT_FIELDS``), trial
-    index or roster cannot be built raises ValueError naming that field.
+    whose game, schedule, equilibrium (one probability vector per player,
+    of its action count), integer config fields (budgets, master_seed,
+    trial_count, window; config's ``_INT_FIELDS``), trial index or roster
+    cannot be built raises ValueError naming that field.
     """
     header = trace.header
     game = _from_header("config.game", lambda: game_from_dict(header["config"]["game"]))
     sched = _from_header("config.schedule", lambda: Schedule(**header["config"]["schedule"]))
-    eq = _from_header("equilibrium", lambda: EquilibriumProfile(**header["equilibrium"]))
     shape = game.action_counts
+    eq = _from_header("equilibrium", lambda: _equilibrium_from(header["equilibrium"], shape))
     ints = {
         key: _from_header(f"config.{key}", lambda: check_count(key, header["config"][key], least))
         for key, least in _INT_FIELDS.items()
@@ -433,6 +442,11 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
         mapper = map
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
+
+            # Imported before the fork, so forked workers share it instead of
+            # each importing it on its first trial; not at module level,
+            # which would add its import time to every process.
+            import numpy.random  # noqa: F401
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
 

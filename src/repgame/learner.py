@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .games import StageGame, linf_distance, payoff_range, pure_action_values, pure_strategy
+from .games import StageGame, linf_distance, payoff_range, pure_strategy
 
 # Stream-purpose codes for the documented seed-splitting scheme.
 STREAM_PLAY = 0
@@ -226,11 +226,14 @@ def epoch_step(
     """
     t, eq_hyp, grace, phi, h_prev = state.t, state.eq_hyp, state.grace, state.phi, state.h_prev
     shape = game.action_counts
-    n_rounds = schedule.rounds(t)
+    n_rounds = float(schedule.rounds(t))
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
     margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * payoff_range(game, me)
-    freq = [np.asarray(h, dtype=np.float64) / n_rounds for h in hists]
+    # Plain ints and floats: each frequency is one float division, as a
+    # float64 vector division would give, so records keep every bit.
+    counts = [list(map(int, h)) for h in hists]
+    freq = [[c / n_rounds for c in h] for h in counts]
     eq_after, grace_after, stat_after = eq_hyp, grace, True
     phi_after = phi
     switched = False
@@ -241,21 +244,20 @@ def epoch_step(
         if not grace:
             if h_prev is None:
                 raise ValueError("stationarity test needs the previous epoch's histograms")
-            prev_total = sum(h_prev[0])
+            prev_total = float(sum(h_prev[0]))
             stat_after = all(
-                linf_distance(f, np.asarray(h, dtype=np.float64) / prev_total) <= eps_s_t
+                linf_distance(f, [c / prev_total for c in h]) <= eps_s_t
                 for f, h in zip(freq, h_prev)
             )
         grace_after = False
         # Best-response adjustment with hysteresis: switch only for a
         # strictly more-than-margin improvement over the current action.
-        others = [f for p, f in enumerate(freq) if p != me]
-        values = pure_action_values(game, me, others)
-        best_action = int(np.argmax(values))
+        values = game.action_values(me, [np.array(f) for p, f in enumerate(freq) if p != me])
+        best_action = int(values.argmax())
         if float(values[best_action]) > float(phi @ values) + margin:
             phi_after = pure_strategy(best_action, shape[me])
             switched = True
-    elif any(linf_distance(f, s) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):
+    elif any(linf_distance(f, s.tolist()) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):
         # The equilibrium test over every player, self included, failed.
         eq_after, grace_after = False, True
         phi_after = pure_strategy(pick(), shape[me])
@@ -265,7 +267,7 @@ def epoch_step(
     outcome = EpochOutcome(
         player=me,
         t=t,
-        counts=[list(map(int, h)) for h in hists],
+        counts=counts,
         eps_e=eps_e_t,
         eps_s=eps_s_t,
         margin=margin,

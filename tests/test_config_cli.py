@@ -524,3 +524,24 @@ def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, m
     err = capsys.readouterr().err
     where = f"{trace_path}:{index % len(lines) + 1}" if located else f"{trace_path}"
     assert f"{where}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "strategies",
+    [[[1.0], [0.5, 0.5]], [[float("nan"), 0.5], [0.5, 0.5]], [[2.0, -1.0], [0.5, 0.5]]],
+    ids=["one-entry-short", "nan-entry", "negative-entry"],
+)
+def test_cli_validate_rejects_a_header_equilibrium_that_is_no_strategy(tmp_path, capsys, strategies):
+    # Each header strategy must be a probability vector of its player's
+    # action count; the replay would otherwise fail deep inside the epoch
+    # rule, or report an arbitrary divergence.
+    out_dir = tmp_path / "out"
+    cfg = write_yaml_config(tmp_path, output={"trace_dir": str(out_dir), "make_dirs": True})
+    assert main(["run", str(cfg)]) == EXIT_OK
+    trace_path = out_dir / "trial-0000.jsonl"
+    lines = trace_path.read_text().splitlines()
+    _set("equilibrium", "strategies", value=strategies)(lines, 0)
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(trace_path)]) == EXIT_CONFIG
+    assert f"{trace_path}: trace header equilibrium cannot be built" in capsys.readouterr().err

@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repgame.catalog import matching_pennies, prisoners_dilemma, rock_paper_scissors
-from repgame.equilibrium import compute_equilibrium
-from repgame.games import pure_strategy
-from repgame.learner import EquilibriumRetreatAgent
+from repgame.equilibrium import EquilibriumProfile, compute_equilibrium
+from repgame.games import StageGame, payoff_range, pure_action_values, pure_strategy
+from repgame.learner import EpochOutcome, EpochState, EquilibriumRetreatAgent, epoch_step, fresh_state
 from repgame.schedule import Schedule
 
 
@@ -400,3 +402,132 @@ def test_self_play_flag_tuples_identical():
         assert outs[0] is not None and outs[1] is not None
         flags = [(a.state.t, a.state.eq_hyp, a.state.grace, a.state.restarts) for a in agents]
         assert flags[0] == flags[1]
+
+
+# -- the epoch rule against its numpy form ---------------------------------------------------
+
+
+def numpy_linf_distance(p, q) -> float:
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    return float(np.abs(p - q).max())
+
+
+def numpy_epoch_step(game, me, schedule, eq_profile, state, hists, pick):
+    """Reference: the epoch rule on float64 vectors, one numpy operation
+    per step, as it was written before the rule moved to plain floats."""
+    t, eq_hyp, grace, phi, h_prev = state.t, state.eq_hyp, state.grace, state.phi, state.h_prev
+    shape = game.action_counts
+    n_rounds = schedule.rounds(t)
+    eps_e_t = schedule.eps_e(t)
+    eps_s_t = schedule.eps_s(t)
+    margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * payoff_range(game, me)
+    freq = [np.asarray(h, dtype=np.float64) / n_rounds for h in hists]
+    eq_after, grace_after, stat_after = eq_hyp, grace, True
+    phi_after = phi
+    switched = False
+    if not eq_hyp:
+        if not grace:
+            if h_prev is None:
+                raise ValueError("stationarity test needs the previous epoch's histograms")
+            prev_total = sum(h_prev[0])
+            stat_after = all(
+                numpy_linf_distance(f, np.asarray(h, dtype=np.float64) / prev_total) <= eps_s_t
+                for f, h in zip(freq, h_prev)
+            )
+        grace_after = False
+        values = pure_action_values(game, me, [f for p, f in enumerate(freq) if p != me])
+        best_action = int(np.argmax(values))
+        if float(values[best_action]) > float(phi @ values) + margin:
+            phi_after = pure_strategy(best_action, shape[me])
+            switched = True
+    elif any(numpy_linf_distance(f, s) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):
+        eq_after, grace_after = False, True
+        phi_after = pure_strategy(pick(), shape[me])
+    restart = not stat_after
+    restarts = state.restarts + restart
+    outcome = EpochOutcome(
+        player=me, t=t, counts=[list(map(int, h)) for h in hists], eps_e=eps_e_t, eps_s=eps_s_t,
+        margin=margin, eq_hyp_before=eq_hyp, eq_hyp_after=eq_after, grace_before=grace,
+        grace_after=grace_after, phi_before=list(map(float, phi)),
+        phi_after=list(map(float, phi_after)), switched=switched, restart=restart,
+        restarts_total=restarts,
+    )
+    if restart:
+        return outcome, fresh_state(eq_profile, me, restarts)
+    return outcome, EpochState(outcome.phi_after, t + 1, eq_after, grace_after, outcome.counts, restarts)
+
+
+def bits(value):
+    """``value`` with every float replaced by its hex form and every int
+    and bool tagged with its type, so equal results are equal bit for bit."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return bits(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    return (type(value).__name__, value)
+
+
+def histogram(draw, k, total):
+    """``k`` nonnegative counts totalling ``total``."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def epoch_cases(draw):
+    """A 2- or 3-player game with 3-decimal payoffs, a player, a drawn
+    equilibrium profile, thresholds and epoch lengths, a state with any
+    flags, and the epoch's histograms."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    size = len(shape) * int(np.prod(shape))
+    payoffs = draw(st.lists(st.integers(-2000, 2000), min_size=size, max_size=size))
+    game = StageGame(np.reshape(np.array(payoffs) / 1000, [len(shape)] + shape))
+    me = draw(st.integers(0, len(shape) - 1))
+    weights = [draw(st.lists(st.integers(0, 20), min_size=k, max_size=k).filter(any)) for k in shape]
+    eq = EquilibriumProfile(tuple(np.array(w) / sum(w) for w in weights), "user-supplied")
+    t = draw(st.integers(0, 3))
+    eps = [draw(st.integers(0, 1000)) / 1000 for _ in range(t + 2)]
+    rounds = [draw(st.integers(1, 2**62)) for _ in range(t + 1)]
+    schedule = FixedSchedule(eps, rounds)
+    eq_hyp, grace = draw(st.booleans()), draw(st.booleans())
+    if draw(st.booleans()):
+        phi = eq.strategies[me]
+    else:
+        phi = pure_strategy(draw(st.integers(0, shape[me] - 1)), shape[me])
+        phi = phi.tolist() if draw(st.booleans()) else phi
+    h_prev = None
+    # The previous histograms are there whenever the stationarity test runs.
+    if not (eq_hyp or grace) or draw(st.booleans()):
+        prev_total = draw(st.sampled_from([rounds[max(t - 1, 0)], draw(st.integers(1, 2**62))]))
+        h_prev = [histogram(draw, k, prev_total) for k in shape]
+    state = EpochState(phi, t, eq_hyp, grace, h_prev, draw(st.integers(0, 3)))
+    hists = [histogram(draw, k, schedule.rounds(t)) for k in shape]
+    if draw(st.booleans()):
+        hists = [np.array(h, dtype=np.int64) for h in hists]
+    return game, me, schedule, eq, state, hists, draw(st.integers(0, shape[me] - 1))
+
+
+def run_rule(rule, case):
+    """``rule`` on ``case``: its outcome, next state and pick calls."""
+    game, me, schedule, eq, state, hists, action = case
+    picks = []
+
+    def pick():
+        picks.append(action)
+        return action
+
+    outcome, after = rule(game, me, schedule, eq, state, hists, pick)
+    return bits(outcome), bits(after), picks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(epoch_cases())
+def test_epoch_step_equals_its_numpy_form_bit_for_bit(case):
+    assert run_rule(epoch_step, case) == run_rule(numpy_epoch_step, case)
