@@ -15,7 +15,6 @@ from .games import (
     best_response,
     expected_utility,
     linf_distance,
-    payoff_range,
     pure_action_values,
     pure_strategy,
     regret,
@@ -50,7 +49,6 @@ __all__ = [
     "best_response",
     "expected_utility",
     "linf_distance",
-    "payoff_range",
     "pure_action_values",
     "pure_strategy",
     "regret",

@@ -176,12 +176,6 @@ def best_response(game: StageGame, player: int, others) -> tuple[int, float]:
     return action, float(values[action])
 
 
-def payoff_range(game: StageGame, player: int) -> float:
-    """Best minus worst outcome for ``player`` over all joint profiles."""
-    game._check_player(player)
-    return game.payoff_ranges[player]
-
-
 def regret(game: StageGame, profile, player: int) -> float:
     """Gain available to ``player`` from a unilateral best-response deviation.
 

@@ -10,16 +10,17 @@ budget exhaustion are marked and excluded from statistics.
 from __future__ import annotations
 
 import contextlib
+import functools
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _INT_FIELDS, RunConfig, config_to_dict, game_from_dict
-from .equilibrium import EquilibriumProfile
-from .games import as_strategy
+from .config import RunConfig, build_run_config, config_to_dict
+from .equilibrium import EquilibriumUnavailableError
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
 from .opponents import build_policy
-from .schedule import Schedule, check_count
+from .schedule import check_count
 
 TRACE_SCHEMA = 5
 
@@ -58,10 +59,15 @@ class ValidationReport:
     divergence: dict | None  # first divergence: {epoch, player, field, message}
 
 
-def equilibrium_to_dict(eq: EquilibriumProfile) -> dict:
+def run_header(config: RunConfig, trial: int) -> dict:
+    """The header record run_trial writes for ``trial`` of ``config``, and the one validate_trace accepts."""
+    eq = config.equilibrium
     return {
-        "strategies": [list(map(float, s)) for s in eq.strategies],
-        "provenance": eq.provenance,
+        "type": "header",
+        "schema": TRACE_SCHEMA,
+        "trial": trial,
+        "config": config_to_dict(config),
+        "equilibrium": {"strategies": [list(map(float, s)) for s in eq.strategies], "provenance": eq.provenance},
     }
 
 
@@ -135,13 +141,6 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     # histogram per player; with one, it is every player's actions.
     responders = [p for p, pol in policies.items() if pol.history_dependent]
 
-    header = {
-        "type": "header",
-        "schema": TRACE_SCHEMA,
-        "trial": trial,
-        "config": config_to_dict(config),
-        "equilibrium": equilibrium_to_dict(config.equilibrium),
-    }
     events: list[dict] = []
     rounds_used = 0
     epochs = 0
@@ -164,7 +163,7 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
         epochs += 1
 
     return RunTrace(
-        header=header,
+        header=run_header(config, trial),
         events=events,
         rounds_used=rounds_used,
         epochs=epochs,
@@ -256,82 +255,87 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
 
 
 def _histograms_fit(hists, shape, rounds: int) -> bool:
-    """One nonnegative histogram per player, of its action count, totalling N^t."""
+    """One histogram of nonnegative ints per player, of its action count, totalling N^t."""
     return (
         isinstance(hists, list)
         and len(hists) == len(shape)
         and all(
-            isinstance(h, list) and len(h) == k and min(h) >= 0 and sum(h) == rounds
+            isinstance(h, list) and len(h) == k and all(type(c) is int for c in h) and min(h) >= 0 and sum(h) == rounds
             for h, k in zip(hists, shape)
         )
     )
 
 
-def _from_header(field: str, build):
-    """``build()``, with a failure reported as a ValueError naming ``field``."""
+def _first_difference(want: dict, got: dict) -> str:
+    """The dotted name of the first field, in ``want``'s order, at which ``got`` (``!= want``) differs."""
+    fields = [*want, *sorted(got.keys() - want.keys(), key=str)]
+    key = next(k for k in fields if k not in want or k not in got or want[k] != got[k])
+    nested = isinstance(want.get(key), dict) and isinstance(got.get(key), dict)
+    return f"{key}.{_first_difference(want[key], got[key])}" if nested else str(key)
+
+
+@functools.lru_cache(maxsize=32)
+def _header_config(key: bytes) -> RunConfig:
+    """The RunConfig of a trace header, given pickled with ``trial`` set to 0, once the header
+    is checked to be the one run_trial writes for it.  The pickled bytes key the cache:
+    unlike ``==``, they tell 1, 1.0 and True apart, so a retyped field is checked again."""
+    header = pickle.loads(key)
+    doc = header.get("config")
+    if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
+        raise ValueError("trace header config.game must be an inline game mapping; the replay reads no file")
+    config = build_run_config(doc, source="trace header config")
     try:
-        return build()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"trace header {field} cannot be built: {type(exc).__name__}: {exc}") from exc
-
-
-def _equilibrium_from(doc: dict, shape) -> EquilibriumProfile:
-    """The header's equilibrium, one checked probability vector per player
-    of its action count: the epoch rule takes it as given."""
-    strategies = [as_strategy(s, k) for s, k in zip(doc["strategies"], shape, strict=True)]
-    return EquilibriumProfile(**{**doc, "strategies": strategies})
+        want = run_header(config, 0)
+    except EquilibriumUnavailableError as exc:  # no run could have written the header
+        raise ValueError(f"trace header equilibrium cannot be computed: {exc}") from exc
+    if want != header:
+        name = _first_difference(want, header)
+        raise ValueError(f"trace header {name} is not what run_trial writes for the header's config")
+    return config
 
 
 def validate_trace(trace: RunTrace) -> ValidationReport:
     """Replay every epoch record through the learner's own ``epoch_step``
     and report the first field that differs from the replay.
 
-    Besides the replay, only the records' shape and the agreement of
-    learners' histograms within an epoch are checked; their flags then
-    agree because replay derives them from the histograms alone.  The
-    action picked at random after an equilibrium rejection is read from
-    the record's ``phi_after``.  Traces produced by run_trial validate
-    cleanly; any tampering with a record shows up as a divergence at
-    that epoch, a field the replay does not give included, and so does
-    an epoch without one record of each learner of the header's roster.
-    The end record must count the epochs and their rounds, with
+    The header must be the one run_trial writes: ``run_header`` of its
+    ``trial`` (an integer >= 0) and of its config, an inline run document
+    that ``build_run_config`` accepts; no file is read.  Otherwise this
+    raises ValueError naming the first header field that differs.
+    Besides the replay, only the records' shape and the learners'
+    agreement on an epoch's histograms are checked.  The action picked at
+    random after an equilibrium rejection is read from ``phi_after``.
+    Traces produced by run_trial validate cleanly; a field changed in its
+    value or only in its type, an added field, or an epoch without one
+    record of each learner of the header's roster is a divergence at that
+    epoch.  The end record must count the epochs and their rounds, with
     partial_rounds below the next epoch's N^t, and a budget must have
     stopped the run: rounds_used at most round_budget, and equal to it
-    unless epoch_budget epochs completed.  A field of it that does not is
-    a divergence at the epoch after the last, with player None.  A header
-    whose game, schedule, equilibrium (one probability vector per player,
-    of its action count), integer config fields (budgets, master_seed,
-    trial_count, window; config's ``_INT_FIELDS``), trial index or roster
-    cannot be built raises ValueError naming that field.
+    unless epoch_budget epochs completed; a field of it that does not is a
+    divergence at the epoch after the last, with player None.
     """
     header = trace.header
-    game = _from_header("config.game", lambda: game_from_dict(header["config"]["game"]))
-    sched = _from_header("config.schedule", lambda: Schedule(**header["config"]["schedule"]))
+    try:
+        check_count("trial", header["trial"], 0)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"trace header trial cannot be built: {type(exc).__name__}: {exc}") from exc
+    config = _header_config(pickle.dumps({**header, "trial": 0}))
+    game, sched, eq = config.game, config.schedule, config.equilibrium
     shape = game.action_counts
-    eq = _from_header("equilibrium", lambda: _equilibrium_from(header["equilibrium"], shape))
-    ints = {
-        key: _from_header(f"config.{key}", lambda: check_count(key, header["config"][key], least))
-        for key, least in _INT_FIELDS.items()
-    }
-    round_budget, epoch_budget = ints["round_budget"], ints["epoch_budget"]
-    _from_header("trial", lambda: check_count("trial", header["trial"], 0))
-    agents = _from_header("config.roster", lambda: [entry["agent"] for entry in header["config"]["roster"]])
-    if len(agents) != game.num_players:
-        raise ValueError(f"trace header config.roster lists {len(agents)} agents for {game.num_players} players")
     groups = _epoch_groups(trace)
 
     def diverged(seq, player, fieldname, message) -> ValidationReport:
         info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
         return ValidationReport(ok=False, epochs_checked=seq, divergence=info)
 
-    state = {p: fresh_state(eq, p) for p, agent in enumerate(agents) if agent == "learner"}
+    state = {p: fresh_state(eq, p) for p, entry in enumerate(config.roster) if entry["agent"] == "learner"}
 
     def pick() -> int:
         # Reads the record being replayed.  A phi_after that is not a pure
         # vector of the player's length gets a pick that cannot reproduce
         # it, so the diff flags phi_after.
-        phi = rec.get("phi_after")
-        pure = isinstance(phi, list) and sorted(phi) == [0.0] * (shape[p] - 1) + [1.0]
+        phi, k = rec.get("phi_after"), shape[p]
+        pure = isinstance(phi, list) and len(phi) == k and phi.count(1.0) == 1 and phi.count(0.0) == k - 1
         return phi.index(1.0) if pure else 0
 
     used = 0  # rounds of the epochs replayed so far
@@ -351,13 +355,15 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
             hists = rec.get("counts")
             n_rounds = sched.rounds(state[p].t)
             if not _histograms_fit(hists, shape, n_rounds):
-                return diverged(seq, p, "counts", "need one histogram per player totalling N^t")
+                return diverged(seq, p, "counts", "need one histogram of ints per player totalling N^t")
             outcome, state[p] = epoch_step(game, p, sched, eq, state[p], hists, pick)
             replay = {"type": "epoch", "seq": seq, **vars(outcome)}
-            if replay != rec:
+            # By type too, as JSON tells 1, 1.0 and true apart and ``==``
+            # does not; _histograms_fit has checked the counts' entries.
+            if replay != rec or [*map(type, replay.values())] != [*map(type, map(rec.get, replay))]:
                 for key, want in replay.items():
                     got = rec.get(key)
-                    if got != want:
+                    if got != want or type(got) is not type(want):
                         return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
                 extra = min(map(str, rec.keys() - replay.keys()))
                 return diverged(seq, p, extra, "the replay gives no such field")
@@ -374,9 +380,9 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         ("epochs", type(trace.epochs) is int and trace.epochs == len(groups), f"{len(groups)} epochs"),
         ("partial_rounds", partial_ok, f"an integer >= 0 below N^{t} = {sched.rounds(t)}"),
         ("rounds_used", used_ok, f"the epochs' {used} rounds plus partial_rounds"),
-        ("rounds_used", used_ok and used_all <= round_budget, f"at most round_budget {round_budget}"),
-        ("rounds_used", used_ok and (used_all == round_budget or len(groups) == epoch_budget),
-         f"round_budget {round_budget} used up, or epoch_budget {epoch_budget} epochs"),
+        ("rounds_used", used_ok and used_all <= config.round_budget, f"at most round_budget {config.round_budget}"),
+        ("rounds_used", used_ok and (used_all == config.round_budget or len(groups) == config.epoch_budget),
+         f"round_budget {config.round_budget} used up, or epoch_budget {config.epoch_budget} epochs"),
     ):
         if not ok:
             return diverged(len(groups), None, fieldname, f"need {want}, trace has {getattr(trace, fieldname)!r}")

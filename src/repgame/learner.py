@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .games import StageGame, linf_distance, payoff_range, pure_strategy
+from .games import StageGame, linf_distance, pure_strategy
 
 # Stream-purpose codes for the documented seed-splitting scheme.
 STREAM_PLAY = 0
@@ -229,7 +229,7 @@ def epoch_step(
     n_rounds = float(schedule.rounds(t))
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
-    margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * payoff_range(game, me)
+    margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * game.payoff_ranges[me]
     # Plain ints and floats: each frequency is one float division, as a
     # float64 vector division would give, so records keep every bit.
     counts = [list(map(int, h)) for h in hists]

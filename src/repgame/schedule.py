@@ -46,8 +46,9 @@ class Schedule:
         check_count("actions_total", self.actions_total, 2)
         if self.decay not in ("harmonic", "geometric"):
             raise ValueError(f"unknown decay family {self.decay!r}")
-        if self.decay == "geometric" and not 0.0 < self.rate < 1.0:
-            raise ValueError("geometric rate must be in (0, 1)")
+        # A harmonic schedule does not use its rate, but hashes it.
+        if not isinstance(self.rate, (int, float)) or self.decay == "geometric" and not 0.0 < self.rate < 1.0:
+            raise ValueError(f"rate must be a number, in (0, 1) for a geometric schedule; got {self.rate!r}")
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
         if self.epoch0_rounds is not None:

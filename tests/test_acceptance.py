@@ -13,7 +13,7 @@ import conftest
 from repgame import traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, prisoners_dilemma, rock_paper_scissors
 from repgame.equilibrium import compute_equilibrium, support_enumeration_2p
-from repgame.games import StageGame, expected_utility, payoff_range, pure_action_values, pure_strategy, regret
+from repgame.games import StageGame, expected_utility, pure_action_values, pure_strategy, regret
 from repgame.harness import RunConfig, validate_trace
 from repgame.schedule import PRODUCT_LIMIT, Schedule, never_restart_lower_bound
 
@@ -220,7 +220,7 @@ def test_criterion_3_stationary_best_response(batch3):
     values = pure_action_values(game, 0, [opponent])
     gaps = values.max() - values
     smallest_gap = float(gaps[gaps > 0].min())
-    margin = game.num_players * max(game.action_counts) * sched.eps_s(2) * payoff_range(game, 0)
+    margin = game.num_players * max(game.action_counts) * sched.eps_s(2) * game.payoff_ranges[0]
     assert distance > sched.eps_e(0) and margin < smallest_gap, (
         f"c3 schedule premise: opponent at L-inf {distance:.4f} from the equilibrium "
         f"vs eps_e^0 = {sched.eps_e(0):.4f} (epoch 0 must reject it); first "

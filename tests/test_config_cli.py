@@ -474,8 +474,8 @@ def _reorder(order):
 
 
 # ``located``: the message names the record's line (``index`` after the
-# edit); otherwise it names the trace file and the header field the
-# validator cannot build.
+# edit); otherwise it names the trace file and the first header field that
+# is not the one run_trial writes for the header's config.
 @pytest.mark.parametrize(
     "index, edit, message, located",
     [
@@ -485,17 +485,17 @@ def _reorder(order):
         (0, _drop("config"), "header record without config", True),
         (0, _drop("equilibrium"), "header record without equilibrium", True),
         (1, _set("seq", value=[1]), "epoch seq must be an integer >= 0", True),
-        (0, _set("config", "game", value=None), "trace header config.game cannot be built", False),
-        (0, _set("config", "game", value="mp.game"), "trace header config.game cannot be built", False),
+        (0, _set("config", "game", value=None), "trace header config.game must be an inline game mapping", False),
+        (0, _set("config", "game", value="mp.game"), "trace header config.game must be an inline game mapping", False),
         (0, _set("config", "schedule", "epsilon_base", value="x"),
-         "trace header config.schedule cannot be built", False),
-        (0, _set("equilibrium", "provenance", value=None), "trace header equilibrium cannot be built", False),
-        (0, _set("equilibrium", "kind", value="mixed"), "trace header equilibrium cannot be built", False),
-        (0, _set("config", "round_budget", value=None), "trace header config.round_budget cannot be built", False),
+         "trace header config: schedule: invalid schedule", False),
+        (0, _set("equilibrium", "provenance", value=None), "trace header equilibrium.provenance is not what", False),
+        (0, _set("equilibrium", "kind", value="mixed"), "trace header equilibrium.kind is not what", False),
+        (0, _set("config", "round_budget", value=None), "trace header config.round_budget is not what", False),
         (-1, _set("truncated", value=True), "end record with unknown truncated", True),
         (0, _set("note", value="checked by hand"), "header record with unknown note", True),
-        (0, _set("config", "master_seed", value=-1), "trace header config.master_seed cannot be built", False),
-        (0, _set("config", "trial_count", value=0), "trace header config.trial_count cannot be built", False),
+        (0, _set("config", "master_seed", value=-1), "trace header config: master_seed must be an integer >= 0", False),
+        (0, _set("config", "trial_count", value=0), "trace header config: trial_count must be an integer >= 1", False),
         (0, _set("trial", value=-1), "trace header trial cannot be built", False),
         (0, _set("trial", value="first"), "trace header trial cannot be built", False),
         (-1, _reorder(lambda n: [*range(n), n - 1]), "end record after the end record", True),
@@ -532,9 +532,9 @@ def test_cli_validate_rejects_malformed_records(tmp_path, capsys, index, edit, m
     ids=["one-entry-short", "nan-entry", "negative-entry"],
 )
 def test_cli_validate_rejects_a_header_equilibrium_that_is_no_strategy(tmp_path, capsys, strategies):
-    # Each header strategy must be a probability vector of its player's
-    # action count; the replay would otherwise fail deep inside the epoch
-    # rule, or report an arbitrary divergence.
+    # The header's strategies must be the equilibrium run_trial writes for
+    # the header's config; the replay would otherwise fail deep inside the
+    # epoch rule, or report an arbitrary divergence.
     out_dir = tmp_path / "out"
     cfg = write_yaml_config(tmp_path, output={"trace_dir": str(out_dir), "make_dirs": True})
     assert main(["run", str(cfg)]) == EXIT_OK
@@ -544,4 +544,4 @@ def test_cli_validate_rejects_a_header_equilibrium_that_is_no_strategy(tmp_path,
     trace_path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["validate", str(trace_path)]) == EXIT_CONFIG
-    assert f"{trace_path}: trace header equilibrium cannot be built" in capsys.readouterr().err
+    assert f"{trace_path}: trace header equilibrium.strategies is not what" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from repgame.games import (
     best_response,
     expected_utility,
     linf_distance,
-    payoff_range,
     pure_action_values,
     pure_strategy,
     regret,
@@ -234,15 +233,14 @@ def test_linf_distance_symmetry_and_triangle(p, q, r):
     assert 0.0 <= linf_distance(p, q) <= 1.0
 
 
-# -- payoff_range / regret ------------------------------------------------------------
+# -- payoff_ranges / regret -----------------------------------------------------------
 
 
 def test_payoff_range_examples():
-    assert payoff_range(matching_pennies(), 0) == 2.0
-    assert payoff_range(matching_pennies(), 1) == 2.0
-    assert payoff_range(prisoners_dilemma(), 0) == 5.0
-    constant = StageGame(np.full((2, 2, 2), 7.0))
-    assert payoff_range(constant, 0) == 0.0
+    assert matching_pennies().payoff_ranges == (2.0, 2.0)
+    assert prisoners_dilemma().payoff_ranges[0] == 5.0
+    assert StageGame(np.full((2, 2, 2), 7.0)).payoff_ranges == (0.0, 0.0)
+    assert all(type(r) is float for r in rock_paper_scissors().payoff_ranges)
 
 
 def test_regret_examples():

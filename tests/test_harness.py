@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from repgame import config, harness, traceio
 from repgame.catalog import battle_of_sexes, matching_pennies, rock_paper_scissors
+from repgame.cli import EXIT_CONFIG, main
 from repgame.config import build_run_config, config_to_dict
 from repgame.equilibrium import EquilibriumUnavailableError, compute_equilibrium
 from repgame.games import StageGame
@@ -584,7 +586,7 @@ def test_validate_takes_the_learners_from_the_header_roster():
 def test_validate_needs_a_header_roster_of_one_agent_per_player(roster):
     tampered = run_trial(mp_config(), 0)
     tampered.header["config"]["roster"] = roster
-    with pytest.raises(ValueError, match="trace header config.roster"):
+    with pytest.raises(ValueError, match="trace header config: roster"):
         validate_trace(tampered)
 
 
@@ -716,6 +718,7 @@ def test_validate_checks_partial_rounds_of_a_trace_without_epochs():
 
 
 # The header's integer fields and their least values: config's, and the trial index.
+# A deleted config field takes its default, which run_trial writes.
 HEADER_COUNTS = {**config._INT_FIELDS, "trial": 0}
 
 
@@ -730,8 +733,13 @@ def test_validate_needs_the_header_budgets(sample_trace, value, budget):
         del where[budget]
     else:
         where[budget] = value
-    name = budget if budget == "trial" else f"config.{budget}"
-    with pytest.raises(ValueError, match=f"trace header {name} cannot be built"):
+    if budget == "trial":
+        message = "trace header trial cannot be built"
+    elif value is None:
+        message = f"trace header config.{budget} is not what run_trial writes"
+    else:
+        message = f"trace header config: {budget} must be an integer >= {HEADER_COUNTS[budget]}"
+    with pytest.raises(ValueError, match=message):
         validate_trace(tampered)
 
 
@@ -742,7 +750,138 @@ def test_validate_takes_a_trial_index_beyond_the_trial_count(sample_trace):
     assert validate_trace(tampered).ok
 
 
-@pytest.mark.parametrize("phi_after", [[0.5, 0.5], [0.0, 1.0, 0.0]])
+def _edit(*keys, value):
+    """Set the header field at ``keys`` to ``value``."""
+
+    def edit(header):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+
+    return edit
+
+
+# Each header edit, the message validate_trace raises and the name
+# ``repgame validate`` reports.  The header is the one run_trial writes for
+# matching pennies against a stationary opponent, with window 1.
+@pytest.mark.parametrize(
+    "edit, message, name",
+    [
+        (_edit("note", value="x"), "trace header note is not what run_trial writes", "note"),
+        (_edit("config", "note", value="x"), "trace header config: unknown keys note", "note"),
+        (_edit("config", "roster", 0, "note", value="x"), "trace header config: roster[0]: unknown keys note", "note"),
+        (_edit("config", "roster", 1, "policy", "probs", value=[2.0, -1.0]),
+         "trace header config: roster[1]: invalid opponent policy", "roster[1]"),
+        (_edit("config", "equilibrium_override", value=[[1.0, 0.0], [1.0, 0.0]]),
+         "trace header config: equilibrium_override is not an equilibrium", "equilibrium_override"),
+        (_edit("equilibrium", "provenance", value="user-supplied"),
+         "trace header equilibrium.provenance is not what run_trial writes", "equilibrium.provenance"),
+        (_edit("equilibrium", "strategies", value=[[0.6, 0.4], [0.5, 0.5]]),
+         "trace header equilibrium.strategies is not what run_trial writes", "equilibrium.strategies"),
+        (_edit("config", "output", value={"trace_dir": "out"}),
+         "trace header config.output is not what run_trial writes", "config.output"),
+        (_edit("config", "game", value="mp.game"), "trace header config.game must be an inline game mapping",
+         "config.game"),
+    ],
+    ids=["header-unknown-key", "config-unknown-key", "roster-entry-unknown-key", "opponent-probs-no-strategy",
+         "override-no-equilibrium", "provenance-without-override", "strategies-not-the-equilibrium",
+         "config-output", "game-a-path"],
+)
+def test_validate_accepts_only_the_header_run_trial_writes(tmp_path, monkeypatch, capsys, edit, message, name):
+    def no_file(path):
+        raise AssertionError(f"the replay read {path}")
+
+    monkeypatch.setattr(config, "load_game_file", no_file)
+    trace = run_trial(mp_config(roster=(LEARNER, stationary([0.4, 0.6])), window=1), 0)
+    assert validate_trace(trace).ok
+    edit(trace.header)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_trace(trace)
+    path = tmp_path / "trial.jsonl"
+    traceio.write_trace(trace, path)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+
+
+def test_validate_checks_a_retyped_header_after_checking_the_original():
+    # The cached check must not take True for the 1 it equals.
+    trace = run_trial(mp_config(window=1), 0)
+    assert validate_trace(trace).ok
+    retyped = copy.deepcopy(trace)
+    retyped.header["config"]["window"] = True
+    with pytest.raises(ValueError, match=re.escape("trace header config: window must be an integer >= 1")):
+        validate_trace(retyped)
+
+
+def test_validate_checks_a_header_again_after_it_changes_in_place():
+    trace = run_trial(mp_config(), 0)
+    assert validate_trace(trace).ok
+    trace.header["equilibrium"]["provenance"] = "user-supplied"
+    with pytest.raises(ValueError, match="trace header equilibrium.provenance"):
+        validate_trace(trace)
+
+
+def test_validate_rejects_a_header_whose_game_has_no_computable_equilibrium(tmp_path, capsys):
+    # Players 0 and 1 play matching pennies and player 2 is indifferent, so
+    # the 3-player game has no pure equilibrium and needs an override.
+    u = np.array([[[1.0, 1.0], [-1.0, -1.0]], [[-1.0, -1.0], [1.0, 1.0]]])
+    game = StageGame(np.stack([u, -u, np.zeros_like(u)]))
+    override = ([0.5, 0.5], [0.5, 0.5], [1.0, 0.0])
+    cfg = RunConfig(
+        game=game,
+        roster=(LEARNER, stationary([0.5, 0.5]), stationary([0.5, 0.5])),
+        schedule=Schedule(epsilon_base=0.5, actions_total=game.actions_total),
+        eq_override=override,
+        round_budget=20_000,
+        epoch_budget=3,
+    )
+    trace = run_trial(cfg, 0)
+    assert validate_trace(trace).ok
+    trace.header["config"]["equilibrium_override"] = None
+    message = "trace header equilibrium cannot be computed"
+    with pytest.raises(ValueError, match=message):
+        validate_trace(trace)
+    path = tmp_path / "trial.jsonl"
+    traceio.write_trace(trace, path)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def _set_first_count(value):
+    def edit(rec):
+        rec["counts"][0][0] = value(rec["counts"][0][0])
+
+    return edit
+
+
+# ``==`` equates 12 and 12.0, 1 and True: the replay compares types too.
+# Epoch 0 keeps the equilibrium hypothesis and epoch 1 has t 1.
+@pytest.mark.parametrize(
+    "seq, edit, field, equal",
+    [
+        (0, _set_first_count(float), "counts", True),
+        (0, _set_first_count(str), "counts", False),
+        (0, lambda rec: rec.update(eq_hyp_before=1), "eq_hyp_before", True),
+        (1, lambda rec: rec.update(t=True), "t", True),
+        (1, lambda rec: rec.update(margin=int(rec["margin"])), "margin", True),
+    ],
+    ids=["counts-a-float", "counts-a-string", "eq_hyp_before-an-int", "t-a-bool", "margin-an-int"],
+)
+def test_validate_tells_apart_values_of_another_type(seq, edit, field, equal):
+    scripted = {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0]}}
+    trace = run_trial(mp_config(roster=(LEARNER, scripted), epoch_budget=3), 0)
+    rec = trace.events[seq]
+    before = copy.deepcopy(rec)
+    edit(rec)
+    assert (rec == before) == equal
+    report = validate_trace(trace)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["field"]) == (seq, field)
+
+
+@pytest.mark.parametrize("phi_after", [[0.5, 0.5], [0.0, 1.0, 0.0], [None, None]])
 def test_validate_checks_post_rejection_pick(phi_after):
     scripted = {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0]}}
     trace = run_trial(mp_config(roster=(LEARNER, scripted), epoch_budget=3), 0)

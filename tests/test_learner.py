@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repgame.catalog import matching_pennies, prisoners_dilemma, rock_paper_scissors
 from repgame.equilibrium import EquilibriumProfile, compute_equilibrium
-from repgame.games import StageGame, payoff_range, pure_action_values, pure_strategy
+from repgame.games import StageGame, pure_action_values, pure_strategy
 from repgame.learner import EpochOutcome, EpochState, EquilibriumRetreatAgent, epoch_step, fresh_state
 from repgame.schedule import Schedule
 
@@ -423,7 +423,7 @@ def numpy_epoch_step(game, me, schedule, eq_profile, state, hists, pick):
     n_rounds = schedule.rounds(t)
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
-    margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * payoff_range(game, me)
+    margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * game.payoff_ranges[me]
     freq = [np.asarray(h, dtype=np.float64) / n_rounds for h in hists]
     eq_after, grace_after, stat_after = eq_hyp, grace, True
     phi_after = phi

@@ -123,6 +123,16 @@ def test_invalid_parameters_rejected():
             Schedule(**{"epsilon_base": 0.5, "actions_total": 4, **bad})
 
 
+@pytest.mark.parametrize("rate", [[], [0.5], {}, "0.5", None])
+def test_a_harmonic_schedule_needs_a_numeric_rate(rate):
+    # A harmonic schedule does not use its rate, but a schedule is hashed
+    # for its table, and a list or a dict cannot be.
+    with pytest.raises(ValueError, match="rate must be a number"):
+        Schedule(epsilon_base=0.5, actions_total=4, rate=rate)
+    with pytest.raises(ValueError, match="in .0, 1. for a geometric schedule"):
+        Schedule(epsilon_base=0.5, actions_total=4, decay="geometric", rate=1.0)
+
+
 # -- validity checking -------------------------------------------------------------
 
 
