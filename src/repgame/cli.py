@@ -211,25 +211,26 @@ def cmd_batch(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        trace = traceio.read_trace(args.trace)
-    except OSError as exc:
-        raise _CliError(f"cannot read trace: {exc}", EXIT_IO)
-    except ValueError as exc:
-        raise _CliError(str(exc), EXIT_CONFIG)
-    try:
-        report = validate_trace(trace)
-    except ValueError as exc:
-        raise _CliError(f"{args.trace}: {exc}", EXIT_CONFIG)
-    if report.ok:
-        print(f"OK: {report.epochs_checked} epochs replayed, zero divergences")
-        return EXIT_OK
-    d = report.divergence
-    print(
-        f"DIVERGENCE at epoch {d['epoch']}, player {d['player']}, "
-        f"field {d['field']}: {d['message']}"
-    )
-    return EXIT_CONFIG
+    # In one process a batch's traces, whose headers differ only in the
+    # trial, build and solve their header's config once.
+    for path in args.trace:
+        try:
+            trace = traceio.read_trace(path)
+        except OSError as exc:
+            raise _CliError(f"cannot read trace: {exc}", EXIT_IO)
+        except ValueError as exc:  # read_trace names the path and line
+            raise _CliError(str(exc), EXIT_CONFIG)
+        try:
+            report = validate_trace(trace)
+        except ValueError as exc:
+            raise _CliError(f"{path}: {exc}", EXIT_CONFIG)
+        d = report.divergence
+        if d:
+            where = f"epoch {d['epoch']}, player {d['player']}, field {d['field']}"
+            print(f"{path}: DIVERGENCE at {where}: {d['message']}")
+            return EXIT_CONFIG
+        print(f"{path}: OK: {report.epochs_checked} epochs replayed, zero divergences")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("validate", help="replay-check a trace file")
-    p.add_argument("trace")
+    p = sub.add_parser("validate", help="replay-check trace files, stopping at the first that fails")
+    p.add_argument("trace", nargs="+")
     p.set_defaults(func=cmd_validate)
     return parser
 

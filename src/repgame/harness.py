@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import pickle
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig, build_run_config, config_to_dict
-from .equilibrium import EquilibriumUnavailableError
+from .equilibrium import EquilibriumProfile, EquilibriumUnavailableError, is_equilibrium
+from .games import as_strategy
 from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
 from .opponents import build_policy
 from .schedule import check_count
@@ -59,9 +60,10 @@ class ValidationReport:
     divergence: dict | None  # first divergence: {epoch, player, field, message}
 
 
-def run_header(config: RunConfig, trial: int) -> dict:
-    """The header record run_trial writes for ``trial`` of ``config``, and the one validate_trace accepts."""
-    eq = config.equilibrium
+def run_header(config: RunConfig, trial: int, eq: EquilibriumProfile | None = None) -> dict:
+    """The header record run_trial writes for ``trial`` of ``config``, and the one validate_trace
+    accepts; ``eq`` stands in for ``config.equilibrium``, which solves the game if not yet read."""
+    eq = config.equilibrium if eq is None else eq
     return {
         "type": "header",
         "schema": TRACE_SCHEMA,
@@ -266,31 +268,46 @@ def _histograms_fit(hists, shape, rounds: int) -> bool:
     )
 
 
+# JSON with sorted keys tells 1, 1.0 and true apart, where ``==`` does not.
+_canonical = functools.partial(json.dumps, sort_keys=True)
+
+
 def _first_difference(want: dict, got: dict) -> str:
-    """The dotted name of the first field, in ``want``'s order, at which ``got`` (``!= want``) differs."""
+    """The dotted name of the first field, in ``want``'s order, at which ``got`` differs in value or type."""
     fields = [*want, *sorted(got.keys() - want.keys(), key=str)]
-    key = next(k for k in fields if k not in want or k not in got or want[k] != got[k])
+    key = next(k for k in fields if k not in want or k not in got or _canonical(want[k]) != _canonical(got[k]))
     nested = isinstance(want.get(key), dict) and isinstance(got.get(key), dict)
     return f"{key}.{_first_difference(want[key], got[key])}" if nested else str(key)
 
 
 @functools.lru_cache(maxsize=32)
-def _header_config(key: bytes) -> RunConfig:
-    """The RunConfig of a trace header, given pickled with ``trial`` set to 0, once the header
-    is checked to be the one run_trial writes for it.  The pickled bytes key the cache:
-    unlike ``==``, they tell 1, 1.0 and True apart, so a retyped field is checked again."""
-    header = pickle.loads(key)
-    doc = header.get("config")
+def _header_config(key: str) -> RunConfig:
+    """The RunConfig of a trace header, given ``_canonical`` with ``trial`` set to 0, once
+    the header is the one run_trial writes for it.  The checks that need no solve of the
+    game come first: the header with its own equilibrium, then that equilibrium's regrets."""
+    header = json.loads(key)
+
+    def require(want: dict) -> None:
+        if _canonical(want) != key:
+            name = _first_difference(want, header)
+            raise ValueError(f"trace header {name} is not what run_trial writes for the header's config")
+
+    doc, recorded = header.get("config"), header.get("equilibrium")
     if not isinstance(doc, dict) or not isinstance(doc.get("game"), dict):
         raise ValueError("trace header config.game must be an inline game mapping; the replay reads no file")
     config = build_run_config(doc, source="trace header config")
+    game = config.game
     try:
-        want = run_header(config, 0)
+        strategies = [as_strategy(s, k) for s, k in zip(recorded["strategies"], game.action_counts, strict=True)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"trace header equilibrium.strategies is not what run_trial writes: {exc}") from exc
+    require(run_header(config, 0, EquilibriumProfile(strategies, recorded.get("provenance"))))
+    if not is_equilibrium(game, strategies):
+        raise ValueError("trace header equilibrium.strategies is not what run_trial writes: not an equilibrium")
+    try:
+        require(run_header(config, 0))
     except EquilibriumUnavailableError as exc:  # no run could have written the header
         raise ValueError(f"trace header equilibrium cannot be computed: {exc}") from exc
-    if want != header:
-        name = _first_difference(want, header)
-        raise ValueError(f"trace header {name} is not what run_trial writes for the header's config")
     return config
 
 
@@ -300,7 +317,8 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
 
     The header must be the one run_trial writes: ``run_header`` of its
     ``trial`` (an integer >= 0) and of its config, an inline run document
-    that ``build_run_config`` accepts; no file is read.  Otherwise this
+    that ``build_run_config`` accepts; no file is read.  The two are
+    compared as JSON, so a retyped field differs too.  Otherwise this
     raises ValueError naming the first header field that differs.
     Besides the replay, only the records' shape and the learners'
     agreement on an epoch's histograms are checked.  The action picked at
@@ -315,11 +333,12 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     divergence at the epoch after the last, with player None.
     """
     header = trace.header
+    check_count("trace header trial", header.get("trial"), 0)
     try:
-        check_count("trial", header["trial"], 0)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"trace header trial cannot be built: {type(exc).__name__}: {exc}") from exc
-    config = _header_config(pickle.dumps({**header, "trial": 0}))
+        key = _canonical({**header, "trial": 0})
+    except (TypeError, ValueError) as exc:  # only a header built in memory can hold a non-JSON value
+        raise ValueError(f"trace header is not JSON: {exc}") from exc
+    config = _header_config(key)
     game, sched, eq = config.game, config.schedule, config.equilibrium
     shape = game.action_counts
     groups = _epoch_groups(trace)

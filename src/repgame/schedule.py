@@ -9,6 +9,7 @@ false hypothesis rejection over all epochs strictly below 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,20 @@ class Schedule:
     epoch0_rounds: int | None = None
 
     def __post_init__(self):
+        # Kept as floats, so a run document's 0 and 0.0 give one schedule
+        # and one trace header.  A harmonic schedule hashes its unused rate.
+        for name in ("epsilon_base", "offset", "rate"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.epsilon_base <= 1.0:
             raise ValueError("epsilon_base must be in (0, 1]")
         check_count("actions_total", self.actions_total, 2)
         if self.decay not in ("harmonic", "geometric"):
             raise ValueError(f"unknown decay family {self.decay!r}")
-        # A harmonic schedule does not use its rate, but hashes it.
-        if not isinstance(self.rate, (int, float)) or self.decay == "geometric" and not 0.0 < self.rate < 1.0:
-            raise ValueError(f"rate must be a number, in (0, 1) for a geometric schedule; got {self.rate!r}")
+        if self.decay == "geometric" and not 0.0 < self.rate < 1.0:
+            raise ValueError("rate must be in (0, 1) for a geometric schedule")
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
         if self.epoch0_rounds is not None:

@@ -496,8 +496,8 @@ def _reorder(order):
         (0, _set("note", value="checked by hand"), "header record with unknown note", True),
         (0, _set("config", "master_seed", value=-1), "trace header config: master_seed must be an integer >= 0", False),
         (0, _set("config", "trial_count", value=0), "trace header config: trial_count must be an integer >= 1", False),
-        (0, _set("trial", value=-1), "trace header trial cannot be built", False),
-        (0, _set("trial", value="first"), "trace header trial cannot be built", False),
+        (0, _set("trial", value=-1), "trace header trial must be an integer >= 0", False),
+        (0, _set("trial", value="first"), "trace header trial must be an integer >= 0", False),
         (-1, _reorder(lambda n: [*range(n), n - 1]), "end record after the end record", True),
         (2, _reorder(lambda n: [0, n - 1, *range(1, n - 1)]), "epoch record after the end record", True),
         (0, _reorder(lambda n: [*range(1, n), 0]), "epoch record before the header", True),

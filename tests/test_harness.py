@@ -734,7 +734,7 @@ def test_validate_needs_the_header_budgets(sample_trace, value, budget):
     else:
         where[budget] = value
     if budget == "trial":
-        message = "trace header trial cannot be built"
+        message = "trace header trial must be an integer >= 0"
     elif value is None:
         message = f"trace header config.{budget} is not what run_trial writes"
     else:
@@ -782,10 +782,18 @@ def _edit(*keys, value):
          "trace header config.output is not what run_trial writes", "config.output"),
         (_edit("config", "game", value="mp.game"), "trace header config.game must be an inline game mapping",
          "config.game"),
+        # Retyped fields that build the same config: the header must be the
+        # one run_trial writes, whose schedule and payoffs are floats.
+        (_edit("config", "schedule", "offset", value=0),
+         "trace header config.schedule.offset is not what run_trial writes", "config.schedule.offset"),
+        (_edit("config", "schedule", "rate", value=True),
+         "trace header config: schedule: invalid schedule: rate must be a number, got True", "rate"),
+        (_edit("config", "game", "payoffs", value=[[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]),
+         "trace header config.game.payoffs is not what run_trial writes", "config.game.payoffs"),
     ],
     ids=["header-unknown-key", "config-unknown-key", "roster-entry-unknown-key", "opponent-probs-no-strategy",
          "override-no-equilibrium", "provenance-without-override", "strategies-not-the-equilibrium",
-         "config-output", "game-a-path"],
+         "config-output", "game-a-path", "offset-an-int", "rate-a-bool", "payoffs-ints"],
 )
 def test_validate_accepts_only_the_header_run_trial_writes(tmp_path, monkeypatch, capsys, edit, message, name):
     def no_file(path):
@@ -820,6 +828,64 @@ def test_validate_checks_a_header_again_after_it_changes_in_place():
     trace.header["equilibrium"]["provenance"] = "user-supplied"
     with pytest.raises(ValueError, match="trace header equilibrium.provenance"):
         validate_trace(trace)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_edit("equilibrium", "strategies", value=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+         "trace header equilibrium.strategies is not what run_trial writes: not an equilibrium"),
+        (_edit("equilibrium", "strategies", value=[[0.5, 0.5], [0.5, 0.5]]),
+         "trace header equilibrium.strategies is not what run_trial writes: strategy has 2 entries"),
+        (_edit("note", value="x"), "trace header note is not what run_trial writes"),
+        (_edit("config", "schedule", "offset", value=0), "trace header config.schedule.offset is not what"),
+    ],
+    ids=["pure-strategies", "strategies-too-short", "header-unknown-key", "offset-an-int"],
+)
+def test_validate_rejects_a_header_without_solving_its_game_where_it_can(monkeypatch, edit, message):
+    # Rock-paper-scissors has only the fully mixed equilibrium, the last
+    # support pair the solver tries.  A header that differs from run_trial's
+    # in any other field, or whose equilibrium is no equilibrium, is
+    # rejected before the game is solved.
+    g = rock_paper_scissors()
+    cfg = RunConfig(game=g, roster=(LEARNER, stationary([0.5, 0.3, 0.2])),
+                    schedule=Schedule(epsilon_base=0.5, actions_total=g.actions_total), epoch_budget=2)
+    trace = run_trial(cfg, 0)
+    edit(trace.header)
+
+    def no_solve(*args):
+        raise AssertionError("the header check solved the game")
+
+    monkeypatch.setattr(config, "compute_equilibrium", no_solve)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_trace(trace)
+
+
+def test_cli_validates_a_batch_of_traces_building_their_config_once(tmp_path, monkeypatch, capsys):
+    cfg = mp_config(trial_count=3)
+    paths = [str(tmp_path / f"trial-{trial}.jsonl") for trial in range(3)]
+    for trial, path in enumerate(paths):
+        traceio.write_trace(run_trial(cfg, trial), path)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_run_config(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_run_config", counted)
+    harness._header_config.cache_clear()
+    capsys.readouterr()
+    assert main(["validate", *paths]) == 0
+    assert len(builds) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": OK: ")[0] for line in lines] == paths
+    # The first trace that fails stops the command with its exit code.
+    tampered = traceio.read_trace(paths[1])
+    tampered.events[0]["restart"] = not tampered.events[0]["restart"]
+    traceio.write_trace(tampered, paths[1])
+    assert main(["validate", *paths]) == EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith(f"{paths[0]}: OK") and lines[1].startswith(f"{paths[1]}: DIVERGENCE")
 
 
 def test_validate_rejects_a_header_whose_game_has_no_computable_equilibrium(tmp_path, capsys):
