@@ -176,9 +176,9 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
 # -- convergence detection ----------------------------------------------------
 
 
-def _epoch_groups(trace: RunTrace) -> list[list[dict]]:
+def _epoch_groups(events: list[dict]) -> list[list[dict]]:
     groups: dict[int, list[dict]] = {}
-    for rec in trace.events:
+    for rec in events:
         groups.setdefault(rec["seq"], []).append(rec)
     return [groups[k] for k in sorted(groups)]
 
@@ -238,7 +238,7 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
     principle mislabel.
     """
     window = trace.header["config"]["window"]
-    groups = _epoch_groups(trace)
+    groups = _epoch_groups(trace.events)
     kind = _lock_kind(groups[-window:]) if len(groups) >= window else "insufficient-data"
     converged = None if kind == "insufficient-data" else kind != "none"
     return RunSummary(
@@ -330,7 +330,9 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     partial_rounds below the next epoch's N^t, and a budget must have
     stopped the run: rounds_used at most round_budget, and equal to it
     unless epoch_budget epochs completed; a field of it that does not is a
-    divergence at the epoch after the last, with player None.
+    divergence at the epoch after the last, with player None.  A record
+    whose seq is not an integer >= 0 is a divergence at seq, at the epoch
+    that its place in the record order gives.
     """
     header = trace.header
     check_count("trace header trial", header.get("trial"), 0)
@@ -341,13 +343,17 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     config = _header_config(key)
     game, sched, eq = config.game, config.schedule, config.equilibrium
     shape = game.action_counts
-    groups = _epoch_groups(trace)
 
     def diverged(seq, player, fieldname, message) -> ValidationReport:
         info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
         return ValidationReport(ok=False, epochs_checked=seq, divergence=info)
 
     state = {p: fresh_state(eq, p) for p, entry in enumerate(config.roster) if entry["agent"] == "learner"}
+    # _epoch_groups keys records by seq, so only the epochs before the first
+    # record whose seq is not an integer >= 0 are replayed; by record order,
+    # that record is in the epoch after them.
+    bad = next((i for i, rec in enumerate(trace.events) if type(rec.get("seq")) is not int or rec["seq"] < 0), None)
+    groups = _epoch_groups(trace.events if bad is None else trace.events[: bad - bad % len(state)])
 
     def pick() -> int:
         # Reads the record being replayed.  A phi_after that is not a pure
@@ -389,6 +395,9 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         if stepped != state.keys():
             return diverged(seq, min(state.keys() - stepped), "player", "no record of this learner in the epoch")
         used += n_rounds
+    if bad is not None:
+        rec = trace.events[bad]
+        return diverged(len(groups), rec.get("player"), "seq", f"need an integer >= 0, trace has {rec.get('seq')!r}")
     # The end record: completed epochs, then the rounds of the epoch cut
     # short by the budget, which stopped the run.
     t = next(iter(state.values())).t if groups else 0  # learners' flags, and so t, agree
@@ -449,22 +458,56 @@ def _one_trial(job):
     return trace, detect_convergence(trace)
 
 
+# Blocks a pool worker gets over a batch: one queue round trip costs about
+# half a short trial, and more than one block per worker lets a worker that
+# finishes early take another.
+_BLOCKS_PER_WORKER = 4
+
+
+def _trial_block(job):
+    """Trials ``start`` to ``stop - 1`` of the config, in order, stopping at
+    the first that raises: the (trace, summary) of each trial that ran, and
+    that trial's exception or None."""
+    config, start, stop = job
+    done = []
+    for trial in range(start, stop):
+        try:
+            done.append(_one_trial((config, trial)))
+        except Exception as exc:
+            return done, exc
+    return done, None
+
+
+def _pool_block(job):
+    """``_trial_block`` in a pool worker.  Pickling drops an exception's
+    traceback, so it is wrapped as the pool wraps an exception a job
+    raises: the parent's copy has the worker's traceback text as its cause."""
+    from concurrent.futures.process import _ExceptionWithTraceback
+
+    done, error = _trial_block(job)
+    return done, error if error is None else _ExceptionWithTraceback(error, error.__traceback__)
+
+
 def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult:
     """Run all trials of the config; aggregation is order-independent.
 
     Trials stream in trial order: ``on_trace(trace, summary)`` (e.g. to
     persist traces) is called on each as soon as it and every trial
     before it have finished, so a failing trial still delivers all the
-    trials before it, and a pool cancels the trials not yet started.
+    trials before it.  A pool runs blocks of consecutive trials, about
+    four per worker, and delivers a block's trials once the whole block
+    has finished; a failure cancels the blocks not yet started.
     Only the summaries are kept.  The config's equilibrium is solved
     here, once, and a pool worker receives it inside the pickled config.
     """
     check_count("workers", workers, 1)
     config.equilibrium  # solved and cached before the config is pickled
-    jobs = [(config, t) for t in range(config.trial_count)]
+    n = config.trial_count
+    size = 1 if workers == 1 else -(-n // (_BLOCKS_PER_WORKER * workers))
+    blocks = [(config, start, min(start + size, n)) for start in range(0, n, size)]
     summaries = []
     with contextlib.ExitStack() as stack:
-        mapper = map
+        results = map(_trial_block, blocks)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -476,15 +519,18 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
 
             def cancel_queued(exc_type, exc, tb):
-                # A raise cancels the trials still queued instead of waiting
+                # A raise cancels the blocks still queued instead of waiting
                 # for them; a batch that ends normally still joins its workers.
                 if exc_type is not None:
                     pool.shutdown(wait=False, cancel_futures=True)
 
             stack.push(cancel_queued)
-            mapper = pool.map
-        for trace, summary in mapper(_one_trial, jobs):
-            summaries.append(summary)
-            if on_trace is not None:
-                on_trace(trace, summary)
+            results = pool.map(_pool_block, blocks)
+        for done, error in results:
+            for trace, summary in done:
+                summaries.append(summary)
+                if on_trace is not None:
+                    on_trace(trace, summary)
+            if error is not None:
+                raise error
     return _aggregate(config, summaries)

@@ -6,11 +6,12 @@ import os
 import re
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repgame import config, harness, traceio
@@ -549,6 +550,22 @@ def test_validate_counts_the_epochs_replayed_before_a_divergence(sample_trace):
     assert report.epochs_checked == 1
 
 
+@pytest.mark.parametrize("seq", [None, [2], {"seq": 2}, True, -1], ids=["missing", "list", "dict", "true", "minus-one"])
+@pytest.mark.parametrize("index", [4, 5], ids=["first-learner", "second-learner"])
+def test_validate_reports_a_seq_that_is_not_an_index(sample_trace, seq, index):
+    # Records 4 and 5 are the two learners' records of epoch 2.
+    tampered = copy.deepcopy(sample_trace)
+    rec = tampered.events[index]
+    if seq is None:
+        del rec["seq"]
+    else:
+        rec["seq"] = seq
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (2, index - 4, "seq")
+    assert report.epochs_checked == 2
+
+
 def test_validate_detects_count_perturbation(sample_trace):
     tampered = copy.deepcopy(sample_trace)
     tampered.events[3]["counts"][0][0] += 1
@@ -1066,34 +1083,46 @@ def test_batch_parallel_matches_serial():
         assert trace_bytes(ta) == trace_bytes(tb)
 
 
+# A pool runs blocks of ceil(trials / (4 * workers)) trials: 11 trials on
+# 2 workers make blocks of 2, 2, 2, 2, 2 and 1, and 19 on 3 nine of 2 and 1.
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    trials=st.integers(1, 5),
+    trials=st.integers(1, 19),
+    workers=st.integers(2, 3),
     roster=st.sampled_from([(LEARNER, LEARNER), (LEARNER, stationary([0.3, 0.7]))]),
 )
-def test_batch_pool_delivers_the_serial_traces_in_trial_order(seed, trials, roster):
+@example(seed=0, trials=11, workers=2, roster=(LEARNER, LEARNER))
+@example(seed=1, trials=19, workers=3, roster=(LEARNER, stationary([0.3, 0.7])))
+def test_batch_pool_delivers_the_serial_traces_in_trial_order(seed, trials, workers, roster):
     cfg = mp_config(game=battle_of_sexes(), roster=roster, master_seed=seed, trial_count=trials, epoch_budget=4)
     serial = run_batch_delivered(cfg, workers=1)
-    parallel = run_batch_delivered(cfg, workers=2)
+    parallel = run_batch_delivered(cfg, workers=workers)
     assert [t.header["trial"] for t in parallel.traces] == list(range(trials))
     assert [trace_bytes(t) for t in parallel.traces] == [trace_bytes(t) for t in serial.traces]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_batch_delivers_the_trials_before_a_failing_one(monkeypatch, workers):
-    def failing_at_2(run_config, trial):
-        if trial == 2:
-            raise RuntimeError("trial 2 failed")
+# 16 trials on 2 workers run in blocks of 2, so trial 5 fails inside the
+# block of trials 4 and 5, after trial 4.
+@pytest.mark.parametrize(
+    "workers, trials, failing",
+    [pytest.param(1, 4, 2, id="1"), pytest.param(2, 4, 2, id="2"), pytest.param(2, 16, 5, id="2-in-a-block")],
+)
+def test_batch_delivers_the_trials_before_a_failing_one(monkeypatch, workers, trials, failing):
+    def failing_trial(run_config, trial):
+        if trial == failing:
+            raise RuntimeError(f"trial {trial} failed")
         return run_trial(run_config, trial)
 
-    cfg = mp_config(trial_count=4)
+    cfg = mp_config(trial_count=trials)
     seen = []
-    monkeypatch.setattr(harness, "run_trial", failing_at_2)
-    with pytest.raises(RuntimeError, match="trial 2 failed"):
+    monkeypatch.setattr(harness, "run_trial", failing_trial)
+    with pytest.raises(RuntimeError, match=f"^trial {failing} failed$") as raised:
         run_batch(cfg, workers=workers, on_trace=lambda trace, summary: seen.append(trace))
     monkeypatch.undo()
-    assert [trace_bytes(t) for t in seen] == [trace_bytes(run_trial(cfg, t)) for t in (0, 1)]
+    assert [trace_bytes(t) for t in seen] == [trace_bytes(run_trial(cfg, t)) for t in range(failing)]
+    # A pool worker's traceback comes back as the error's chained cause.
+    assert "in failing_trial" in "".join(traceback.format_exception(raised.value))
 
 
 def test_batch_pool_cancels_the_queued_trials_after_a_failing_one(monkeypatch):
@@ -1111,6 +1140,26 @@ def test_batch_pool_cancels_the_queued_trials_after_a_failing_one(monkeypatch):
     with pytest.raises(RuntimeError, match="trial 1 failed"):
         run_batch(cfg, workers=2)
     assert time.perf_counter() - start < 2.0
+
+
+def test_batch_pool_cancels_the_queued_blocks_after_a_failing_one(monkeypatch):
+    # 16 trials of 0.2 s on 2 workers run in 8 blocks of 2 and take 1.5 s.
+    # Trial 1 fails at the end of the first block, so the error should come
+    # once that block ends, with trial 0 delivered.
+    def slow_or_failing(run_config, trial):
+        if trial == 1:
+            raise RuntimeError("trial 1 failed")
+        time.sleep(0.2)
+        return run_trial(run_config, trial)
+
+    cfg = mp_config(trial_count=16, epoch_budget=1)
+    seen = []
+    monkeypatch.setattr(harness, "run_trial", slow_or_failing)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="^trial 1 failed$"):
+        run_batch(cfg, workers=2, on_trace=lambda trace, summary: seen.append(trace.header["trial"]))
+    assert time.perf_counter() - start < 0.75
+    assert seen == [0]
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.0, True])
