@@ -24,7 +24,9 @@ trial.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import copy
+import pickle
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .equilibrium import EquilibriumProfile, compute_equilibrium
 from .games import StageGame
-from .opponents import build_policy
+from .opponents import OpponentPolicy, build_policy
 from .schedule import Schedule, check_count
 
 
@@ -165,7 +167,10 @@ class RunConfig:
     """Everything needed to reproduce a trial or batch.
 
     Every check of a configuration is made here, so a config built in code
-    fails as the same config read from a document does.
+    fails as the same config read from a document does.  The config owns
+    its roster: it keeps a deep copy of the one it is given, and parses
+    each opponent's descriptor once, into ``policies``; a trial plays a
+    seeded copy of that policy.
     """
 
     game: StageGame
@@ -177,6 +182,8 @@ class RunConfig:
     master_seed: int = 0
     trial_count: int = 1
     window: int = 3
+    # Per player: the opponent's policy as build_policy parses it, or None for a learner.
+    policies: tuple[OpponentPolicy | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.game.num_players
@@ -184,6 +191,7 @@ class RunConfig:
             raise ValueError(f"roster must list one agent per player ({n})")
         for key, least in _INT_FIELDS.items():
             check_count(key, getattr(self, key), least)
+        roster, policies = [], []
         for player, entry in enumerate(self.roster):
             agent = entry.get("agent") if isinstance(entry, dict) else None
             if agent not in ("learner", "opponent"):
@@ -193,16 +201,20 @@ class RunConfig:
             unknown = sorted(map(str, entry.keys() - _ENTRY_KEYS[agent]))
             if unknown:
                 raise ValueError(f"roster[{player}]: unknown keys {', '.join(unknown)} for agent {agent!r}")
+            entry, policy = copy.deepcopy(entry), None
             if agent == "opponent":
                 # Built once here, so a descriptor that does not fit the
                 # game fails now, not partway through a run.
                 try:
-                    build_policy(entry.get("policy"), self.game, player, np.random.SeedSequence(0))
+                    policy = build_policy(entry.get("policy"), self.game, player)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"roster[{player}]: invalid opponent policy: {exc}") from exc
-        if not any(entry["agent"] == "learner" for entry in self.roster):
+            roster.append(entry)
+            policies.append(policy)
+        if not any(entry["agent"] == "learner" for entry in roster):
             raise ValueError("roster needs at least one learner")
-        object.__setattr__(self, "roster", tuple(dict(r) for r in self.roster))
+        object.__setattr__(self, "roster", tuple(roster))
+        object.__setattr__(self, "policies", tuple(policies))
         if self.eq_override is not None:
             object.__setattr__(self, "eq_override", self.equilibrium.strategies)
 
@@ -212,6 +224,23 @@ class RunConfig:
         checked, or the solver's.  Solved on first read and kept, so a
         pickled config carries it to a pool worker."""
         return compute_equilibrium(self.game, self.eq_override)
+
+    @cached_property
+    def _document(self) -> bytes:
+        """config_to_dict's document, pickled once: unpickling gives a
+        fresh copy faster than building one."""
+        return pickle.dumps(
+            {
+                "game": game_to_dict(self.game),
+                "roster": list(self.roster),
+                "schedule": asdict(self.schedule),
+                "equilibrium_override": [list(map(float, s)) for s in self.eq_override]
+                if self.eq_override is not None
+                else None,
+                **{key: getattr(self, key) for key in _INT_FIELDS},
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
 
 
 def game_to_dict(game: StageGame) -> dict:
@@ -241,16 +270,9 @@ def game_from_dict(d: dict) -> StageGame:
 
 def config_to_dict(config: RunConfig) -> dict:
     """The run document of ``config``, with the game inline;
-    ``build_run_config`` reads it back to the same config."""
-    return {
-        "game": game_to_dict(config.game),
-        "roster": [dict(r) for r in config.roster],
-        "schedule": asdict(config.schedule),
-        "equilibrium_override": [list(map(float, s)) for s in config.eq_override]
-        if config.eq_override is not None
-        else None,
-        **{key: getattr(config, key) for key in _INT_FIELDS},
-    }
+    ``build_run_config`` reads it back to the same config.  Each call
+    returns a new document that shares no mutable object with the config."""
+    return pickle.loads(config._document)
 
 
 def build_run_config(doc: dict, source: str = "<config>", base_dir=None) -> RunConfig:

@@ -19,8 +19,7 @@ import numpy as np
 from .config import RunConfig, build_run_config, config_to_dict
 from .equilibrium import EquilibriumProfile, EquilibriumUnavailableError, is_equilibrium
 from .games import as_strategy
-from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state
-from .opponents import build_policy
+from .learner import STREAM_PLAY, STREAM_RESET_PICK, EquilibriumRetreatAgent, epoch_step, fresh_state, histogram_total
 from .schedule import check_count
 
 TRACE_SCHEMA = 5
@@ -79,8 +78,8 @@ def run_header(config: RunConfig, trial: int, eq: EquilibriumProfile | None = No
 def _build_agents(config: RunConfig, trial: int):
     learners: dict[int, EquilibriumRetreatAgent] = {}
     policies = {}
-    for player, entry in enumerate(config.roster):
-        if entry["agent"] == "learner":
+    for player, policy in enumerate(config.policies):
+        if policy is None:
             streams = (
                 agent_stream(config.master_seed, trial, player, STREAM_PLAY),
                 agent_stream(config.master_seed, trial, player, STREAM_RESET_PICK),
@@ -89,10 +88,8 @@ def _build_agents(config: RunConfig, trial: int):
                 config.game, player, config.schedule, config.equilibrium, streams=streams
             )
         else:
-            ss = np.random.SeedSequence(
-                [int(config.master_seed), int(trial), int(player), STREAM_PLAY]
-            )
-            policies[player] = build_policy(entry["policy"], config.game, player, ss)
+            ss = np.random.SeedSequence([int(config.master_seed), int(trial), int(player), STREAM_PLAY])
+            policies[player] = policy.seeded(ss)
     return learners, policies
 
 
@@ -256,20 +253,8 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
 # -- trace replay validation ---------------------------------------------------
 
 
-def _histograms_fit(hists, shape, rounds: int) -> bool:
-    """One histogram of nonnegative ints per player, of its action count, totalling N^t."""
-    return (
-        isinstance(hists, list)
-        and len(hists) == len(shape)
-        and all(
-            isinstance(h, list) and len(h) == k and all(type(c) is int for c in h) and min(h) >= 0 and sum(h) == rounds
-            for h, k in zip(hists, shape)
-        )
-    )
-
-
 # JSON with sorted keys tells 1, 1.0 and true apart, where ``==`` does not.
-_canonical = functools.partial(json.dumps, sort_keys=True)
+_canonical = json.JSONEncoder(sort_keys=True).encode
 
 
 def _first_difference(want: dict, got: dict) -> str:
@@ -379,12 +364,12 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
             stepped.add(p)
             hists = rec.get("counts")
             n_rounds = sched.rounds(state[p].t)
-            if not _histograms_fit(hists, shape, n_rounds):
+            if histogram_total(hists, shape) != n_rounds:
                 return diverged(seq, p, "counts", "need one histogram of ints per player totalling N^t")
             outcome, state[p] = epoch_step(game, p, sched, eq, state[p], hists, pick)
             replay = {"type": "epoch", "seq": seq, **vars(outcome)}
             # By type too, as JSON tells 1, 1.0 and true apart and ``==``
-            # does not; _histograms_fit has checked the counts' entries.
+            # does not; histogram_total has checked the counts' entries.
             if replay != rec or [*map(type, replay.values())] != [*map(type, map(rec.get, replay))]:
                 for key, want in replay.items():
                     got = rec.get(key)
@@ -496,9 +481,12 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
     before it have finished, so a failing trial still delivers all the
     trials before it.  A pool runs blocks of consecutive trials, about
     four per worker, and delivers a block's trials once the whole block
-    has finished; a failure cancels the blocks not yet started.
-    Only the summaries are kept.  The config's equilibrium is solved
-    here, once, and a pool worker receives it inside the pickled config.
+    has finished.  On a failure it raises without waiting for the other
+    blocks: the pool was handed every block at the start, and those keep
+    running in its workers after this raises (their traces are dropped),
+    until the interpreter waits for them at exit.  Only the summaries are
+    kept.  The config's equilibrium is solved here, once, and a pool
+    worker receives it inside the pickled config.
     """
     check_count("workers", workers, 1)
     config.equilibrium  # solved and cached before the config is pickled
@@ -519,8 +507,11 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
 
             def cancel_queued(exc_type, exc, tb):
-                # A raise cancels the blocks still queued instead of waiting
-                # for them; a batch that ends normally still joins its workers.
+                # On a raise, shut down without waiting, so the pool's own
+                # shutdown on leaving the stack joins nothing and the error
+                # comes at once; a batch that ends normally joins its workers.
+                # That second shutdown withdraws cancel_futures, so the blocks
+                # not yet started still run.
                 if exc_type is not None:
                     pool.shutdown(wait=False, cancel_futures=True)
 

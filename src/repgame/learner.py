@@ -76,6 +76,20 @@ def fresh_state(eq_profile: EquilibriumProfile, me: int, restarts: int = 0) -> E
     return EpochState(eq_profile.strategies[me], 0, True, False, None, restarts)
 
 
+def histogram_total(hists, shape: Sequence[int]) -> int | None:
+    """The total of every histogram in ``hists``, when it is a list of one
+    list of nonnegative ints per player, of that player's action count, and
+    all totals are equal; otherwise None."""
+    if not isinstance(hists, list) or len(hists) != len(shape):
+        return None
+    totals = set()
+    for h, k in zip(hists, shape):
+        if not isinstance(h, list) or len(h) != k or {*map(type, h)} != {int} or min(h) < 0:
+            return None
+        totals.add(sum(h))
+    return totals.pop() if len(totals) == 1 else None
+
+
 class EquilibriumRetreatAgent:
     """One player's learning state machine: ``state`` plus the
     accumulator of the epoch in progress.
@@ -106,7 +120,7 @@ class EquilibriumRetreatAgent:
     def _start_epoch(self) -> None:
         self.epoch_rounds = self.schedule.rounds(self.state.t)
         self.round_in_epoch = 0
-        self.h_curr = [np.zeros(c, dtype=np.int64) for c in self.game.action_counts]
+        self.h_curr = [[0] * k for k in self.game.action_counts]
         self._buffer: np.ndarray | None = None
 
     def rounds_left_in_epoch(self) -> int:
@@ -162,33 +176,25 @@ class EquilibriumRetreatAgent:
             raise ValueError(
                 f"joint profile has {len(joint)} action arrays for {self.n_players} players"
             )
-        n_rounds = len(joint[0])
-        if any(len(a) != n_rounds for a in joint):
+        if any(len(a) != len(joint[0]) for a in joint):
             raise ValueError("joint profile needs equally long action arrays")
-        hists = [np.bincount(a, minlength=len(h)) for a, h in zip(joint, self.h_curr)]
-        return self._commit(hists, n_rounds)
+        return self.observe_counts([np.bincount(a, minlength=k) for a, k in zip(joint, self.game.action_counts)])
 
-    def observe_counts(self, hists: list[np.ndarray]) -> EpochOutcome | None:
+    def observe_counts(self, hists: list) -> EpochOutcome | None:
         """Commit a block of rounds given as one action histogram per
         player (own included), each totalling the block's length; the
-        histogram path's observe_segment."""
-        if len(hists) != self.n_players:
-            raise ValueError(f"{len(hists)} histograms for {self.n_players} players")
-        n_rounds = int(hists[0].sum())
-        if any(h.sum() != n_rounds or h.min(initial=0) < 0 for h in hists):
-            raise ValueError("histograms need nonnegative counts with one total")
-        return self._commit(hists, n_rounds)
-
-    def _commit(self, hists: list[np.ndarray], n_rounds: int) -> EpochOutcome | None:
+        histogram path's observe_segment.  A histogram is an int array or
+        a list of ints; it is kept as a list of Python ints."""
+        rows = [h.tolist() if isinstance(h, np.ndarray) else h for h in hists]
+        n_rounds = histogram_total(rows, self.game.action_counts)
+        if n_rounds is None:
+            raise ValueError(
+                f"need one histogram of nonnegative ints per player, of its action count "
+                f"{list(self.game.action_counts)}, with one total"
+            )
         if n_rounds > self.rounds_left_in_epoch():
             raise ValueError("segment crosses an epoch boundary")
-        for h, cur in zip(hists, self.h_curr):
-            if h.shape != cur.shape:
-                raise ValueError(
-                    f"a histogram of {len(h)} entries for a player with {len(cur)} actions"
-                )
-        for h, cur in zip(hists, self.h_curr):
-            cur += h
+        self.h_curr = [[a + b for a, b in zip(cur, h)] for cur, h in zip(self.h_curr, rows)]
         self.round_in_epoch += n_rounds
         if self.round_in_epoch == self.epoch_rounds:
             return self._epoch_end()

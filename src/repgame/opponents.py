@@ -56,9 +56,22 @@ class OpponentPolicy:
     - histogram: ``act_counts(length)`` returns how often the policy plays
       each action over the next ``length`` rounds, and moves past them.
       Only history-free policies play this way; they observe nothing.
+
+    A policy that draws random numbers takes them from the generator it was
+    built with; ``seeded(ss)`` gives a copy that draws from streams of
+    ``ss`` instead, so one parsed policy serves every trial.
     """
 
     history_dependent = False
+
+    def seeded(self, ss: np.random.SeedSequence) -> OpponentPolicy:
+        """A copy of this policy as it stands, drawing from streams of
+        ``ss``; playing the copy leaves this policy as it is."""
+        # A shallow copy by hand: copy.copy would also set ``__slotnames__``
+        # on the class the first time, and a run leaves classes as they are.
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        return new
 
     def act_segment(self, length: int) -> np.ndarray:
         raise NotImplementedError
@@ -76,9 +89,14 @@ class OpponentPolicy:
 class StationaryPolicy(OpponentPolicy):
     """Samples i.i.d. from a fixed mixed strategy; ignores history."""
 
-    def __init__(self, probs, rng: np.random.Generator):
+    def __init__(self, probs, rng: np.random.Generator | None = None):
         self.probs = as_strategy(probs)
         self.rng = rng
+
+    def seeded(self, ss: np.random.SeedSequence) -> StationaryPolicy:
+        new = super().seeded(ss)
+        new.rng = np.random.Generator(np.random.PCG64(ss))
+        return new
 
     def act_segment(self, length: int) -> np.ndarray:
         return self.rng.choice(len(self.probs), size=length, p=self.probs)
@@ -119,12 +137,18 @@ class EventuallyStationaryPolicy(OpponentPolicy):
     ``probs`` regardless of what the pre-policy was doing.
     """
 
-    def __init__(self, pre: OpponentPolicy, switch_round: int, probs, rng: np.random.Generator):
+    def __init__(self, pre: OpponentPolicy, switch_round: int, probs, rng: np.random.Generator | None = None):
         self.pre = pre
         self.switch_round = as_switch_round(switch_round)
         self.post = StationaryPolicy(probs, rng)
         self.round = 0
         self.history_dependent = pre.history_dependent
+
+    def seeded(self, ss: np.random.SeedSequence) -> EventuallyStationaryPolicy:
+        post_ss, pre_ss = ss.spawn(2)
+        new = super().seeded(ss)
+        new.pre, new.post = self.pre.seeded(pre_ss), self.post.seeded(post_ss)
+        return new
 
     def _pre_len(self, length: int) -> int:
         return min(max(self.switch_round - self.round, 0), length)
@@ -211,11 +235,12 @@ _POLICY_KEYS = {
 }
 
 
-def build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSequence) -> OpponentPolicy:
-    """The policy that descriptor ``desc`` gives ``player`` in ``game``,
-    drawing from streams of ``ss``.  Raises KeyError, TypeError or
-    ValueError when ``desc`` has an unknown kind or key, lacks a key, or
-    does not fit the player's actions; building is the check."""
+def build_policy(desc: dict, game: StageGame, player: int) -> OpponentPolicy:
+    """The policy that descriptor ``desc`` gives ``player`` in ``game``, at
+    its first round and with no random stream: a trial plays
+    ``seeded(ss)`` of it.  Raises KeyError, TypeError or ValueError when
+    ``desc`` has an unknown kind or key, lacks a key, or does not fit the
+    player's actions; building is the check, and draws nothing."""
     kind = desc.get("kind") if isinstance(desc, dict) else None
     if kind not in _POLICY_KEYS:
         raise ValueError(f"unknown opponent policy kind {kind!r}")
@@ -224,16 +249,10 @@ def build_policy(desc: dict, game: StageGame, player: int, ss: np.random.SeedSeq
         raise ValueError(f"unknown keys {', '.join(unknown)} in a {kind} policy")
     n_actions = game.action_counts[player]
     if kind == "stationary":
-        return StationaryPolicy(as_strategy(desc["probs"], n_actions), np.random.Generator(np.random.PCG64(ss)))
+        return StationaryPolicy(as_strategy(desc["probs"], n_actions))
     if kind == "scripted":
         return ScriptedPolicy(desc["actions"], n_actions)
     if kind == "eventually_stationary":
-        post_ss, pre_ss = ss.spawn(2)
-        pre = build_policy(desc["pre"], game, player, pre_ss)
-        return EventuallyStationaryPolicy(
-            pre,
-            desc["switch_round"],
-            as_strategy(desc["probs"], n_actions),
-            np.random.Generator(np.random.PCG64(post_ss)),
-        )
+        pre = build_policy(desc["pre"], game, player)
+        return EventuallyStationaryPolicy(pre, desc["switch_round"], as_strategy(desc["probs"], n_actions))
     return FictitiousPlayPolicy(game, player, desc.get("initial_counts"))

@@ -24,8 +24,8 @@ _RECORD_FIELDS = {
 }
 
 
-def _dumps(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# One encoder for every record: json.dumps with these options builds a new one per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def trace_lines(trace: RunTrace):

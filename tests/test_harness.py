@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import traceback
@@ -1035,6 +1037,62 @@ def test_config_dict_round_trip():
     assert trace_bytes(run_trial(rebuilt, 0)) == trace_bytes(trace)
 
 
+def long_epochs_doc():
+    """Rock-paper-scissors against a 1,000-round script that then turns
+    stationary, with a short budget."""
+    script = ([0, 1, 2] * 334)[:1000]
+    policy = {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": script},
+              "switch_round": 1000, "probs": [0.5, 0.3, 0.2]}
+    return {
+        "game": config.game_to_dict(rock_paper_scissors()),
+        "roster": [{"agent": "learner"}, {"agent": "opponent", "policy": policy}],
+        "schedule": {"epsilon_base": 0.5},
+        "round_budget": 20_000,
+        "master_seed": 401,
+        "trial_count": 2,
+    }
+
+
+def test_editing_a_header_or_a_config_document_leaves_the_config_alone():
+    cfg = build_run_config(long_epochs_doc())
+    trace = run_trial(cfg, 0)
+    trace.header["config"]["roster"][1]["policy"]["probs"] = [1.0, 0.0, 0.0]
+    trace.header["config"]["roster"][1]["policy"]["pre"]["actions"][:] = [2] * 1000
+    config_to_dict(cfg)["roster"][1]["policy"]["probs"][0] = 0.9
+    fresh = build_run_config(long_epochs_doc())
+    assert config_to_dict(cfg) == config_to_dict(fresh) == config_to_dict(build_run_config(config_to_dict(cfg)))
+    assert trace_bytes(run_trial(cfg, 1)) == trace_bytes(run_trial(fresh, 1))
+
+
+def test_editing_the_document_after_build_run_config_leaves_the_config_alone():
+    doc = long_epochs_doc()
+    cfg = build_run_config(doc)
+    doc["roster"][1]["policy"]["probs"][0] = 0.9
+    doc["roster"][1]["policy"]["pre"]["actions"][:] = [2] * 1000
+    assert cfg.roster[1]["policy"]["probs"] == [0.5, 0.3, 0.2]
+    fresh = build_run_config(long_epochs_doc())
+    assert config_to_dict(cfg) == config_to_dict(fresh)
+    assert trace_bytes(run_trial(cfg, 0)) == trace_bytes(run_trial(fresh, 0))
+
+
+def test_building_a_config_and_validating_its_trace_imports_no_numpy_random(tmp_path):
+    # In a fresh interpreter, where nothing has imported numpy.random yet.
+    doc = long_epochs_doc()
+    path = tmp_path / "trial-0000.jsonl"
+    traceio.write_trace(run_trial(build_run_config(doc), 0), path)
+    script = (
+        "import json, sys\n"
+        "from repgame import config, harness, traceio\n"
+        "config.build_run_config(json.loads(sys.argv[1]))\n"
+        "assert harness.validate_trace(traceio.read_trace(sys.argv[2])).ok\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(Path(config.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(doc), str(path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- batch ---------------------------------------------------------------------------------
 
 
@@ -1127,7 +1185,8 @@ def test_batch_delivers_the_trials_before_a_failing_one(monkeypatch, workers, tr
 
 def test_batch_pool_cancels_the_queued_trials_after_a_failing_one(monkeypatch):
     # 8 trials of 1 s on 2 workers take 4 s; trial 1 fails at once, so the
-    # error should come once trial 0 and the trials already running end.
+    # error should come once trial 0 ends.  run_batch does not wait for the
+    # other blocks: they keep running in the pool's workers after it raises.
     def slow_or_failing(run_config, trial):
         if trial == 1:
             raise RuntimeError("trial 1 failed")

@@ -134,7 +134,7 @@ def test_epoch_rollover_moves_histograms():
     assert outcome is not None and outcome.t == 0
     assert agent.state.t == 1
     assert [list(h) for h in agent.state.h_prev] == [list(c) for c in outcome.counts]
-    assert all(h.sum() == 0 for h in agent.h_curr)
+    assert all(sum(h) == 0 for h in agent.h_curr)
 
 
 def test_self_observation_counts_own_actions():
@@ -193,6 +193,8 @@ def test_locked_learner_counts_every_round_on_its_action():
         [np.array([1, 1, 2]), np.array([1, 1, 1])],  # unequal totals
         [np.array([-1, 3, 2]), np.array([1, 1, 2])],
         [np.array([1, 1, 2])] * 3,
+        [np.array([[1, 1, 2]]), np.array([1, 1, 2])],  # 2-D
+        [np.array([1.0, 1.0, 2.0]), np.array([1, 1, 2])],  # float entries
     ],
 )
 def test_observe_counts_rejects_malformed_histograms(hists):
@@ -200,7 +202,24 @@ def test_observe_counts_rejects_malformed_histograms(hists):
     with pytest.raises(ValueError):
         agent.observe_counts(hists)
     assert agent.round_in_epoch == 0
-    assert all(h.sum() == 0 for h in agent.h_curr)
+    assert all(sum(h) == 0 for h in agent.h_curr)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_observe_counts_takes_int_arrays_and_int_lists_alike(data):
+    # Two agents with the same streams fed the same segments, one as int64
+    # arrays and one as lists of ints, reach the same outcomes and state.
+    g = rock_paper_scissors()
+    sched = FixedSchedule([0.2, 0.1, 0.05], [30, 40, 50], actions_total=6)
+    a, b = make_agent(g, schedule=sched, seed=5), make_agent(g, schedule=sched, seed=5)
+    for _ in range(data.draw(st.integers(1, 6))):
+        length = data.draw(st.integers(0, a.rounds_left_in_epoch()))
+        hists = [histogram(data.draw, 3, length) for _ in range(2)]
+        out_a = a.observe_counts([np.array(h, dtype=np.int64) for h in hists])
+        out_b = b.observe_counts(hists)
+        assert bits(out_a) == bits(out_b)
+        assert (a.round_in_epoch, a.h_curr, bits(a.state)) == (b.round_in_epoch, b.h_curr, bits(b.state))
 
 
 def test_observe_rejects_action_outside_the_player():
@@ -208,7 +227,7 @@ def test_observe_rejects_action_outside_the_player():
     with pytest.raises(ValueError):
         agent.observe_segment([np.zeros(2, dtype=np.int64), np.array([0, 2])])
     assert agent.round_in_epoch == 0
-    assert all(h.sum() == 0 for h in agent.h_curr)
+    assert all(sum(h) == 0 for h in agent.h_curr)
 
 
 def test_act_counts_stays_inside_the_epoch():
@@ -324,7 +343,7 @@ def test_restart_equals_fresh_init_except_rng_and_counter():
     assert agent.state.eq_hyp and not agent.state.grace
     np.testing.assert_array_equal(agent.state.phi, [0.5, 0.5])
     assert agent.state.h_prev is None
-    assert all(h.sum() == 0 for h in agent.h_curr)
+    assert all(sum(h) == 0 for h in agent.h_curr)
     assert agent.state.restarts == 1
 
 
