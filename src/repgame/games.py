@@ -3,7 +3,9 @@
 A game is a dense payoff tensor ``u[i, a_0, ..., a_{n-1}]`` giving player
 ``i``'s utility for every joint action profile.  Strategies are plain 1-D
 numpy probability vectors.  All operations here are exact pure functions,
-and every action value comes from one contraction, ``action_values``.
+and every action value comes from one contraction, ``action_values``, which
+adds its products in one fixed order whatever the shape of its weights, so
+its values do not depend on a BLAS kernel.
 """
 from __future__ import annotations
 
@@ -60,6 +62,19 @@ def linf_distance(p, q) -> float:
     return float(max(map(abs, map(operator.sub, p, q))))
 
 
+def _dot_rows(rows, w) -> list[float]:
+    """Each row's products with ``w`` summed in index order, one float
+    operation at a time."""
+    first, rest = w[0], range(1, len(w))
+    out = []
+    for row in rows:
+        total = row[0] * first
+        for j in rest:
+            total += row[j] * w[j]
+        out.append(total)
+    return out
+
+
 @dataclass(frozen=True)
 class StageGame:
     """One-shot n-player game with finite action sets.
@@ -108,6 +123,12 @@ class StageGame:
         return tuple(np.moveaxis(self.payoffs[p], p, 0) for p in range(self.num_players))
 
     @cached_property
+    def _payoff_rows(self) -> tuple[list[list[float]], ...]:
+        """``own_axis_payoffs`` as Python floats, one list per row along the
+        last axis: the 1-D form of ``action_values`` reads these."""
+        return tuple(u.reshape(-1, u.shape[-1]).tolist() for u in self.own_axis_payoffs)
+
+    @cached_property
     def payoff_ranges(self) -> tuple[float, ...]:
         """Each player's best minus worst outcome over all joint profiles."""
         return tuple(float(u.max() - u.min()) for u in self.payoffs)
@@ -121,28 +142,35 @@ class StageGame:
         return float(self.payoffs[player][tuple(int(a) for a in profile)])
 
     def action_values(self, player: int, weights) -> np.ndarray:
-        """Each of ``player``'s pure-action values against one weight vector
-        per opponent (in player order), contracted with ``@`` from the last
-        opponent inwards.  Unchecked: raw counts give the values against
-        their frequencies times the product of the count totals.
+        """Each of ``player``'s pure-action values against one weight
+        sequence per opponent (in player order).  Unchecked: raw counts give
+        the values against their frequencies times the product of the count
+        totals.
 
-        Row form: with one (L, k) array per opponent, one row per round,
-        the result has shape (L, |A_player|) and row r is the 1-D form's
-        value against row r of each weight array, bit for bit.  Hence a
-        stacked matmul, the payoffs broadcast over L and each row a (k, 1)
-        matrix: a plain 2-D product sums in another order.
+        One contraction in one fixed order: the last opponent first, and
+        within an opponent a sum over its actions in index order, each
+        product and each partial sum one IEEE operation.  The 1-D form does
+        them on Python floats.  The column form, one (k, L) array per
+        opponent, does them on numpy rows and returns (|A_player|, L); its
+        column r is the 1-D form's values against column r of each array,
+        bit for bit, since the same operations run in the same order.
         """
-        values = self.own_axis_payoffs[player]
-        if weights and np.ndim(weights[0]) == 2:
-            rows = len(weights[0])
-            values = values[None]  # matmul broadcasts this axis to the L rows
+        if not weights:
+            return self.own_axis_payoffs[player]
+        if getattr(weights[0], "ndim", 1) == 2:
+            values = self.own_axis_payoffs[player][..., None]
             for w in reversed(weights):
-                column = w.reshape((rows,) + (1,) * (values.ndim - 3) + (w.shape[1], 1))
-                values = np.matmul(values, column)[..., 0]
+                total = values[..., 0, :] * w[0]
+                for j in range(1, len(w)):
+                    total += values[..., j, :] * w[j]
+                values = total
             return values
-        for w in reversed(weights):
-            values = values @ w
-        return values
+        values = self._payoff_rows[player]
+        for i in range(len(weights) - 1, 0, -1):
+            flat = _dot_rows(values, weights[i])
+            k = len(weights[i - 1])
+            values = [flat[s : s + k] for s in range(0, len(flat), k)]
+        return np.array(_dot_rows(values, weights[0]))
 
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.num_players:

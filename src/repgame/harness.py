@@ -482,11 +482,12 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
     trials before it.  A pool runs blocks of consecutive trials, about
     four per worker, and delivers a block's trials once the whole block
     has finished.  On a failure it raises without waiting for the other
-    blocks: the pool was handed every block at the start, and those keep
-    running in its workers after this raises (their traces are dropped),
-    until the interpreter waits for them at exit.  Only the summaries are
-    kept.  The config's equilibrium is solved here, once, and a pool
-    worker receives it inside the pickled config.
+    blocks and cancels those no worker has taken yet; the blocks already
+    running or in the pool's call queue (up to 2 · workers + 1) run on in
+    its workers after this raises, their traces dropped, and the
+    interpreter waits for them at exit.  Only the summaries are kept.
+    The config's equilibrium is solved here, once, and a pool worker
+    receives it inside the pickled config.
     """
     check_count("workers", workers, 1)
     config.equilibrium  # solved and cached before the config is pickled
@@ -505,18 +506,20 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
             import numpy.random  # noqa: F401
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_pool_block, blocks)
 
             def cancel_queued(exc_type, exc, tb):
-                # On a raise, shut down without waiting, so the pool's own
-                # shutdown on leaving the stack joins nothing and the error
-                # comes at once; a batch that ends normally joins its workers.
-                # That second shutdown withdraws cancel_futures, so the blocks
-                # not yet started still run.
+                # On a raise, closing the result iterator cancels every
+                # block no worker has taken (shutdown's cancel_futures would
+                # not: the pool's own shutdown on leaving the stack resets
+                # it), and shutting down without waiting makes that second
+                # shutdown join nothing, so the error comes at once.  A
+                # batch that ends normally joins its workers.
                 if exc_type is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    results.close()
+                    pool.shutdown(wait=False)
 
             stack.push(cancel_queued)
-            results = pool.map(_pool_block, blocks)
         for done, error in results:
             for trace, summary in done:
                 summaries.append(summary)

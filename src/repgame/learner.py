@@ -258,7 +258,7 @@ def epoch_step(
         grace_after = False
         # Best-response adjustment with hysteresis: switch only for a
         # strictly more-than-margin improvement over the current action.
-        values = game.action_values(me, [np.array(f) for p, f in enumerate(freq) if p != me])
+        values = game.action_values(me, [f for p, f in enumerate(freq) if p != me])
         best_action = int(values.argmax())
         if float(values[best_action]) > float(phi @ values) + margin:
             phi_after = pure_strategy(best_action, shape[me])

@@ -192,6 +192,13 @@ class FictitiousPlayPolicy(OpponentPolicy):
     History-dependent: in each round it best-responds to the counts of
     every round before it.  Included only as a nonstationarity stressor.
     Ties break toward the lowest action index.
+
+    A segment is answered in columns, one per round: each opponent's
+    running counts form a (k, L + 1) array, the column form of
+    ``action_values`` values them, and passes of ``>`` over the value rows
+    keep each round's first maximiser.  A one-round segment takes the 1-D
+    form and one float add per opponent instead, which costs less than
+    building the columns; both give the same bits.
     """
 
     history_dependent = True
@@ -204,26 +211,41 @@ class FictitiousPlayPolicy(OpponentPolicy):
 
     def _running_counts(self, joint: list[np.ndarray]) -> list[np.ndarray]:
         """Per opponent, its counts before each round of the segment and
-        after the last: L + 1 rows, added up one round at a time as
+        after the last: L + 1 columns, added up one round at a time as
         round-by-round play adds them, so non-integer counts keep their
         bits (adding a round's total at once rounds differently)."""
         running = []
         for counts, p in zip(self.counts, self._others):
-            steps = np.zeros((len(joint[p]) + 1, len(counts)))
-            steps[0] = counts
-            steps[np.arange(1, len(steps)), joint[p]] = 1.0
-            running.append(steps.cumsum(axis=0))
+            steps = np.zeros((len(counts), len(joint[p]) + 1))
+            steps[:, 0] = counts
+            steps[joint[p], np.arange(1, steps.shape[1])] = 1.0
+            running.append(steps.cumsum(axis=1))
         return running
 
     def respond_segment(self, joint: list[np.ndarray]) -> np.ndarray:
         # Values against the unnormalised counts are the values against
         # the empirical frequencies times a positive constant, so the
-        # argmax (the first maximiser) is the same.
-        values = self.game.action_values(self.player, [c[:-1] for c in self._running_counts(joint)])
-        return np.argmax(values, axis=1)
+        # first maximiser is the same.
+        if len(joint[0]) == 1:
+            return np.array([self.game.action_values(self.player, [c.tolist() for c in self.counts]).argmax()])
+        values = self.game.action_values(self.player, [c[:, :-1] for c in self._running_counts(joint)])
+        best = np.zeros(values.shape[1], dtype=np.int64)
+        top = values[0]
+        for action in range(1, len(values)):
+            best[values[action] > top] = action
+            top = np.maximum(top, values[action])
+        return best
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
-        self.counts = [c[-1].copy() for c in self._running_counts(joint)]
+        # Recounted from ``joint`` rather than kept from respond_segment: a
+        # responder answers before the other responders' actions are known.
+        if len(joint[0]) == 1:
+            counts = [c.copy() for c in self.counts]
+            for c, p in zip(counts, self._others):
+                c[joint[p][0]] += 1.0
+            self.counts = counts
+        else:
+            self.counts = [c[:, -1].copy() for c in self._running_counts(joint)]
 
 
 # The keys of each policy kind's descriptor, ``kind`` included.

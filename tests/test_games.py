@@ -152,9 +152,9 @@ def test_values_against_counts_scale_by_the_count_totals(case, data):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
-def test_row_form_values_equal_the_one_vector_values_bit_for_bit(data):
-    # Fictitious play values a whole segment at once, one row of running
-    # counts per round; each row must rank actions as the 1-D form does.
+def test_column_form_values_equal_the_one_vector_values_bit_for_bit(data):
+    # Fictitious play values a whole segment at once, one column of running
+    # counts per round; each column must rank actions as the 1-D form does.
     shape = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
     size = len(shape) * int(np.prod(shape))
     payoffs = data.draw(st.lists(st.integers(-2000, 2000), min_size=size, max_size=size))
@@ -162,14 +162,45 @@ def test_row_form_values_equal_the_one_vector_values_bit_for_bit(data):
     rows = data.draw(st.integers(0, 30))
     for p in range(game.num_players):
         weights = [
-            np.reshape(data.draw(st.lists(st.floats(0.0, 100.0), min_size=rows * k, max_size=rows * k)), (rows, k))
+            np.reshape(data.draw(st.lists(st.floats(0.0, 100.0), min_size=rows * k, max_size=rows * k)), (k, rows))
             for q, k in enumerate(shape)
             if q != p
         ]
         values = game.action_values(p, weights)
-        assert values.shape == (rows, shape[p])
+        assert values.shape == (shape[p], rows)
         for r in range(rows):
-            assert values[r].tobytes() == game.action_values(p, [w[r] for w in weights]).tobytes()
+            assert values[:, r].tobytes() == game.action_values(p, [w[:, r] for w in weights]).tobytes()
+            assert values[:, r].tobytes() == game.action_values(p, [w[:, r].tolist() for w in weights]).tobytes()
+
+
+def values_in_index_order(game, p, weights):
+    """Reference: the contraction written out on Python floats, every
+    opponent's actions summed in index order, later opponents innermost."""
+
+    def contract(t, depth):
+        if depth == len(weights):
+            return t
+        w = weights[depth]
+        total = contract(t[0], depth + 1) * w[0]
+        for j in range(1, len(w)):
+            total = total + contract(t[j], depth + 1) * w[j]
+        return total
+
+    return [contract(t, 0) for t in np.moveaxis(game.payoffs[p], p, 0).tolist()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(games_and_profiles())
+def test_values_sum_each_opponents_actions_in_index_order(case):
+    # One fixed order, so the 1-D and column forms agree by construction; a
+    # BLAS product or numpy's pairwise sum may add in another order.
+    game, profile = case
+    for p in range(game.num_players):
+        others = [s.tolist() for q, s in enumerate(profile) if q != p]
+        want = np.array(values_in_index_order(game, p, others))
+        assert game.action_values(p, others).tobytes() == want.tobytes()
+        columns = game.action_values(p, [np.array(s)[:, None] for s in others])
+        assert columns[:, 0].tobytes() == want.tobytes()
 
 
 # -- best_response ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -1219,6 +1220,38 @@ def test_batch_pool_cancels_the_queued_blocks_after_a_failing_one(monkeypatch):
         run_batch(cfg, workers=2, on_trace=lambda trace, summary: seen.append(trace.header["trial"]))
     assert time.perf_counter() - start < 0.75
     assert seen == [0]
+
+
+def test_batch_pool_starts_no_block_past_those_already_handed_out(monkeypatch, tmp_path):
+    # 16 trials of 0.2 s on 2 workers run in 8 blocks of 2, and trial 1
+    # fails at the end of the first block.  By then each worker may hold a
+    # block and the executor's call queue up to workers + EXTRA_QUEUED_CALLS
+    # more, none of which can be cancelled; no other block may start.  Each
+    # trial leaves a marker file as it starts, and the markers are counted
+    # once the pool's workers have exited.  ``raised`` keeps the failed
+    # call's frames alive, so only run_batch itself can cancel the blocks,
+    # not a garbage collection of its pool's result iterator.
+    from concurrent.futures.process import EXTRA_QUEUED_CALLS
+
+    workers, block = 2, 2
+
+    def slow_or_failing(run_config, trial):
+        (tmp_path / f"started-{trial}").touch()
+        if trial == 1:
+            raise RuntimeError("trial 1 failed")
+        time.sleep(0.2)
+        return run_trial(run_config, trial)
+
+    cfg = mp_config(trial_count=16, epoch_budget=1)
+    monkeypatch.setattr(harness, "run_trial", slow_or_failing)
+    with pytest.raises(RuntimeError, match="^trial 1 failed$") as raised:
+        run_batch(cfg, workers=workers)
+    deadline = time.monotonic() + 30.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not multiprocessing.active_children()
+    started = len(list(tmp_path.glob("started-*")))
+    assert started <= block * (1 + workers + workers + EXTRA_QUEUED_CALLS), raised.value
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.0, True])

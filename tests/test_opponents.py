@@ -239,13 +239,15 @@ def fictitious_by_rounds(game, player, counts, others):
 
 @st.composite
 def fictitious_cases(draw):
-    """A 2- or 3-player game with 3-decimal payoffs, a player, non-integer
+    """A 2- or 3-player game with 3-decimal payoffs, or payoffs on a coarse
+    integer grid so that actions often tie exactly, a player, non-integer
     initial counts, the other players' actions and where to cut them into
     segments."""
     shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
     size = len(shape) * int(np.prod(shape))
-    payoffs = draw(st.lists(st.integers(-2000, 2000), min_size=size, max_size=size))
-    game = StageGame(np.reshape(np.array(payoffs) / 1000, [len(shape)] + shape))
+    scale = draw(st.sampled_from([1000, 1]))
+    payoffs = draw(st.lists(st.integers(-2 * scale, 2 * scale), min_size=size, max_size=size))
+    game = StageGame(np.reshape(np.array(payoffs) / scale, [len(shape)] + shape))
     player = draw(st.integers(0, len(shape) - 1))
     counts = [
         np.array(draw(st.lists(st.integers(1, 3000), min_size=k, max_size=k))) / 1000
@@ -282,6 +284,21 @@ def test_fictitious_play_segments_play_and_count_as_rounds_do(case):
     pol = FictitiousPlayPolicy(game, player, initial_counts=counts)
     assert play_segments(pol, player, joint, bounds) == want
     assert [c.tobytes() for c in pol.counts] == [c.tobytes() for c in want_counts]
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_fictitious_play_counts_the_actions_it_observes(length):
+    # With two or more responders, one answers while another's actions are
+    # still placeholders, and the trial writes every answer into the same
+    # arrays before the segment is observed: the counts must come from the
+    # actions observed.
+    pol = FictitiousPlayPolicy(rock_paper_scissors(), 1, initial_counts=[[0.5, 0.25, 0.125]])
+    joint = [np.zeros(length, dtype=np.int64), np.zeros(length, dtype=np.int64)]
+    joint[1][:] = pol.respond_segment(joint)
+    joint[0][:] = [2, 1, 2, 2][:length]
+    pol.observe_segment(joint)
+    _, want = fictitious_by_rounds(rock_paper_scissors(), 1, [np.array([0.5, 0.25, 0.125])], [joint[0]])
+    assert [c.tobytes() for c in pol.counts] == [c.tobytes() for c in want]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
