@@ -297,29 +297,36 @@ def _header_config(key: str) -> RunConfig:
 
 
 def validate_trace(trace: RunTrace) -> ValidationReport:
-    """Replay every epoch record through the learner's own ``epoch_step``
-    and report the first field that differs from the replay.
+    """Report the first field where ``trace`` is not what run_trial writes for its header.
 
-    The header must be the one run_trial writes: ``run_header`` of its
+    One rule for every record: it must equal the record run_trial writes,
+    by value and by type.  The header must be ``run_header`` of its
     ``trial`` (an integer >= 0) and of its config, an inline run document
-    that ``build_run_config`` accepts; no file is read.  The two are
-    compared as JSON, so a retyped field differs too.  Otherwise this
-    raises ValueError naming the first header field that differs.
-    Besides the replay, only the records' shape and the learners'
-    agreement on an epoch's histograms are checked.  The action picked at
-    random after an equilibrium rejection is read from ``phi_after``.
-    Traces produced by run_trial validate cleanly; a field changed in its
-    value or only in its type, an added field, or an epoch without one
-    record of each learner of the header's roster is a divergence at that
-    epoch.  The end record must count the epochs and their rounds, with
-    partial_rounds below the next epoch's N^t, and a budget must have
-    stopped the run: rounds_used at most round_budget, and equal to it
-    unless epoch_budget epochs completed; a field of it that does not is a
-    divergence at the epoch after the last, with player None.  A record
-    whose seq is not an integer >= 0 is a divergence at seq, at the epoch
-    that its place in the record order gives.
+    that ``build_run_config`` accepts (no file is read), compared as JSON;
+    otherwise this raises ValueError naming the first field that differs.
+    Epoch s is ``trace.events[s*L:(s+1)*L]``, one record per learner of
+    the header's roster, in player order.  Each holds one histogram of
+    ints per player totalling N^t, and is diffed field by field with the
+    record ``epoch_step`` gives for its learner on the histograms of the
+    epoch's first record; the action picked at random after an
+    equilibrium rejection is read from ``phi_after``.  After n epochs of
+    ``used`` rounds the end record is ``epochs`` n, ``rounds_used``
+    (``used`` if n is ``epoch_budget``, else ``round_budget``) and
+    ``partial_rounds`` (their difference), where a budget stops a run: n
+    at most ``epoch_budget``, ``rounds_used`` at most ``round_budget``,
+    ``partial_rounds`` from 0 to below the next epoch's N^t; it diverges
+    at epoch n, player None.  A header or record that is not a mapping
+    raises ValueError.
+
+    The replay checks the decisions, not the draws: not the header fields
+    they never read (``master_seed``, ``trial_count``, ``window``, the
+    opponents' descriptors, a harmonic schedule's ``rate``, a budget that
+    did not bind), nor a ``phi_before``/``phi_after`` entry retyped to an
+    equal 0, 1, bool or -0.0.
     """
     header = trace.header
+    if not isinstance(header, dict):
+        raise ValueError(f"trace header must be a mapping, got {header!r}")
     check_count("trace header trial", header.get("trial"), 0)
     try:
         key = _canonical({**header, "trial": 0})
@@ -333,13 +340,6 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         info = {"epoch": seq, "player": player, "field": fieldname, "message": message}
         return ValidationReport(ok=False, epochs_checked=seq, divergence=info)
 
-    state = {p: fresh_state(eq, p) for p, entry in enumerate(config.roster) if entry["agent"] == "learner"}
-    # _epoch_groups keys records by seq, so only the epochs before the first
-    # record whose seq is not an integer >= 0 are replayed; by record order,
-    # that record is in the epoch after them.
-    bad = next((i for i, rec in enumerate(trace.events) if type(rec.get("seq")) is not int or rec["seq"] < 0), None)
-    groups = _epoch_groups(trace.events if bad is None else trace.events[: bad - bad % len(state)])
-
     def pick() -> int:
         # Reads the record being replayed.  A phi_after that is not a pure
         # vector of the player's length gets a pick that cannot reproduce
@@ -348,25 +348,21 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         pure = isinstance(phi, list) and len(phi) == k and phi.count(1.0) == 1 and phi.count(0.0) == k - 1
         return phi.index(1.0) if pure else 0
 
+    # The learners, in player order: the order of their records in an epoch.
+    state = {p: fresh_state(eq, p) for p, entry in enumerate(config.roster) if entry["agent"] == "learner"}
+    events, size = trace.events, len(state)
+    epochs = -(-len(events) // size)
     used = 0  # rounds of the epochs replayed so far
-    for seq, group in enumerate(groups):
-        for rec in group[1:]:
-            if rec.get("counts") != group[0].get("counts"):
-                return diverged(seq, rec.get("player"), "counts", "learners' histograms differ")
-        stepped = set()
-        for rec in group:
-            p = rec.get("player")
-            # Only int indices: 0.0 and True would match an int key.
-            if type(p) is not int or p not in state:
-                return diverged(seq, p, "player", "not a learner of the header's roster")
-            if p in stepped:
-                return diverged(seq, p, "player", "a second record of this learner in the epoch")
-            stepped.add(p)
-            hists = rec.get("counts")
+    for seq in range(epochs):
+        first = seq * size
+        for p, rec in zip(state, events[first : first + size] + [{}] * size):  # a short last epoch lacks records
+            if not isinstance(rec, dict):
+                raise ValueError(f"trace epoch {seq} record of learner {p} must be a mapping, got {rec!r}")
             n_rounds = sched.rounds(state[p].t)
-            if histogram_total(hists, shape) != n_rounds:
-                return diverged(seq, p, "counts", "need one histogram of ints per player totalling N^t")
-            outcome, state[p] = epoch_step(game, p, sched, eq, state[p], hists, pick)
+            if histogram_total(rec.get("counts"), shape) != n_rounds:
+                want = f"one histogram of ints per player totalling N^t = {n_rounds}"
+                return diverged(seq, p, "counts", f"need {want}, trace has {rec.get('counts')!r}")
+            outcome, state[p] = epoch_step(game, p, sched, eq, state[p], events[first]["counts"], pick)
             replay = {"type": "epoch", "seq": seq, **vars(outcome)}
             # By type too, as JSON tells 1, 1.0 and true apart and ``==``
             # does not; histogram_total has checked the counts' entries.
@@ -377,29 +373,19 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                         return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
                 extra = min(map(str, rec.keys() - replay.keys()))
                 return diverged(seq, p, extra, "the replay gives no such field")
-        if stepped != state.keys():
-            return diverged(seq, min(state.keys() - stepped), "player", "no record of this learner in the epoch")
         used += n_rounds
-    if bad is not None:
-        rec = trace.events[bad]
-        return diverged(len(groups), rec.get("player"), "seq", f"need an integer >= 0, trace has {rec.get('seq')!r}")
-    # The end record: completed epochs, then the rounds of the epoch cut
-    # short by the budget, which stopped the run.
-    t = next(iter(state.values())).t if groups else 0  # learners' flags, and so t, agree
-    partial, used_all = trace.partial_rounds, trace.rounds_used
-    partial_ok = type(partial) is int and 0 <= partial < sched.rounds(t)
-    used_ok = partial_ok and type(used_all) is int and used_all == used + partial
-    for fieldname, ok, want in (
-        ("epochs", type(trace.epochs) is int and trace.epochs == len(groups), f"{len(groups)} epochs"),
-        ("partial_rounds", partial_ok, f"an integer >= 0 below N^{t} = {sched.rounds(t)}"),
-        ("rounds_used", used_ok, f"the epochs' {used} rounds plus partial_rounds"),
-        ("rounds_used", used_ok and used_all <= config.round_budget, f"at most round_budget {config.round_budget}"),
-        ("rounds_used", used_ok and (used_all == config.round_budget or len(groups) == config.epoch_budget),
-         f"round_budget {config.round_budget} used up, or epoch_budget {config.epoch_budget} epochs"),
-    ):
-        if not ok:
-            return diverged(len(groups), None, fieldname, f"need {want}, trace has {getattr(trace, fieldname)!r}")
-    return ValidationReport(ok=True, epochs_checked=len(groups), divergence=None)
+    rounds_used = used if epochs == config.epoch_budget else config.round_budget
+    partial = rounds_used - used
+    for fieldname, want in (("epochs", epochs), ("rounds_used", rounds_used), ("partial_rounds", partial)):
+        got = getattr(trace, fieldname)
+        if got != want or type(got) is not type(want):
+            return diverged(epochs, None, fieldname, f"need {want} {fieldname}, trace has {got!r}")
+    n_rounds = sched.rounds(next(iter(state.values())).t)  # the next epoch's; the learners' t agree
+    if epochs > config.epoch_budget or rounds_used > config.round_budget or not 0 <= partial < n_rounds:
+        budgets = f"epoch_budget {config.epoch_budget} and round_budget {config.round_budget}"
+        stop = f"{epochs} epochs of {used} rounds and {partial} of the next epoch's {n_rounds}"
+        return diverged(epochs, None, "epochs", f"no run under {budgets} stops after {stop}")
+    return ValidationReport(ok=True, epochs_checked=epochs, divergence=None)
 
 
 # -- batch ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -598,8 +599,8 @@ def test_validate_takes_the_learners_from_the_header_roster():
     tampered.header["config"]["roster"] = [stationary([0.5, 0.5]), LEARNER]
     report = validate_trace(tampered)
     assert not report.ok
-    assert (report.divergence["epoch"], report.divergence["player"]) == (0, 0)
-    assert report.divergence["message"] == "not a learner of the header's roster"
+    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (0, 1, "player")
+    assert report.divergence["message"] == "replay gives 1, trace has 0"
 
 
 @pytest.mark.parametrize("roster", [None, "learner", [LEARNER], [LEARNER, 5], [LEARNER, LEARNER, LEARNER]])
@@ -655,7 +656,7 @@ def test_validate_reports_a_field_the_replay_does_not_give():
         (200_000, "partial_rounds", -1, "partial_rounds"),
         (200_000, "partial_rounds", None, "partial_rounds"),
         # Epoch 0 needs 32 rounds, so a budget of 40 leaves 8 partial.
-        (40, "partial_rounds", 0, "rounds_used"),
+        (40, "partial_rounds", 0, "partial_rounds"),
         (40, "rounds_used", 32, "rounds_used"),
     ],
 )
@@ -670,18 +671,28 @@ def test_validate_checks_the_end_record(budget, field, value, reported):
     assert report.divergence["field"] == reported
 
 
-@pytest.mark.parametrize("edit", ["delete", "duplicate"])
-def test_validate_reports_one_learner_record_too_few_or_too_many(sample_trace, edit):
-    tampered = copy.deepcopy(sample_trace)  # two learners
+# Epoch s's records are events[2s] and events[2s + 1], learner 0's and
+# learner 1's.  The last record is learner 1's of epoch 5.  Deleted, its
+# place is empty; duplicated, the copy takes learner 0's place in epoch 6;
+# swapped with learner 0's record, that place holds learner 1's record.
+@pytest.mark.parametrize(
+    "edit, where",
+    [("delete", (5, 1, "counts")), ("duplicate", (6, 0, "counts")), ("swap", (5, 0, "player"))],
+    ids=["delete", "duplicate", "swap"],
+)
+def test_validate_reports_one_learner_record_too_few_or_too_many(sample_trace, edit, where):
+    tampered = copy.deepcopy(sample_trace)  # two learners, 6 epochs
     last = tampered.events[-1]
+    assert (last["seq"], last["player"]) == (5, 1)
     if edit == "delete":
         tampered.events.remove(last)
-    else:
+    elif edit == "duplicate":
         tampered.events.append(copy.deepcopy(last))
+    else:
+        tampered.events[-2:] = tampered.events[:-3:-1]
     report = validate_trace(tampered)
     assert not report.ok
-    assert (report.divergence["epoch"], report.divergence["player"]) == (last["seq"], last["player"])
-    assert report.divergence["field"] == "player"
+    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == where
 
 
 def test_validate_reports_a_deleted_last_epoch():
@@ -703,18 +714,19 @@ def test_validate_reports_a_run_stopped_before_its_budgets():
     assert not report.ok
     assert (report.divergence["epoch"], report.divergence["player"]) == (4, None)
     assert report.divergence["field"] == "rounds_used"
-    assert "round_budget 200000 used up, or epoch_budget 5 epochs" in report.divergence["message"]
+    assert report.divergence["message"].startswith("need 200000 rounds_used, trace has ")
 
 
 @pytest.mark.parametrize(
     "added, reported, message",
     [
         # Epoch 0 needs 32 rounds and epoch 1 needs 128, so a budget of 40
-        # leaves 8 partial rounds of epoch 1.
-        (10**9, "partial_rounds", "below N^1 = 128"),
-        (100, "rounds_used", "at most round_budget 40"),
-        (-4, "rounds_used", "round_budget 40 used up"),
+        # leaves 8 partial rounds of epoch 1, and rounds_used is 40.
+        (10**9, "rounds_used", "need 40 rounds_used, trace has 1000000040"),
+        (100, "rounds_used", "need 40 rounds_used, trace has 140"),
+        (-4, "rounds_used", "need 40 rounds_used, trace has 36"),
     ],
+    ids=["plus-1e9", "plus-100", "minus-4"],
 )
 def test_validate_checks_the_end_record_against_the_budgets(added, reported, message):
     tampered = run_trial(mp_config(round_budget=40, epoch_budget=3), 0)
@@ -733,8 +745,68 @@ def test_validate_checks_partial_rounds_of_a_trace_without_epochs():
     assert (tampered.epochs, tampered.partial_rounds) == (0, 20)
     tampered.partial_rounds = tampered.rounds_used = 32
     report = validate_trace(tampered)
-    assert (report.divergence["epoch"], report.divergence["field"]) == (0, "partial_rounds")
-    assert "below N^0 = 32" in report.divergence["message"]
+    assert (report.divergence["epoch"], report.divergence["field"]) == (0, "rounds_used")
+    assert report.divergence["message"] == "need 20 rounds_used, trace has 32"
+
+
+def _end(rounds_used, partial_rounds):
+    def edit(trace):
+        trace.rounds_used, trace.partial_rounds = rounds_used, partial_rounds
+
+    return edit
+
+
+def _header_of(**budgets):
+    def edit(trace):
+        trace.header = harness.run_header(mp_config(**budgets), trace.header["trial"])
+
+    return edit
+
+
+# Traces run_trial never writes, each with end fields that agree with its
+# epochs.  Epoch 0 needs 32 rounds and epoch 1 needs 128, so a round budget of
+# 160 stops the run after 2 epochs, as does an epoch budget of 2.
+@pytest.mark.parametrize(
+    "budgets, edit, field, message",
+    [
+        # Stopped by its round budget, but more epochs than its epoch budget.
+        ({"round_budget": 160, "epoch_budget": 5}, _header_of(round_budget=160, epoch_budget=1), "epochs",
+         "no run under epoch_budget 1 and round_budget 160 stops after 2 epochs of 160 rounds"),
+        # Stopped by its epoch budget, so no epoch was cut short.
+        ({"round_budget": 200, "epoch_budget": 2}, _end(200, 40), "rounds_used", "need 160 rounds_used, trace has 200"),
+        # Stopped by its epoch budget, but with more rounds than its round budget.
+        ({"round_budget": 200, "epoch_budget": 2}, _header_of(round_budget=100, epoch_budget=2), "epochs",
+         "no run under epoch_budget 2 and round_budget 100 stops after 2 epochs of 160 rounds"),
+    ],
+    ids=["epochs-past-the-epoch-budget", "partial-rounds-after-the-epoch-budget", "rounds-past-the-round-budget"],
+)
+def test_validate_accepts_only_the_end_record_run_trial_writes(budgets, edit, field, message):
+    tampered = run_trial(mp_config(**budgets), 0)
+    assert (tampered.epochs, tampered.rounds_used, tampered.partial_rounds) == (2, 160, 0)
+    assert validate_trace(tampered).ok
+    edit(tampered)
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (2, None, field)
+    assert report.divergence["message"].startswith(message)
+
+
+# Only a trace built in memory can hold a header or record that is not a
+# mapping: read_trace rejects one.  The last record is learner 1's of epoch 5.
+@pytest.mark.parametrize(
+    "index, value, name",
+    [(None, [1], "trace header"), (None, None, "trace header"), (0, [1], "trace epoch 0 record of learner 0"),
+     (-1, None, "trace epoch 5 record of learner 1")],
+    ids=["header-a-list", "header-none", "first-record-a-list", "last-record-none"],
+)
+def test_validate_needs_a_mapping_for_the_header_and_each_record(sample_trace, index, value, name):
+    tampered = copy.deepcopy(sample_trace)
+    if index is None:
+        tampered.header = value
+    else:
+        tampered.events[index] = value
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a mapping, got {value!r}")):
+        validate_trace(tampered)
 
 
 # The header's integer fields and their least values: config's, and the trial index.
@@ -806,6 +878,8 @@ def _edit(*keys, value):
         # one run_trial writes, whose schedule and payoffs are floats.
         (_edit("config", "schedule", "offset", value=0),
          "trace header config.schedule.offset is not what run_trial writes", "config.schedule.offset"),
+        (_edit("config", "schedule", "offset", value=-0.0),
+         "trace header config.schedule.offset is not what run_trial writes", "config.schedule.offset"),
         (_edit("config", "schedule", "rate", value=True),
          "trace header config: schedule: invalid schedule: rate must be a number, got True", "rate"),
         (_edit("config", "game", "payoffs", value=[[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]),
@@ -813,7 +887,7 @@ def _edit(*keys, value):
     ],
     ids=["header-unknown-key", "config-unknown-key", "roster-entry-unknown-key", "opponent-probs-no-strategy",
          "override-no-equilibrium", "provenance-without-override", "strategies-not-the-equilibrium",
-         "config-output", "game-a-path", "offset-an-int", "rate-a-bool", "payoffs-ints"],
+         "config-output", "game-a-path", "offset-an-int", "offset-minus-zero", "rate-a-bool", "payoffs-ints"],
 )
 def test_validate_accepts_only_the_header_run_trial_writes(tmp_path, monkeypatch, capsys, edit, message, name):
     def no_file(path):
@@ -967,6 +1041,19 @@ def test_validate_tells_apart_values_of_another_type(seq, edit, field, equal):
     assert (report.divergence["epoch"], report.divergence["field"]) == (seq, field)
 
 
+def test_validate_checks_each_learners_own_counts(sample_trace):
+    # The replay runs on the epoch's first record's histograms, so a later
+    # learner's counts equal to them in value but not in type are caught
+    # only by checking that learner's own record.
+    tampered = copy.deepcopy(sample_trace)  # two learners
+    rec = tampered.events[1]
+    rec["counts"] = [[float(c) for c in h] for h in rec["counts"]]
+    assert rec["counts"] == tampered.events[0]["counts"]
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (0, 1, "counts")
+
+
 @pytest.mark.parametrize("phi_after", [[0.5, 0.5], [0.0, 1.0, 0.0], [None, None]])
 def test_validate_checks_post_rejection_pick(phi_after):
     scripted = {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0]}}
@@ -977,6 +1064,102 @@ def test_validate_checks_post_rejection_pick(phi_after):
     report = validate_trace(trace)
     assert not report.ok
     assert report.divergence["field"] == "phi_after"
+
+
+# Small traces shaped like the benchmark's three workloads: rock-paper-scissors
+# against a scripted-then-stationary opponent, cut short by its round budget;
+# two battle-of-the-sexes learners playing the override, stopped by their epoch
+# budget; and matching pennies against fictitious play, whose round budget ends
+# its second epoch.
+def _fuzz_configs():
+    rps, bos, mp = rock_paper_scissors(), battle_of_sexes(), matching_pennies()
+    scripted = {"kind": "scripted", "actions": [0, 1, 2, 0]}
+    switching = {"agent": "opponent", "policy": {"kind": "eventually_stationary", "pre": scripted,
+                                                 "switch_round": 60, "probs": [0.5, 0.3, 0.2]}}
+    return [
+        RunConfig(game=rps, roster=(LEARNER, switching), schedule=Schedule(epsilon_base=0.5, actions_total=6),
+                  round_budget=300, master_seed=401),
+        RunConfig(game=bos, roster=(LEARNER, LEARNER), eq_override=([2 / 3, 1 / 3], [1 / 3, 2 / 3]),
+                  schedule=Schedule(epsilon_base=0.25, actions_total=4, epoch0_rounds=5), epoch_budget=3,
+                  master_seed=601),
+        RunConfig(game=mp, roster=(LEARNER, fp()), schedule=Schedule(epsilon_base=0.5, actions_total=4),
+                  round_budget=160, master_seed=9),
+    ]
+
+
+def _leaves(node, place):
+    if isinstance(node, (dict, list)) and node:
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaves(child, (*place, key))
+    else:
+        yield place
+
+
+@pytest.fixture(scope="module")
+def fuzz_traces():
+    """Per config: its trace as a document, the trace's lines, and the
+    places an edit can go, by kind: the header, a header leaf, an epoch
+    record, an epoch record's leaf, an end field."""
+    cases = []
+    for cfg in _fuzz_configs():
+        trace = run_trial(cfg, 0)
+        assert validate_trace(trace).ok
+        end = {"rounds_used": trace.rounds_used, "epochs": trace.epochs, "partial_rounds": trace.partial_rounds}
+        doc = {"header": trace.header, "events": trace.events, "end": end}
+        records = [("events", i) for i in range(len(trace.events))]
+        places = [
+            [("header",)],
+            [*_leaves(trace.header, ("header",))],
+            records,
+            [leaf for place in records for leaf in _leaves(trace.events[place[1]], place)],
+            [("end", k) for k in end],
+        ]
+        cases.append((doc, list(traceio.trace_lines(trace)), places))
+    return cases
+
+
+ODD_VALUES = [None, True, False, 0, -1, 0.0, -0.0, 1.5, 2**53, "x", [], {}, [0], math.nan, math.inf]
+DELETE = object()
+
+
+def _edit_at(node, place, value):
+    """A copy of ``node`` with the value at ``place`` replaced by ``value``, or deleted; the rest is shared."""
+    node = copy.copy(node)
+    key = place[0]
+    if len(place) > 1:
+        node[key] = _edit_at(node[key], place[1:], value)
+    elif value is DELETE:
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(value)
+    return node
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_reports_or_raises_value_error_for_any_one_edit(fuzz_traces, data):
+    # The replay checks every epoch record's type, seq, player and counts
+    # and every end field, so such an edit gives ok only where the trace's
+    # lines are unchanged.  An edit elsewhere may give ok: the replay reads
+    # neither the draws nor some header fields, and an entry of phi_before
+    # or phi_after retyped to an equal value is not caught.
+    doc, lines, places = data.draw(st.sampled_from(fuzz_traces))
+    place = data.draw(st.sampled_from(data.draw(st.sampled_from(places))))
+    # A RunTrace always has a header and its end fields, so those are only replaced.
+    deletable = place != ("header",) and place[0] != "end"
+    value = data.draw(st.sampled_from(ODD_VALUES + [DELETE] * deletable))
+    doc = _edit_at(doc, place, value)
+    edited = RunTrace(header=doc["header"], events=doc["events"], **doc["end"])
+    try:
+        report = validate_trace(edited)
+    except ValueError:
+        return
+    assert isinstance(report, harness.ValidationReport)
+    checked = place[0] == "end" or place == ("header",) or (
+        place[0] == "events" and (len(place) == 2 or place[2] in ("type", "seq", "player", "counts"))
+    )
+    if report.ok and checked:
+        assert list(traceio.trace_lines(edited)) == lines, place
 
 
 # -- trace persistence ------------------------------------------------------------------
