@@ -107,6 +107,9 @@ class StageGame:
             names = tuple(tuple(per) for per in self.action_names)
             if tuple(len(per) for per in names) != self.action_counts:
                 raise ValueError("action_names do not match action counts")
+            for player, per in enumerate(names):
+                if not all(isinstance(name, str) for name in per):
+                    raise ValueError(f"action_names of player {player} must be strings, got {list(per)!r}")
             object.__setattr__(self, "action_names", names)
 
     @property

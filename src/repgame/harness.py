@@ -173,13 +173,6 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
 # -- convergence detection ----------------------------------------------------
 
 
-def _epoch_groups(events: list[dict]) -> list[list[dict]]:
-    groups: dict[int, list[dict]] = {}
-    for rec in events:
-        groups.setdefault(rec["seq"], []).append(rec)
-    return [groups[k] for k in sorted(groups)]
-
-
 def _stable_suffix_start(groups: list[list[dict]]) -> int | None:
     """Earliest epoch index from which no restart occurs and every
     learner's strategy is frozen through the end; None if the last epoch
@@ -235,7 +228,10 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
     principle mislabel.
     """
     window = trace.header["config"]["window"]
-    groups = _epoch_groups(trace.events)
+    # Epoch s is events[s*L:(s+1)*L], one record per learner, as validate_trace reads it.
+    events, epochs = trace.events, trace.epochs
+    size = len(events) // epochs if epochs else 0
+    groups = [events[s * size : (s + 1) * size] for s in range(epochs)]
     kind = _lock_kind(groups[-window:]) if len(groups) >= window else "insufficient-data"
     converged = None if kind == "insufficient-data" else kind != "none"
     return RunSummary(

@@ -154,14 +154,9 @@ class EventuallyStationaryPolicy(OpponentPolicy):
         return min(max(self.switch_round - self.round, 0), length)
 
     def act_segment(self, length: int) -> np.ndarray:
+        # A zero-length draw takes nothing from a stream or a script.
         pre_len = self._pre_len(length)
-        if pre_len == length:
-            return self.pre.act_segment(length)
-        if pre_len == 0:
-            return self.post.act_segment(length)
-        return np.concatenate(
-            [self.pre.act_segment(pre_len), self.post.act_segment(length - pre_len)]
-        )
+        return np.concatenate([self.pre.act_segment(pre_len), self.post.act_segment(length - pre_len)])
 
     def respond_segment(self, joint: list[np.ndarray]) -> np.ndarray:
         length = len(joint[0])
@@ -172,15 +167,13 @@ class EventuallyStationaryPolicy(OpponentPolicy):
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
         length = len(joint[0])
-        pre_len = self._pre_len(length)
-        if pre_len:
-            self.pre.observe_segment([a[:pre_len] for a in joint])
+        self.pre.observe_segment([a[: self._pre_len(length)] for a in joint])
         self.round += length
 
     def act_counts(self, length: int) -> np.ndarray:
         pre_len = self._pre_len(length)
         counts = self.post.act_counts(length - pre_len)
-        if pre_len:
+        if pre_len:  # skips a call per epoch after the switch on the histogram path
             counts += self.pre.act_counts(pre_len)
         self.round += length
         return counts
@@ -194,11 +187,12 @@ class FictitiousPlayPolicy(OpponentPolicy):
     Ties break toward the lowest action index.
 
     A segment is answered in columns, one per round: each opponent's
-    running counts form a (k, L + 1) array, the column form of
+    running counts form a (k, L) array, the column form of
     ``action_values`` values them, and passes of ``>`` over the value rows
     keep each round's first maximiser.  A one-round segment takes the 1-D
-    form and one float add per opponent instead, which costs less than
-    building the columns; both give the same bits.
+    form, which costs less than building the columns and gives the same
+    bits.  Observing a segment adds 1.0 per round to the observed action's
+    count, as round-by-round play does.
     """
 
     history_dependent = True
@@ -210,15 +204,15 @@ class FictitiousPlayPolicy(OpponentPolicy):
         self._others = [p for p in range(game.num_players) if p != self.player]
 
     def _running_counts(self, joint: list[np.ndarray]) -> list[np.ndarray]:
-        """Per opponent, its counts before each round of the segment and
-        after the last: L + 1 columns, added up one round at a time as
-        round-by-round play adds them, so non-integer counts keep their
-        bits (adding a round's total at once rounds differently)."""
+        """Per opponent, its counts before each round of the segment: L
+        columns, added up one round at a time as round-by-round play adds
+        them, so non-integer counts keep their bits (adding a round's total
+        at once rounds differently)."""
         running = []
         for counts, p in zip(self.counts, self._others):
-            steps = np.zeros((len(counts), len(joint[p]) + 1))
-            steps[:, 0] = counts
-            steps[joint[p], np.arange(1, steps.shape[1])] = 1.0
+            steps = np.zeros((len(counts), len(joint[p])))
+            steps[:, :1] = counts[:, None]  # a slice, so a zero-length segment fits
+            steps[joint[p][:-1], np.arange(1, steps.shape[1])] = 1.0
             running.append(steps.cumsum(axis=1))
         return running
 
@@ -228,7 +222,7 @@ class FictitiousPlayPolicy(OpponentPolicy):
         # first maximiser is the same.
         if len(joint[0]) == 1:
             return np.array([self.game.action_values(self.player, [c.tolist() for c in self.counts]).argmax()])
-        values = self.game.action_values(self.player, [c[:, :-1] for c in self._running_counts(joint)])
+        values = self.game.action_values(self.player, self._running_counts(joint))
         best = np.zeros(values.shape[1], dtype=np.int64)
         top = values[0]
         for action in range(1, len(values)):
@@ -237,15 +231,15 @@ class FictitiousPlayPolicy(OpponentPolicy):
         return best
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
-        # Recounted from ``joint`` rather than kept from respond_segment: a
-        # responder answers before the other responders' actions are known.
-        if len(joint[0]) == 1:
-            counts = [c.copy() for c in self.counts]
-            for c, p in zip(counts, self._others):
-                c[joint[p][0]] += 1.0
-            self.counts = counts
-        else:
-            self.counts = [c[:, -1].copy() for c in self._running_counts(joint)]
+        # Counted from ``joint`` rather than kept from respond_segment: with
+        # two or more responders, one answers while the others' actions are
+        # still placeholders.  Every addend is 1.0 and each add rounds once,
+        # so a count does not depend on the order of the adds: it is the
+        # last running count, for non-integer counts too.
+        counts = [c.copy() for c in self.counts]
+        for c, p in zip(counts, self._others):
+            np.add.at(c, joint[p], 1.0)
+        self.counts = counts
 
 
 # The keys of each policy kind's descriptor, ``kind`` included.

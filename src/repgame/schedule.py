@@ -85,17 +85,13 @@ class Schedule:
 
     def _table(self, t: int) -> tuple[list, list, list]:
         """``prefix`` as lists, grown to cover epoch ``t``; kept out of the
-        dataclass fields, so asdict, == and hash ignore it.  Equal schedules
-        share one table in a process, so a schedule rebuilt from each trace
-        header does not recompute it."""
+        dataclass fields, so asdict, == and hash ignore it; a pickled
+        schedule carries the table it has built so far."""
         if t < 0:
             raise ValueError("epoch index must be nonnegative")
         table = self.__dict__.get("_rows")
         if table is None or t >= len(table[0]):
-            table = _TABLES.get(self)
-            if table is None or t >= len(table[0]):
-                table = tuple(column.tolist() for column in self.prefix(max(2 * t, 64)))
-                _TABLES[self] = table
+            table = tuple(column.tolist() for column in self.prefix(max(2 * t, 64)))
             object.__setattr__(self, "_rows", table)
         return table
 
@@ -107,10 +103,6 @@ class Schedule:
 
     def rounds(self, t: int) -> int:
         return int(self._table(t)[2][t])
-
-
-# The table of every distinct schedule built in this process, by schedule.
-_TABLES: dict[Schedule, tuple[list, list, list]] = {}
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,14 @@ def test_build_run_config_roster_mismatch(tmp_path):
         build_run_config(doc)
 
 
+def test_build_run_config_needs_string_action_names(tmp_path):
+    # Each name, not only the list of them: a null or a mapping would be
+    # written back into every trace header.
+    game = {"num_players": 2, "action_names": [[None, {}], [[], 1.5]], "payoffs": matching_pennies().payoffs.tolist()}
+    with pytest.raises(ConfigError, match=r"action_names of player 0 must be strings"):
+        build_run_config(make_config_doc(tmp_path, game=game))
+
+
 def test_build_run_config_without_learner(tmp_path):
     doc = make_config_doc(tmp_path)
     doc["roster"][0] = doc["roster"][1]

@@ -884,10 +884,13 @@ def _edit(*keys, value):
          "trace header config: schedule: invalid schedule: rate must be a number, got True", "rate"),
         (_edit("config", "game", "payoffs", value=[[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]),
          "trace header config.game.payoffs is not what run_trial writes", "config.game.payoffs"),
+        (_edit("config", "game", "action_names", 1, 0, value=None),
+         "trace header config: game: invalid inline game: action_names of player 1 must be strings", "action_names"),
     ],
     ids=["header-unknown-key", "config-unknown-key", "roster-entry-unknown-key", "opponent-probs-no-strategy",
          "override-no-equilibrium", "provenance-without-override", "strategies-not-the-equilibrium",
-         "config-output", "game-a-path", "offset-an-int", "offset-minus-zero", "rate-a-bool", "payoffs-ints"],
+         "config-output", "game-a-path", "offset-an-int", "offset-minus-zero", "rate-a-bool", "payoffs-ints",
+         "action-name-null"],
 )
 def test_validate_accepts_only_the_header_run_trial_writes(tmp_path, monkeypatch, capsys, edit, message, name):
     def no_file(path):
@@ -914,6 +917,18 @@ def test_validate_checks_a_retyped_header_after_checking_the_original():
     retyped.header["config"]["window"] = True
     with pytest.raises(ValueError, match=re.escape("trace header config: window must be an integer >= 1")):
         validate_trace(retyped)
+
+
+def test_validating_a_batch_builds_its_schedule_table_once(monkeypatch):
+    # The headers of a batch differ only in ``trial``, so the replay builds
+    # one config, and so one schedule table, for all of them.
+    traces = run_batch_delivered(mp_config(trial_count=4, master_seed=29)).traces
+    calls = []
+    prefix = Schedule.prefix
+    monkeypatch.setattr(Schedule, "prefix", lambda self, size: calls.append(size) or prefix(self, size))
+    harness._header_config.cache_clear()
+    assert all(validate_trace(trace).ok for trace in traces)
+    assert len(traces) == 4 and len(calls) == 1
 
 
 def test_validate_checks_a_header_again_after_it_changes_in_place():

@@ -95,6 +95,26 @@ def test_scripted_counts_equal_bincount_of_its_segment(script, pos, length):
     assert pol.pos == pos + length
 
 
+# -- zero-length draws -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "method, sampler", [("act_segment", "Generator.choice"), ("act_counts", "Generator.multinomial")]
+)
+def test_a_zero_length_draw_leaves_the_stream_and_the_script_where_they_were(method, sampler):
+    # EventuallyStationaryPolicy hands its pre and post policies the empty
+    # part of a segment that lies on one side of its switch.
+    stationary = StationaryPolicy([0.5, 0.3, 0.2], rng(3))
+    scripted = ScriptedPolicy([2, 0, 1], 3)
+    scripted.act_counts(2)
+    state = stationary.rng.bit_generator.state
+    for pol, name in ((stationary, sampler), (scripted, f"ScriptedPolicy.{method}")):
+        where = f"{name} of 0 rounds on numpy {np.__version__}"
+        assert getattr(pol, method)(0).tolist() == ([0, 0, 0] if method == "act_counts" else []), where
+    assert stationary.rng.bit_generator.state == state, f"{sampler} of 0 rounds on numpy {np.__version__} moved the stream"
+    assert scripted.pos == 2, f"ScriptedPolicy.{method} of 0 rounds on numpy {np.__version__} moved the script"
+
+
 # -- eventually stationary --------------------------------------------------------
 
 

@@ -98,15 +98,6 @@ def test_the_table_is_not_a_field():
     assert dataclasses.asdict(s) == dataclasses.asdict(Schedule())
 
 
-def test_equal_schedules_share_one_table():
-    # Equal schedules, built apart, read one table; unequal ones do not.
-    a, b = Schedule(epsilon_base=0.3, actions_total=5), Schedule(epsilon_base=0.3, actions_total=5)
-    c = Schedule(epsilon_base=0.3, actions_total=5, epoch0_rounds=7)
-    assert a is not b and a.rounds(3) == b.rounds(3)
-    assert a._table(3) is b._table(3)
-    assert c._table(3) is not a._table(3) and c.rounds(0) == 7 != a.rounds(0)
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         Schedule(epsilon_base=0.0, actions_total=4)
@@ -125,8 +116,8 @@ def test_invalid_parameters_rejected():
 
 @pytest.mark.parametrize("rate", [[], [0.5], {}, "0.5", None])
 def test_a_harmonic_schedule_needs_a_numeric_rate(rate):
-    # A harmonic schedule does not use its rate, but a schedule is hashed
-    # for its table, and a list or a dict cannot be.
+    # A harmonic schedule does not use its rate, but a schedule is hashable,
+    # and a list or a dict is not.
     with pytest.raises(ValueError, match="rate must be a number"):
         Schedule(epsilon_base=0.5, actions_total=4, rate=rate)
     with pytest.raises(ValueError, match="in .0, 1. for a geometric schedule"):
