@@ -259,7 +259,7 @@ def game_from_dict(d: dict) -> StageGame:
     names = d.get("action_names")
     game = StageGame(
         np.asarray(d["payoffs"], dtype=np.float64),
-        action_names=tuple(tuple(per) for per in names) if names else None,
+        action_names=names or None,
     )
     if d.get("num_players", game.num_players) != game.num_players:
         raise ValueError(

@@ -104,12 +104,17 @@ class StageGame:
         arr.flags.writeable = False
         object.__setattr__(self, "payoffs", arr)
         if self.action_names is not None:
-            names = tuple(tuple(per) for per in self.action_names)
-            if tuple(len(per) for per in names) != self.action_counts:
-                raise ValueError("action_names do not match action counts")
-            for player, per in enumerate(names):
+            # A list of lists of names: a string is not read as its characters.
+            if not isinstance(self.action_names, (list, tuple)):
+                raise ValueError(f"action_names must be a list per player, got {self.action_names!r}")
+            for player, per in enumerate(self.action_names):
+                if not isinstance(per, (list, tuple)):
+                    raise ValueError(f"action_names of player {player} must be a list of names, got {per!r}")
                 if not all(isinstance(name, str) for name in per):
                     raise ValueError(f"action_names of player {player} must be strings, got {list(per)!r}")
+            names = tuple(map(tuple, self.action_names))
+            if tuple(map(len, names)) != self.action_counts:
+                raise ValueError("action_names do not match action counts")
             object.__setattr__(self, "action_names", names)
 
     @property

@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import pickle
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,15 +263,40 @@ def _first_difference(want: dict, got: dict) -> str:
     return f"{key}.{_first_difference(want[key], got[key])}" if nested else str(key)
 
 
+# An epoch record's fields that hold a float or a list of floats.
+_FLOAT_FIELDS = ("eps_e", "eps_s", "margin", "phi_before", "phi_after")
+
+
+def _float_entries(rec: dict) -> list:
+    """The ``_FLOAT_FIELDS`` of an epoch record, in one list."""
+    return [rec["eps_e"], rec["eps_s"], rec["margin"], *rec["phi_before"], *rec["phi_after"]]
+
+
+def _floats_differ(want, got) -> bool:
+    """Whether ``got``, equal by ``==`` to ``want``, a float or a list of floats, holds
+    a non-float or a zero of the other sign."""
+    if type(want) is float:
+        want, got = [want], [got]
+    bits = f"{len(want)}d"
+    return [*map(type, got)] != [*map(type, want)] or struct.pack(bits, *got) != struct.pack(bits, *want)
+
+
 @functools.lru_cache(maxsize=32)
-def _header_config(key: str) -> RunConfig:
-    """The RunConfig of a trace header, given ``_canonical`` with ``trial`` set to 0, once
-    the header is the one run_trial writes for it.  The checks that need no solve of the
-    game come first: the header with its own equilibrium, then that equilibrium's regrets."""
-    header = json.loads(key)
+def _header_config(key: bytes) -> RunConfig:
+    """The RunConfig of a trace header, given its pickle with ``trial`` set to 0, once the
+    header is the one run_trial writes for it, compared as ``_canonical`` JSON.  Equal
+    pickles hold the same types, float bits, key order and structure, so they have the same
+    JSON: a hit needs no encode, and a header that differs only in key order or in shared
+    references misses.  The checks that need no solve of the game come first: the header
+    with its own equilibrium, then that equilibrium's regrets."""
+    header = pickle.loads(key)
+    try:
+        text = _canonical(header)
+    except (TypeError, ValueError) as exc:  # only a header built in memory can hold a non-JSON value
+        raise ValueError(f"trace header is not JSON: {exc}") from exc
 
     def require(want: dict) -> None:
-        if _canonical(want) != key:
+        if _canonical(want) != text:
             name = _first_difference(want, header)
             raise ValueError(f"trace header {name} is not what run_trial writes for the header's config")
 
@@ -296,10 +323,11 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     """Report the first field where ``trace`` is not what run_trial writes for its header.
 
     One rule for every record: it must equal the record run_trial writes,
-    by value and by type.  The header must be ``run_header`` of its
-    ``trial`` (an integer >= 0) and of its config, an inline run document
-    that ``build_run_config`` accepts (no file is read), compared as JSON;
-    otherwise this raises ValueError naming the first field that differs.
+    by value, by type and, for a float, by sign.  The header must be
+    ``run_header`` of its ``trial`` (an integer >= 0) and of its config,
+    an inline run document that ``build_run_config`` accepts (no file is
+    read), compared as JSON; otherwise this raises ValueError naming the
+    first field that differs.
     Epoch s is ``trace.events[s*L:(s+1)*L]``, one record per learner of
     the header's roster, in player order.  Each holds one histogram of
     ints per player totalling N^t, and is diffed field by field with the
@@ -314,19 +342,20 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     at epoch n, player None.  A header or record that is not a mapping
     raises ValueError.
 
-    The replay checks the decisions, not the draws: not the header fields
+    The replay checks the decisions, not the draws, nor the header fields
     they never read (``master_seed``, ``trial_count``, ``window``, the
     opponents' descriptors, a harmonic schedule's ``rate``, a budget that
-    did not bind), nor a ``phi_before``/``phi_after`` entry retyped to an
-    equal 0, 1, bool or -0.0.
+    did not bind).  The header check is cached per process by the header's
+    pickle, so the headers of a batch, which differ only in ``trial``, are
+    encoded and checked once, and each trace after that pays one pickle.
     """
     header = trace.header
     if not isinstance(header, dict):
         raise ValueError(f"trace header must be a mapping, got {header!r}")
     check_count("trace header trial", header.get("trial"), 0)
     try:
-        key = _canonical({**header, "trial": 0})
-    except (TypeError, ValueError) as exc:  # only a header built in memory can hold a non-JSON value
+        key = pickle.dumps({**header, "trial": 0}, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:  # a lambda, say
         raise ValueError(f"trace header is not JSON: {exc}") from exc
     config = _header_config(key)
     game, sched, eq = config.game, config.schedule, config.equilibrium
@@ -360,12 +389,19 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                 return diverged(seq, p, "counts", f"need {want}, trace has {rec.get('counts')!r}")
             outcome, state[p] = epoch_step(game, p, sched, eq, state[p], events[first]["counts"], pick)
             replay = {"type": "epoch", "seq": seq, **vars(outcome)}
-            # By type too, as JSON tells 1, 1.0 and true apart and ``==``
-            # does not; histogram_total has checked the counts' entries.
-            if replay != rec or [*map(type, replay.values())] != [*map(type, map(rec.get, replay))]:
+            # By type too, and a float by its sign, as JSON tells 1, 1.0,
+            # true, 0.0 and -0.0 apart and ``==`` does not; histogram_total
+            # has checked the counts' entries.
+            if (
+                replay != rec
+                or [*map(type, replay.values())] != [*map(type, map(rec.get, replay))]
+                or _floats_differ(_float_entries(replay), _float_entries(rec))
+            ):
                 for key, want in replay.items():
                     got = rec.get(key)
                     if got != want or type(got) is not type(want):
+                        return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
+                    if key in _FLOAT_FIELDS and _floats_differ(want, got):
                         return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
                 extra = min(map(str, rec.keys() - replay.keys()))
                 return diverged(seq, p, extra, "the replay gives no such field")

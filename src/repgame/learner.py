@@ -23,7 +23,7 @@ STREAM_PLAY = 0
 STREAM_RESET_PICK = 1
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen init sets each field through object.__setattr__
 class EpochOutcome:
     """Everything observable about one completed epoch of one learner.
 
@@ -53,7 +53,7 @@ class EpochOutcome:
     restarts_total: int
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen, as EpochOutcome
 class EpochState:
     """The learner's state at the start of an epoch.
 
@@ -230,7 +230,8 @@ def epoch_step(
     a restart, otherwise epoch t+1 with the ``*_after`` flags,
     ``phi_after`` and this epoch's counts as ``h_prev``.
     """
-    t, eq_hyp, grace, phi, h_prev = state.t, state.eq_hyp, state.grace, state.phi, state.h_prev
+    t, eq_hyp, grace, h_prev = state.t, state.eq_hyp, state.grace, state.h_prev
+    phi = list(map(float, state.phi))
     shape = game.action_counts
     n_rounds = float(schedule.rounds(t))
     eps_e_t = schedule.eps_e(t)
@@ -241,7 +242,7 @@ def epoch_step(
     counts = [list(map(int, h)) for h in hists]
     freq = [[c / n_rounds for c in h] for h in counts]
     eq_after, grace_after, stat_after = eq_hyp, grace, True
-    phi_after = phi
+    phi_after = phi[:]  # a list of its own: no two fields of a record share one
     switched = False
 
     if not eq_hyp:
@@ -261,12 +262,12 @@ def epoch_step(
         values = game.action_values(me, [f for p, f in enumerate(freq) if p != me])
         best_action = int(values.argmax())
         if float(values[best_action]) > float(phi @ values) + margin:
-            phi_after = pure_strategy(best_action, shape[me])
+            phi_after = pure_strategy(best_action, shape[me]).tolist()
             switched = True
     elif any(linf_distance(f, s.tolist()) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):
         # The equilibrium test over every player, self included, failed.
         eq_after, grace_after = False, True
-        phi_after = pure_strategy(pick(), shape[me])
+        phi_after = pure_strategy(pick(), shape[me]).tolist()
 
     restart = not stat_after
     restarts = state.restarts + restart
@@ -281,8 +282,8 @@ def epoch_step(
         eq_hyp_after=eq_after,
         grace_before=grace,
         grace_after=grace_after,
-        phi_before=list(map(float, phi)),
-        phi_after=list(map(float, phi_after)),
+        phi_before=phi,
+        phi_after=phi_after,
         switched=switched,
         restart=restart,
         restarts_total=restarts,

@@ -122,6 +122,10 @@ def test_build_run_config_needs_string_action_names(tmp_path):
     game = {"num_players": 2, "action_names": [[None, {}], [[], 1.5]], "payoffs": matching_pennies().payoffs.tolist()}
     with pytest.raises(ConfigError, match=r"action_names of player 0 must be strings"):
         build_run_config(make_config_doc(tmp_path, game=game))
+    # A player's entry is a list: [HT, HT] is not the names H and T.
+    game["action_names"] = ["HT", "HT"]
+    with pytest.raises(ConfigError, match=r"action_names of player 0 must be a list of names, got 'HT'"):
+        build_run_config(make_config_doc(tmp_path, game=game))
 
 
 def test_build_run_config_without_learner(tmp_path):

@@ -317,6 +317,10 @@ def test_stage_game_validation():
         StageGame(np.array([[1.0, np.nan], [0.0, 0.0]])[None].repeat(2, axis=0))
     with pytest.raises(ValueError, match=r"action_names of player 1 must be strings, got \['H', 2\]"):
         StageGame(matching_pennies().payoffs, action_names=(("H", "T"), ("H", 2)))
+    with pytest.raises(ValueError, match=r"action_names of player 1 must be a list of names, got 'HT'"):
+        StageGame(matching_pennies().payoffs, action_names=(("H", "T"), "HT"))
+    with pytest.raises(ValueError, match=r"action_names must be a list per player, got 'HT'"):
+        StageGame(matching_pennies().payoffs, action_names="HT")
     g = matching_pennies()
     assert g.num_players == 2
     assert g.action_counts == (2, 2)

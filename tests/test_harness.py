@@ -919,6 +919,31 @@ def test_validate_checks_a_retyped_header_after_checking_the_original():
         validate_trace(retyped)
 
 
+def test_validate_checks_each_header_the_cache_has_not_seen_byte_for_byte(tmp_path):
+    # The cache finds a header by its pickle: the run's header and the one
+    # read back from a file hold their keys in another order, so each is
+    # checked, and a header equal to a checked one by ``==`` only, a payoff
+    # 1 for 1.0, is checked again and rejected.
+    trace = run_batch_delivered(mp_config(trial_count=2, master_seed=31)).traces[1]
+    assert validate_trace(trace).ok
+    path = tmp_path / "trial-0001.jsonl"
+    traceio.write_trace(trace, path)
+    read = traceio.read_trace(path)
+    assert list(read.header) != list(trace.header)
+    assert validate_trace(read).ok
+    retyped = copy.deepcopy(read)
+    retyped.header["config"]["game"]["payoffs"][0][0][0] = 1
+    assert retyped.header == read.header
+    with pytest.raises(ValueError, match=re.escape("trace header config.game.payoffs is not what run_trial writes")):
+        validate_trace(retyped)
+    # Pickle takes a set and rejects a lambda; JSON takes neither.
+    for value in ({1, 2}, lambda: 1):
+        odd = copy.deepcopy(read)
+        odd.header["config"]["note"] = value
+        with pytest.raises(ValueError, match="trace header is not JSON"):
+            validate_trace(odd)
+
+
 def test_validating_a_batch_builds_its_schedule_table_once(monkeypatch):
     # The headers of a batch differ only in ``trial``, so the replay builds
     # one config, and so one schedule table, for all of them.
@@ -1031,8 +1056,17 @@ def _set_first_count(value):
     return edit
 
 
-# ``==`` equates 12 and 12.0, 1 and True: the replay compares types too.
-# Epoch 0 keeps the equilibrium hypothesis and epoch 1 has t 1.
+def _set_entry(field, index, value):
+    def edit(rec):
+        rec[field][index] = value
+
+    return edit
+
+
+# ``==`` equates 12 and 12.0, 1 and True, 0.0 and -0.0: the replay compares
+# types and the signs of floats too.  Epoch 0 keeps the equilibrium
+# hypothesis, epoch 1 has t 1 and rejects it for phi_after [0.0, 1.0], and
+# epoch 2 switches to [1.0, 0.0].
 @pytest.mark.parametrize(
     "seq, edit, field, equal",
     [
@@ -1041,8 +1075,13 @@ def _set_first_count(value):
         (0, lambda rec: rec.update(eq_hyp_before=1), "eq_hyp_before", True),
         (1, lambda rec: rec.update(t=True), "t", True),
         (1, lambda rec: rec.update(margin=int(rec["margin"])), "margin", True),
+        (2, _set_entry("phi_before", 0, -0.0), "phi_before", True),
+        (1, _set_entry("phi_after", 0, -0.0), "phi_after", True),
+        (1, _set_entry("phi_after", 1, True), "phi_after", True),
+        (2, _set_entry("phi_after", 1, 0), "phi_after", True),
     ],
-    ids=["counts-a-float", "counts-a-string", "eq_hyp_before-an-int", "t-a-bool", "margin-an-int"],
+    ids=["counts-a-float", "counts-a-string", "eq_hyp_before-an-int", "t-a-bool", "margin-an-int",
+         "phi_before-minus-zero", "phi_after-minus-zero", "phi_after-a-bool", "phi_after-an-int"],
 )
 def test_validate_tells_apart_values_of_another_type(seq, edit, field, equal):
     scripted = {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0]}}
@@ -1153,11 +1192,10 @@ def _edit_at(node, place, value):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_validate_reports_or_raises_value_error_for_any_one_edit(fuzz_traces, data):
-    # The replay checks every epoch record's type, seq, player and counts
-    # and every end field, so such an edit gives ok only where the trace's
-    # lines are unchanged.  An edit elsewhere may give ok: the replay reads
-    # neither the draws nor some header fields, and an entry of phi_before
-    # or phi_after retyped to an equal value is not caught.
+    # The replay checks every field of every epoch record, a float by its
+    # type and sign too, and every end field, so such an edit gives ok only
+    # where the trace's lines are unchanged.  A header edit may give ok:
+    # the replay reads neither the draws nor some header fields.
     doc, lines, places = data.draw(st.sampled_from(fuzz_traces))
     place = data.draw(st.sampled_from(data.draw(st.sampled_from(places))))
     # A RunTrace always has a header and its end fields, so those are only replaced.
@@ -1170,9 +1208,7 @@ def test_validate_reports_or_raises_value_error_for_any_one_edit(fuzz_traces, da
     except ValueError:
         return
     assert isinstance(report, harness.ValidationReport)
-    checked = place[0] == "end" or place == ("header",) or (
-        place[0] == "events" and (len(place) == 2 or place[2] in ("type", "seq", "player", "counts"))
-    )
+    checked = place[0] in ("end", "events") or place == ("header",)
     if report.ok and checked:
         assert list(traceio.trace_lines(edited)) == lines, place
 
