@@ -222,7 +222,7 @@ class RunConfig:
     def equilibrium(self) -> EquilibriumProfile:
         """The equilibrium every learner of the run plays: the override,
         checked, or the solver's.  Solved on first read and kept, so a
-        pickled config carries it to a pool worker."""
+        forked batch worker inherits it with the config."""
         return compute_equilibrium(self.game, self.eq_override)
 
     @cached_property

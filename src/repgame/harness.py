@@ -12,8 +12,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import os
 import pickle
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,34 +463,105 @@ def _one_trial(job):
     return trace, detect_convergence(trace)
 
 
-# Blocks a pool worker gets over a batch: one queue round trip costs about
-# half a short trial, and more than one block per worker lets a worker that
-# finishes early take another.
-_BLOCKS_PER_WORKER = 4
+def _trial_message(config: RunConfig, trial: int) -> tuple[bytes, bool]:
+    """The pickled ``(result, failure)`` a worker sends for ``trial``, and whether it failed.
+    ``result`` is ``_one_trial``'s (trace, summary); ``failure`` is None, or the error
+    (None if pickle rejects it), its type and message, and its formatted traceback."""
+    try:
+        return pickle.dumps((_one_trial((config, trial)), None), pickle.HIGHEST_PROTOCOL), False
+    except Exception as exc:
+        import traceback
 
-
-def _trial_block(job):
-    """Trials ``start`` to ``stop - 1`` of the config, in order, stopping at
-    the first that raises: the (trace, summary) of each trial that ran, and
-    that trial's exception or None."""
-    config, start, stop = job
-    done = []
-    for trial in range(start, stop):
+        text, tb = f"{type(exc).__name__}: {exc}", "".join(traceback.format_exception(exc))
         try:
-            done.append(_one_trial((config, trial)))
-        except Exception as exc:
-            return done, exc
-    return done, None
+            data = pickle.dumps((None, (exc, text, tb)), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(data)
+        except Exception:  # a lambda, say, or arguments its class cannot be rebuilt from
+            data = pickle.dumps((None, (None, text, tb)), pickle.HIGHEST_PROTOCOL)
+        return data, True
 
 
-def _pool_block(job):
-    """``_trial_block`` in a pool worker.  Pickling drops an exception's
-    traceback, so it is wrapped as the pool wraps an exception a job
-    raises: the parent's copy has the worker's traceback text as its cause."""
-    from concurrent.futures.process import _ExceptionWithTraceback
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(Exception):  # None, say, or closed
+            stream.flush()
 
-    done, error = _trial_block(job)
-    return done, error if error is None else _ExceptionWithTraceback(error, error.__traceback__)
+
+def _fork_worker(config: RunConfig, first: int, step: int, fd: int, readers: list) -> None:
+    """A forked worker: trials ``first``, ``first + step``, ... of the config, each written
+    to ``fd`` as one length-prefixed ``_trial_message`` once it ends, up to the first that
+    fails.  It closes the ``readers`` it inherited and leaves only through ``os._exit``."""
+    code = 1
+    try:
+        for reader in readers:
+            reader.close()
+        with open(fd, "wb") as out:
+            for trial in range(first, config.trial_count, step):
+                data, failed = _trial_message(config, trial)
+                out.write(len(data).to_bytes(8, "little"))
+                out.write(data)
+                out.flush()
+                if failed:
+                    break
+        code = 0
+    finally:
+        _flush_std_streams()
+        os._exit(code)
+
+
+def _run_forked(config: RunConfig, workers: int, deliver) -> None:
+    """``deliver(trace, summary)`` for every trial, in trial order, with worker i of
+    ``workers`` forked ones running trials i, i + workers, ...; see ``run_batch``."""
+    import signal
+
+    # Imported before the fork, so the workers share it instead of each
+    # importing it on its first trial; not at module level, which would add
+    # its import time to every process.
+    import numpy.random  # noqa: F401
+
+    _flush_std_streams()  # or the workers would write the buffered text again
+    pids: list[int] = []
+    readers: list = []
+    running: set[int] = set()
+    done = False
+    try:
+        for first in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fork_worker(config, first, workers, write_fd, readers)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+            running.add(pid)
+        for trial in range(config.trial_count):
+            reader, pid = readers[trial % workers], pids[trial % workers]
+            head = reader.read(8)
+            size = int.from_bytes(head, "little") if len(head) == 8 else 0
+            data = reader.read(size)
+            if not size or len(data) < size:
+                running.discard(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                status = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError(f"the worker running trial {trial} ended with {status} without sending its result")
+            result, failure = pickle.loads(data)
+            if failure is not None:
+                error, text, tb = failure
+                cause = RuntimeError(f"trial {trial} failed in its worker:\n{tb}")
+                if error is None:
+                    error = RuntimeError(f"trial {trial} raised {text}, which pickle rejects")
+                raise error from cause
+            deliver(*result)
+        done = True
+    finally:
+        for pid in running:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
 def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult:
@@ -497,52 +570,38 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
     Trials stream in trial order: ``on_trace(trace, summary)`` (e.g. to
     persist traces) is called on each as soon as it and every trial
     before it have finished, so a failing trial still delivers all the
-    trials before it.  A pool runs blocks of consecutive trials, about
-    four per worker, and delivers a block's trials once the whole block
-    has finished.  On a failure it raises without waiting for the other
-    blocks and cancels those no worker has taken yet; the blocks already
-    running or in the pool's call queue (up to 2 · workers + 1) run on in
-    its workers after this raises, their traces dropped, and the
-    interpreter waits for them at exit.  Only the summaries are kept.
-    The config's equilibrium is solved here, once, and a pool worker
-    receives it inside the pickled config.
+    trials before it.  Only the summaries are kept.  The config's
+    equilibrium is solved here, once.
+
+    With ``workers`` w > 1 this forks min(w, trials) workers, which get the
+    config, solved equilibrium included, through the fork.  Worker i runs
+    trials i, i + w, i + 2w, ... and sends each one's trace and summary back
+    on its own pipe, one length-prefixed pickle a trial, as soon as the
+    trial ends.  A trial that raises ends its worker and comes back as
+    data: after every earlier trial is delivered, its exception is raised
+    here, with the worker's traceback text as its chained cause, or a
+    RuntimeError naming the trial if pickle rejects the exception.  A
+    worker that exits without a trial's result raises a RuntimeError
+    naming the trial and the worker's exit status.  On any raise,
+    ``on_trace``'s included, the workers still running are killed, and
+    every worker is reaped before this returns or raises.  ``workers > 1``
+    needs ``os.fork``; without it this raises ValueError before any trial
+    starts.
     """
     check_count("workers", workers, 1)
-    config.equilibrium  # solved and cached before the config is pickled
-    n = config.trial_count
-    size = 1 if workers == 1 else -(-n // (_BLOCKS_PER_WORKER * workers))
-    blocks = [(config, start, min(start + size, n)) for start in range(0, n, size)]
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError("workers > 1 needs os.fork, which this platform lacks")
+    config.equilibrium  # solved and cached before the workers are forked
     summaries = []
-    with contextlib.ExitStack() as stack:
-        results = map(_trial_block, blocks)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
 
-            # Imported before the fork, so forked workers share it instead of
-            # each importing it on its first trial; not at module level,
-            # which would add its import time to every process.
-            import numpy.random  # noqa: F401
+    def deliver(trace: RunTrace, summary: RunSummary) -> None:
+        summaries.append(summary)
+        if on_trace is not None:
+            on_trace(trace, summary)
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_pool_block, blocks)
-
-            def cancel_queued(exc_type, exc, tb):
-                # On a raise, closing the result iterator cancels every
-                # block no worker has taken (shutdown's cancel_futures would
-                # not: the pool's own shutdown on leaving the stack resets
-                # it), and shutting down without waiting makes that second
-                # shutdown join nothing, so the error comes at once.  A
-                # batch that ends normally joins its workers.
-                if exc_type is not None:
-                    results.close()
-                    pool.shutdown(wait=False)
-
-            stack.push(cancel_queued)
-        for done, error in results:
-            for trace, summary in done:
-                summaries.append(summary)
-                if on_trace is not None:
-                    on_trace(trace, summary)
-            if error is not None:
-                raise error
+    if workers == 1:
+        for trial in range(config.trial_count):
+            deliver(*_one_trial((config, trial)))
+    else:
+        _run_forked(config, min(workers, config.trial_count), deliver)
     return _aggregate(config, summaries)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -315,6 +316,13 @@ def test_cli_batch_needs_at_least_one_worker(tmp_path, capsys, workers):
     cfg = write_yaml_config(tmp_path)
     assert main(["batch", str(cfg), "--workers", workers]) == EXIT_CONFIG
     assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
+
+
+def test_cli_batch_needs_fork_for_more_than_one_worker(tmp_path, capsys, monkeypatch):
+    cfg = write_yaml_config(tmp_path)
+    monkeypatch.delattr(os, "fork")
+    assert main(["batch", str(cfg), "--workers", "2"]) == EXIT_CONFIG
+    assert "workers > 1 needs os.fork" in capsys.readouterr().err
 
 
 def test_cli_missing_output_dir_rejected(tmp_path, capsys):

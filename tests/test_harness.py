@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -1341,8 +1340,8 @@ def test_batch_single_trial_matches_run_trial():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_solves_the_equilibrium_once(monkeypatch, tmp_path, workers):
-    # Pool workers are forked with the patch, so a solve in a worker would
-    # be logged with the worker's pid.
+    # Workers are forked with the patch, so a solve in a worker would be
+    # logged with the worker's pid.
     log = tmp_path / "solves"
 
     def logged(game, override=None):
@@ -1376,8 +1375,9 @@ def test_batch_parallel_matches_serial():
         assert trace_bytes(ta) == trace_bytes(tb)
 
 
-# A pool runs blocks of ceil(trials / (4 * workers)) trials: 11 trials on
-# 2 workers make blocks of 2, 2, 2, 2, 2 and 1, and 19 on 3 nine of 2 and 1.
+# Worker i of w runs trials i, i + w, ...: 11 trials on 2 workers give
+# worker 0 six trials and worker 1 five, and 19 on 3 give them 7, 6 and 6.
+# A single trial on 2 or 3 workers forks one.
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1395,8 +1395,8 @@ def test_batch_pool_delivers_the_serial_traces_in_trial_order(seed, trials, work
     assert [trace_bytes(t) for t in parallel.traces] == [trace_bytes(t) for t in serial.traces]
 
 
-# 16 trials on 2 workers run in blocks of 2, so trial 5 fails inside the
-# block of trials 4 and 5, after trial 4.
+# 16 trials on 2 workers: trial 5 fails in worker 1, after its trials 1
+# and 3, while worker 0 may have run past trial 4.
 @pytest.mark.parametrize(
     "workers, trials, failing",
     [pytest.param(1, 4, 2, id="1"), pytest.param(2, 4, 2, id="2"), pytest.param(2, 16, 5, id="2-in-a-block")],
@@ -1421,7 +1421,7 @@ def test_batch_delivers_the_trials_before_a_failing_one(monkeypatch, workers, tr
 def test_batch_pool_cancels_the_queued_trials_after_a_failing_one(monkeypatch):
     # 8 trials of 1 s on 2 workers take 4 s; trial 1 fails at once, so the
     # error should come once trial 0 ends.  run_batch does not wait for the
-    # other blocks: they keep running in the pool's workers after it raises.
+    # other trials: it kills the worker running trial 2.
     def slow_or_failing(run_config, trial):
         if trial == 1:
             raise RuntimeError("trial 1 failed")
@@ -1437,9 +1437,9 @@ def test_batch_pool_cancels_the_queued_trials_after_a_failing_one(monkeypatch):
 
 
 def test_batch_pool_cancels_the_queued_blocks_after_a_failing_one(monkeypatch):
-    # 16 trials of 0.2 s on 2 workers run in 8 blocks of 2 and take 1.5 s.
-    # Trial 1 fails at the end of the first block, so the error should come
-    # once that block ends, with trial 0 delivered.
+    # 16 trials of 0.2 s on 2 workers take 1.6 s.  Trial 1, worker 1's
+    # first, fails at once, so the error should come once trial 0 ends,
+    # with trial 0 delivered.
     def slow_or_failing(run_config, trial):
         if trial == 1:
             raise RuntimeError("trial 1 failed")
@@ -1457,18 +1457,13 @@ def test_batch_pool_cancels_the_queued_blocks_after_a_failing_one(monkeypatch):
 
 
 def test_batch_pool_starts_no_block_past_those_already_handed_out(monkeypatch, tmp_path):
-    # 16 trials of 0.2 s on 2 workers run in 8 blocks of 2, and trial 1
-    # fails at the end of the first block.  By then each worker may hold a
-    # block and the executor's call queue up to workers + EXTRA_QUEUED_CALLS
-    # more, none of which can be cancelled; no other block may start.  Each
-    # trial leaves a marker file as it starts, and the markers are counted
-    # once the pool's workers have exited.  ``raised`` keeps the failed
-    # call's frames alive, so only run_batch itself can cancel the blocks,
-    # not a garbage collection of its pool's result iterator.
-    from concurrent.futures.process import EXTRA_QUEUED_CALLS
-
-    workers, block = 2, 2
-
+    # 16 trials of 0.2 s on 2 workers, and trial 1, worker 1's first, fails
+    # at once.  Worker 0 starts trial 2 as it sends trial 0; run_batch
+    # raises as soon as it has delivered trial 0 and read trial 1's error,
+    # well inside trial 2's 0.2 s, and kills worker 0.  So only trials 0, 1
+    # and 2 may start (trial 2 may not have started by the kill), and every
+    # forked worker is reaped by the time run_batch raises.  Each trial
+    # leaves a marker file as it starts.
     def slow_or_failing(run_config, trial):
         (tmp_path / f"started-{trial}").touch()
         if trial == 1:
@@ -1477,15 +1472,133 @@ def test_batch_pool_starts_no_block_past_those_already_handed_out(monkeypatch, t
         return run_trial(run_config, trial)
 
     cfg = mp_config(trial_count=16, epoch_budget=1)
+    pids = record_forks(monkeypatch)
     monkeypatch.setattr(harness, "run_trial", slow_or_failing)
-    with pytest.raises(RuntimeError, match="^trial 1 failed$") as raised:
-        run_batch(cfg, workers=workers)
-    deadline = time.monotonic() + 30.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert not multiprocessing.active_children()
-    started = len(list(tmp_path.glob("started-*")))
-    assert started <= block * (1 + workers + workers + EXTRA_QUEUED_CALLS), raised.value
+    with pytest.raises(RuntimeError, match="^trial 1 failed$"):
+        run_batch(cfg, workers=2)
+    assert_reaped(pids, 2)
+    started = {int(path.name.split("-")[1]) for path in tmp_path.glob("started-*")}
+    assert {0, 1} <= started <= {0, 1, 2}
+
+
+def record_forks(monkeypatch) -> list[int]:
+    """The pids of the processes ``os.fork`` makes from now on, in the order made."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids: list[int], count: int) -> None:
+    assert len(pids) == count
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", ["normal", "failing-trial", "failing-on-trace"])
+def test_batch_leaves_no_worker_running(monkeypatch, case):
+    def failing_trial(run_config, trial):
+        if trial == 3:
+            raise RuntimeError("trial 3 failed")
+        return run_trial(run_config, trial)
+
+    def on_trace(trace, summary):
+        if case == "failing-on-trace" and trace.header["trial"] == 1:
+            raise RuntimeError("on_trace failed")
+
+    cfg = mp_config(trial_count=8)
+    pids = record_forks(monkeypatch)
+    if case == "failing-trial":
+        monkeypatch.setattr(harness, "run_trial", failing_trial)
+    if case == "normal":
+        assert len(run_batch(cfg, workers=2, on_trace=on_trace).summaries) == 8
+    else:
+        with pytest.raises(RuntimeError, match="failed"):
+            run_batch(cfg, workers=2, on_trace=on_trace)
+    assert_reaped(pids, 2)
+
+
+def test_batch_names_the_trial_whose_worker_exits_without_its_result(monkeypatch):
+    # Only in a worker: on the serial path os._exit would end pytest.
+    parent = os.getpid()
+
+    def exiting_trial(run_config, trial):
+        if trial == 5 and os.getpid() != parent:
+            os._exit(3)
+        return run_trial(run_config, trial)
+
+    cfg = mp_config(trial_count=10)
+    seen = []
+    pids = record_forks(monkeypatch)
+    monkeypatch.setattr(harness, "run_trial", exiting_trial)
+    with pytest.raises(RuntimeError, match="trial 5 ended with exit status 3 without sending its result"):
+        run_batch(cfg, workers=2, on_trace=lambda trace, summary: seen.append(trace))
+    assert_reaped(pids, 2)
+    monkeypatch.undo()
+    assert [trace_bytes(t) for t in seen] == [trace_bytes(run_trial(cfg, t)) for t in range(5)]
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but cannot be unpickled: pickle rebuilds it from ``args``, one argument."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@pytest.mark.parametrize("kind", ["lambda", "rebuild"])
+def test_batch_names_the_trial_whose_error_pickle_rejects(monkeypatch, kind):
+    def failing_trial(run_config, trial):
+        if trial == 2:
+            if kind == "rebuild":
+                raise TwoArgumentError("trial 2 failed", 7)
+            error = RuntimeError("trial 2 failed")
+            error.hook = lambda: None  # pickle rejects a lambda
+            raise error
+        return run_trial(run_config, trial)
+
+    cfg = mp_config(trial_count=4)
+    seen = []
+    name = "TwoArgumentError" if kind == "rebuild" else "RuntimeError"
+    monkeypatch.setattr(harness, "run_trial", failing_trial)
+    with pytest.raises(RuntimeError, match=f"^trial 2 raised {name}: trial 2 failed, which pickle rejects$") as raised:
+        run_batch(cfg, workers=2, on_trace=lambda trace, summary: seen.append(trace.header["trial"]))
+    assert seen == [0, 1]
+    assert "in failing_trial" in "".join(traceback.format_exception(raised.value))
+
+
+def test_batch_forks_no_more_workers_than_trials(monkeypatch):
+    cfg = mp_config(trial_count=2)
+    serial = run_batch_delivered(cfg, workers=1)
+    pids = record_forks(monkeypatch)
+    parallel = run_batch_delivered(cfg, workers=3)
+    assert_reaped(pids, 2)
+    assert [trace_bytes(t) for t in parallel.traces] == [trace_bytes(t) for t in serial.traces]
+
+
+def test_batch_needs_fork_for_more_than_one_worker(monkeypatch):
+    calls = []
+
+    def counted_trial(run_config, trial):
+        calls.append(trial)
+        return run_trial(run_config, trial)
+
+    cfg = mp_config(trial_count=2)
+    monkeypatch.setattr(harness, "run_trial", counted_trial)
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="workers > 1 needs os.fork"):
+        run_batch(cfg, workers=2)
+    assert calls == []
+    assert len(run_batch(cfg, workers=1).summaries) == 2
+    assert calls == [0, 1]
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.0, True])
