@@ -2,10 +2,13 @@
 
 A game is a dense payoff tensor ``u[i, a_0, ..., a_{n-1}]`` giving player
 ``i``'s utility for every joint action profile.  Strategies are plain 1-D
-numpy probability vectors.  All operations here are exact pure functions,
-and every action value comes from one contraction, ``action_values``, which
-adds its products in one fixed order whatever the shape of its weights, so
-its values do not depend on a BLAS kernel.
+numpy probability vectors.  All operations here are pure functions.  Every
+action value comes from one contraction, ``action_values``, which adds its
+products in one fixed order whatever the shape of its weights, so its values
+do not depend on a BLAS kernel; nor does the learner's value of its strategy,
+which ``_dot_rows`` adds in the same order.  ``expected_utility`` and
+``regret`` weigh the values with a numpy dot, whose last bits may depend on
+the kernel; ``is_equilibrium`` reads regrets only against a tolerance.
 """
 from __future__ import annotations
 

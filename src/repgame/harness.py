@@ -9,13 +9,11 @@ budget exhaustion are marked and excluded from statistics.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
 import pickle
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,8 +251,9 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
 # -- trace replay validation ---------------------------------------------------
 
 
-# JSON with sorted keys tells 1, 1.0 and true apart, where ``==`` does not.
-_canonical = json.JSONEncoder(sort_keys=True).encode
+# The one encoder of trace records, which traceio writes with and the header check
+# compares in: JSON with sorted keys tells 1, 1.0 and true apart, where ``==`` does not.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _first_difference(want: dict, got: dict) -> str:
@@ -481,71 +480,50 @@ def _trial_message(config: RunConfig, trial: int) -> tuple[bytes, bool]:
         return data, True
 
 
-def _flush_std_streams() -> None:
-    for stream in (sys.stdout, sys.stderr):
-        with contextlib.suppress(Exception):  # None, say, or closed
-            stream.flush()
-
-
-def _fork_worker(config: RunConfig, first: int, step: int, fd: int, readers: list) -> None:
-    """A forked worker: trials ``first``, ``first + step``, ... of the config, each written
-    to ``fd`` as one length-prefixed ``_trial_message`` once it ends, up to the first that
-    fails.  It closes the ``readers`` it inherited and leaves only through ``os._exit``."""
-    code = 1
-    try:
-        for reader in readers:
-            reader.close()
-        with open(fd, "wb") as out:
-            for trial in range(first, config.trial_count, step):
-                data, failed = _trial_message(config, trial)
-                out.write(len(data).to_bytes(8, "little"))
-                out.write(data)
-                out.flush()
-                if failed:
-                    break
-        code = 0
-    finally:
-        _flush_std_streams()
-        os._exit(code)
+def _worker(config: RunConfig, first: int, step: int, writer, readers: list) -> None:
+    """A forked worker: trials ``first``, ``first + step``, ... of the config, each sent on
+    ``writer`` as one ``_trial_message`` once it ends, up to the first that fails.  It closes
+    the ``readers`` it inherited."""
+    for reader in readers:
+        reader.close()
+    for trial in range(first, config.trial_count, step):
+        data, failed = _trial_message(config, trial)
+        writer.send_bytes(data)
+        if failed:
+            break
 
 
 def _run_forked(config: RunConfig, workers: int, deliver) -> None:
     """``deliver(trace, summary)`` for every trial, in trial order, with worker i of
     ``workers`` forked ones running trials i, i + workers, ...; see ``run_batch``."""
-    import signal
+    import multiprocessing
 
     # Imported before the fork, so the workers share it instead of each
     # importing it on its first trial; not at module level, which would add
     # its import time to every process.
     import numpy.random  # noqa: F401
 
-    _flush_std_streams()  # or the workers would write the buffered text again
-    pids: list[int] = []
+    context = multiprocessing.get_context("fork")
+    procs: list = []
     readers: list = []
-    running: set[int] = set()
-    done = False
     try:
         for first in range(workers):
-            read_fd, write_fd = os.pipe()
-            readers.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _fork_worker(config, first, workers, write_fd, readers)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-            running.add(pid)
+            reader, writer = context.Pipe(duplex=False)
+            readers.append(reader)
+            proc = context.Process(target=_worker, args=(config, first, workers, writer, readers))
+            with writer:  # closed once forked, so no later worker inherits it and its EOF can arrive
+                proc.start()
+            procs.append(proc)
         for trial in range(config.trial_count):
-            reader, pid = readers[trial % workers], pids[trial % workers]
-            head = reader.read(8)
-            size = int.from_bytes(head, "little") if len(head) == 8 else 0
-            data = reader.read(size)
-            if not size or len(data) < size:
-                running.discard(pid)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            try:
+                data = readers[trial % workers].recv_bytes()
+            except EOFError:
+                proc = procs[trial % workers]
+                proc.join()
+                code = proc.exitcode
                 status = f"exit status {code}" if code >= 0 else f"signal {-code}"
-                raise RuntimeError(f"the worker running trial {trial} ended with {status} without sending its result")
+                message = f"the worker running trial {trial} ended with {status} without sending its result"
+                raise RuntimeError(message) from None
             result, failure = pickle.loads(data)
             if failure is not None:
                 error, text, tb = failure
@@ -554,12 +532,14 @@ def _run_forked(config: RunConfig, workers: int, deliver) -> None:
                     error = RuntimeError(f"trial {trial} raised {text}, which pickle rejects")
                 raise error from cause
             deliver(*result)
-        done = True
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        raise
     finally:
-        for pid in running:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for proc in procs:
+            proc.join()
+            proc.close()
         for reader in readers:
             reader.close()
 
@@ -573,20 +553,20 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
     trials before it.  Only the summaries are kept.  The config's
     equilibrium is solved here, once.
 
-    With ``workers`` w > 1 this forks min(w, trials) workers, which get the
-    config, solved equilibrium included, through the fork.  Worker i runs
-    trials i, i + w, i + 2w, ... and sends each one's trace and summary back
-    on its own pipe, one length-prefixed pickle a trial, as soon as the
-    trial ends.  A trial that raises ends its worker and comes back as
-    data: after every earlier trial is delivered, its exception is raised
-    here, with the worker's traceback text as its chained cause, or a
-    RuntimeError naming the trial if pickle rejects the exception.  A
-    worker that exits without a trial's result raises a RuntimeError
-    naming the trial and the worker's exit status.  On any raise,
-    ``on_trace``'s included, the workers still running are killed, and
-    every worker is reaped before this returns or raises.  ``workers > 1``
-    needs ``os.fork``; without it this raises ValueError before any trial
-    starts.
+    With ``workers`` w > 1 this starts min(w, trials) workers, each a
+    ``multiprocessing`` Process of the fork context, which get the config,
+    solved equilibrium included, through the fork.  Worker i runs trials i,
+    i + w, i + 2w, ... and sends each one's trace and summary back on its
+    own one-way Pipe, one pickle a trial, as soon as the trial ends.  A
+    trial that raises ends its worker and comes back as data: after every
+    earlier trial is delivered, its exception is raised here, with the
+    worker's traceback text as its chained cause, or a RuntimeError naming
+    the trial if pickle rejects the exception.  A worker that exits without
+    a trial's result raises a RuntimeError naming the trial and the
+    worker's exit status.  On any raise, ``on_trace``'s included, the
+    workers still running are killed, and every worker is reaped before
+    this returns or raises.  ``workers > 1`` needs ``os.fork``; without it
+    this raises ValueError before any trial starts.
     """
     check_count("workers", workers, 1)
     if workers > 1 and not hasattr(os, "fork"):

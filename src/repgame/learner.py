@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .games import StageGame, linf_distance, pure_strategy
+from .games import StageGame, _dot_rows, linf_distance, pure_strategy
 
 # Stream-purpose codes for the documented seed-splitting scheme.
 STREAM_PLAY = 0
@@ -223,23 +223,26 @@ def epoch_step(
     """The AWESOME epoch-end rule for player ``me``: one pure transition.
 
     ``state`` is the state the epoch started in; ``hists`` holds its
-    per-player action histograms, which total N^t each.  ``pick()``
-    returns the uniformly random pure action taken when the equilibrium
-    hypothesis is rejected and is called only then.  Returns the epoch's
-    outcome and the state the next epoch starts in: the fresh state after
-    a restart, otherwise epoch t+1 with the ``*_after`` flags,
+    per-player action histograms, which total N^t each: N^t is read as
+    their common total, as the previous epoch's is read from ``h_prev``.
+    φ's value is its products with the action values added in index
+    order, one float operation at a time, so no BLAS kernel decides it.
+    ``pick()`` returns the uniformly random pure action taken when the
+    equilibrium hypothesis is rejected and is called only then.  Returns
+    the epoch's outcome and the state the next epoch starts in: the fresh
+    state after a restart, otherwise epoch t+1 with the ``*_after`` flags,
     ``phi_after`` and this epoch's counts as ``h_prev``.
     """
     t, eq_hyp, grace, h_prev = state.t, state.eq_hyp, state.grace, state.h_prev
     phi = list(map(float, state.phi))
     shape = game.action_counts
-    n_rounds = float(schedule.rounds(t))
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
     margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * game.payoff_ranges[me]
     # Plain ints and floats: each frequency is one float division, as a
     # float64 vector division would give, so records keep every bit.
     counts = [list(map(int, h)) for h in hists]
+    n_rounds = float(sum(counts[0]))
     freq = [[c / n_rounds for c in h] for h in counts]
     eq_after, grace_after, stat_after = eq_hyp, grace, True
     phi_after = phi[:]  # a list of its own: no two fields of a record share one
@@ -261,7 +264,7 @@ def epoch_step(
         # strictly more-than-margin improvement over the current action.
         values = game.action_values(me, [f for p, f in enumerate(freq) if p != me])
         best_action = int(values.argmax())
-        if float(values[best_action]) > float(phi @ values) + margin:
+        if float(values[best_action]) > _dot_rows([values.tolist()], phi)[0] + margin:
             phi_after = pure_strategy(best_action, shape[me]).tolist()
             switched = True
     elif any(linf_distance(f, s.tolist()) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):

@@ -11,7 +11,7 @@ import csv
 import json
 from pathlib import Path
 
-from .harness import TRACE_SCHEMA, BatchResult, RunSummary, RunTrace
+from .harness import TRACE_SCHEMA, BatchResult, RunSummary, RunTrace, _canonical
 from .schedule import check_count
 
 # The fields each record type must carry; read_trace rejects a record
@@ -24,15 +24,11 @@ _RECORD_FIELDS = {
 }
 
 
-# One encoder for every record: json.dumps with these options builds a new one per call.
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def trace_lines(trace: RunTrace):
-    yield _dumps(trace.header)
+    yield _canonical(trace.header)
     for rec in trace.events:
-        yield _dumps(rec)
-    yield _dumps(
+        yield _canonical(rec)
+    yield _canonical(
         {
             "type": "end",
             "rounds_used": trace.rounds_used,
@@ -132,7 +128,7 @@ def write_summary_csv(summaries: list[RunSummary], path) -> None:
                     s.rounds_used,
                     s.epochs,
                     "" if s.epochs_to_convergence is None else s.epochs_to_convergence,
-                    _dumps({str(k): list(v) for k, v in s.final_phi.items()}),
+                    _canonical({str(k): list(v) for k, v in s.final_phi.items()}),
                 ]
             )
 

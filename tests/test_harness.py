@@ -1321,10 +1321,17 @@ def test_building_a_config_and_validating_its_trace_imports_no_numpy_random(tmp_
         "assert harness.validate_trace(traceio.read_trace(sys.argv[2])).ok\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
-    src = str(Path(config.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(doc), str(path)], env=env, capture_output=True, text=True)
+    proc = run_python(script, json.dumps(doc), str(path), capture_output=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def run_python(script: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports this checkout's repgame, with
+    ``PYTHONUNBUFFERED`` unset: a std stream on a file buffers its text, as by default."""
+    src = str(Path(config.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, text=True, **kwargs)
 
 
 # -- batch ---------------------------------------------------------------------------------
@@ -1515,6 +1522,7 @@ def test_batch_leaves_no_worker_running(monkeypatch, case):
             raise RuntimeError("on_trace failed")
 
     cfg = mp_config(trial_count=8)
+    fds = open_fds()
     pids = record_forks(monkeypatch)
     if case == "failing-trial":
         monkeypatch.setattr(harness, "run_trial", failing_trial)
@@ -1524,6 +1532,34 @@ def test_batch_leaves_no_worker_running(monkeypatch, case):
         with pytest.raises(RuntimeError, match="failed"):
             run_batch(cfg, workers=2, on_trace=on_trace)
     assert_reaped(pids, 2)
+    # Every pipe end closed.  After a raise, run_batch's frames live on in a
+    # cycle through the error's traceback, so a pipe end left for the
+    # garbage collector to close would still be open here.
+    assert open_fds() == fds
+
+
+def open_fds() -> int | None:
+    """How many file descriptors this process has open; None where ``/proc/self/fd`` is missing."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_batch_workers_repeat_no_buffered_text_and_run_no_atexit_handler(tmp_path):
+    # On a file, stdout holds the text printed before the batch in its
+    # buffer.  A worker that wrote that buffer again, or ran the caller's
+    # atexit handler, would repeat it.
+    script = (
+        "import atexit, json, sys\n"
+        "from repgame import config, harness\n"
+        "print('before the batch', end='')\n"
+        "atexit.register(print, 'at exit')\n"
+        "harness.run_batch(config.build_run_config(json.loads(sys.argv[1])), workers=2)\n"
+        "print(', after it')\n"
+    )
+    out = tmp_path / "stdout"
+    with out.open("w") as stdout:
+        proc = run_python(script, json.dumps(config_to_dict(mp_config(trial_count=4))), stdout=stdout, stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == "before the batch, after it\nat exit\n"
 
 
 def test_batch_names_the_trial_whose_worker_exits_without_its_result(monkeypatch):

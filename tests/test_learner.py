@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repgame.catalog import matching_pennies, prisoners_dilemma, rock_paper_scissors
@@ -436,7 +436,8 @@ def numpy_linf_distance(p, q) -> float:
 
 def numpy_epoch_step(game, me, schedule, eq_profile, state, hists, pick):
     """Reference: the epoch rule on float64 vectors, one numpy operation
-    per step, as it was written before the rule moved to plain floats."""
+    per step, as it was written before the rule moved to plain floats, but
+    for φ's value: a loop over the actions in index order, not a BLAS dot."""
     t, eq_hyp, grace, phi, h_prev = state.t, state.eq_hyp, state.grace, state.phi, state.h_prev
     shape = game.action_counts
     n_rounds = schedule.rounds(t)
@@ -459,7 +460,10 @@ def numpy_epoch_step(game, me, schedule, eq_profile, state, hists, pick):
         grace_after = False
         values = pure_action_values(game, me, [f for p, f in enumerate(freq) if p != me])
         best_action = int(np.argmax(values))
-        if float(values[best_action]) > float(phi @ values) + margin:
+        value = phi[0] * values[0]
+        for j in range(1, len(phi)):
+            value += phi[j] * values[j]
+        if float(values[best_action]) > float(value) + margin:
             phi_after = pure_strategy(best_action, shape[me])
             switched = True
     elif any(numpy_linf_distance(f, s) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):
@@ -546,7 +550,23 @@ def run_rule(rule, case):
     return bits(outcome), bits(after), picks
 
 
+# A mixed φ after the equilibrium hypothesis fell: against (0.193, 0.302, 0.505)
+# Rock's value beats φ's by the margin at ε 0.017575 to within the last bits, so
+# the order in which φ's value is added decides the switch: added in index order it
+# switches, as a BLAS dot does under OpenBLAS's Haswell kernel but not its SkylakeX.
+MIXED_PHI_CASE = (
+    rock_paper_scissors(),
+    0,
+    FixedSchedule([0.017575], [1000], actions_total=6),
+    EquilibriumProfile((np.full(3, 1 / 3), np.full(3, 1 / 3)), "user-supplied"),
+    EpochState([0.1, 0.3, 0.6], 0, False, True, None, 0),
+    [[100, 300, 600], [193, 302, 505]],
+    0,
+)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(epoch_cases())
+@example(MIXED_PHI_CASE)
 def test_epoch_step_equals_its_numpy_form_bit_for_bit(case):
     assert run_rule(epoch_step, case) == run_rule(numpy_epoch_step, case)
