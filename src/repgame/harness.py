@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import pickle
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +123,11 @@ def _play_segment(players, policies: dict, responders: list[int], length: int) -
     return joint
 
 
+def epoch_record(seq: int, outcome) -> dict:
+    """The trace record of a learner's ``EpochOutcome`` in epoch ``seq``, as run_trial writes it."""
+    return {"type": "epoch", "seq": seq, **vars(outcome)}
+
+
 def run_trial(config: RunConfig, trial: int) -> RunTrace:
     """Play one seeded trial to its budget and return the full trace.
 
@@ -160,7 +164,7 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
         for out in outcomes:
             if out is None:
                 raise RuntimeError("learners disagree on where the epoch ends")
-            events.append({"type": "epoch", "seq": epochs, **vars(out)})
+            events.append(epoch_record(epochs, out))
         epochs += 1
 
     return RunTrace(
@@ -251,35 +255,29 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
 # -- trace replay validation ---------------------------------------------------
 
 
-# The one encoder of trace records, which traceio writes with and the header check
-# compares in: JSON with sorted keys tells 1, 1.0 and true apart, where ``==`` does not.
+# The one encoder of trace records, which traceio writes with and the replay compares in.
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def _same(want: dict, got: dict) -> bool:
+    """Whether ``got`` has ``want``'s ``_canonical`` JSON; a value JSON cannot encode has none.  Values
+    that pickle alike, in ``want``'s key order, hold the same types, float bits and structure: no encode."""
+    try:
+        hit = want.keys() == got.keys() and pickle.dumps([*want.values()]) == pickle.dumps([*map(got.get, want)])
+    except (pickle.PicklingError, TypeError, AttributeError):  # a lambda, say: the encode decides
+        hit = False
+    try:
+        return hit or _canonical(want) == _canonical(got)
+    except (TypeError, ValueError):  # a set or an ndarray, say: only a trace built in memory holds one
+        return False
+
+
 def _first_difference(want: dict, got: dict) -> str:
-    """The dotted name of the first field, in ``want``'s order, at which ``got`` differs in value or type."""
+    """The dotted name of the first field, in ``want``'s order, at which ``got`` is not ``_same``."""
     fields = [*want, *sorted(got.keys() - want.keys(), key=str)]
-    key = next(k for k in fields if k not in want or k not in got or _canonical(want[k]) != _canonical(got[k]))
+    key = next(k for k in fields if k not in want or k not in got or not _same({k: want[k]}, {k: got[k]}))
     nested = isinstance(want.get(key), dict) and isinstance(got.get(key), dict)
     return f"{key}.{_first_difference(want[key], got[key])}" if nested else str(key)
-
-
-# An epoch record's fields that hold a float or a list of floats.
-_FLOAT_FIELDS = ("eps_e", "eps_s", "margin", "phi_before", "phi_after")
-
-
-def _float_entries(rec: dict) -> list:
-    """The ``_FLOAT_FIELDS`` of an epoch record, in one list."""
-    return [rec["eps_e"], rec["eps_s"], rec["margin"], *rec["phi_before"], *rec["phi_after"]]
-
-
-def _floats_differ(want, got) -> bool:
-    """Whether ``got``, equal by ``==`` to ``want``, a float or a list of floats, holds
-    a non-float or a zero of the other sign."""
-    if type(want) is float:
-        want, got = [want], [got]
-    bits = f"{len(want)}d"
-    return [*map(type, got)] != [*map(type, want)] or struct.pack(bits, *got) != struct.pack(bits, *want)
 
 
 @functools.lru_cache(maxsize=32)
@@ -323,12 +321,12 @@ def _header_config(key: bytes) -> RunConfig:
 def validate_trace(trace: RunTrace) -> ValidationReport:
     """Report the first field where ``trace`` is not what run_trial writes for its header.
 
-    One rule for every record: it must equal the record run_trial writes,
-    by value, by type and, for a float, by sign.  The header must be
-    ``run_header`` of its ``trial`` (an integer >= 0) and of its config,
-    an inline run document that ``build_run_config`` accepts (no file is
-    read), compared as JSON; otherwise this raises ValueError naming the
-    first field that differs.
+    One rule for every record: its ``_canonical`` JSON must be that of the
+    record run_trial writes, so a trace held in memory is judged as the
+    lines ``trace_lines`` writes for it.  The header must be ``run_header``
+    of its ``trial`` (an integer >= 0) and of its config, an inline run
+    document that ``build_run_config`` accepts (no file is read);
+    otherwise this raises ValueError naming the first field that differs.
     Epoch s is ``trace.events[s*L:(s+1)*L]``, one record per learner of
     the header's roster, in player order.  Each holds one histogram of
     ints per player totalling N^t, and is diffed field by field with the
@@ -371,7 +369,7 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         # vector of the player's length gets a pick that cannot reproduce
         # it, so the diff flags phi_after.
         phi, k = rec.get("phi_after"), shape[p]
-        pure = isinstance(phi, list) and len(phi) == k and phi.count(1.0) == 1 and phi.count(0.0) == k - 1
+        pure = isinstance(phi, (list, tuple)) and len(phi) == k and phi.count(1.0) == 1 and phi.count(0.0) == k - 1
         return phi.index(1.0) if pure else 0
 
     # The learners, in player order: the order of their records in an epoch.
@@ -389,30 +387,20 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
                 want = f"one histogram of ints per player totalling N^t = {n_rounds}"
                 return diverged(seq, p, "counts", f"need {want}, trace has {rec.get('counts')!r}")
             outcome, state[p] = epoch_step(game, p, sched, eq, state[p], events[first]["counts"], pick)
-            replay = {"type": "epoch", "seq": seq, **vars(outcome)}
-            # By type too, and a float by its sign, as JSON tells 1, 1.0,
-            # true, 0.0 and -0.0 apart and ``==`` does not; histogram_total
-            # has checked the counts' entries.
-            if (
-                replay != rec
-                or [*map(type, replay.values())] != [*map(type, map(rec.get, replay))]
-                or _floats_differ(_float_entries(replay), _float_entries(rec))
-            ):
-                for key, want in replay.items():
-                    got = rec.get(key)
-                    if got != want or type(got) is not type(want):
-                        return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
-                    if key in _FLOAT_FIELDS and _floats_differ(want, got):
-                        return diverged(seq, p, key, f"replay gives {want!r}, trace has {got!r}")
-                extra = min(map(str, rec.keys() - replay.keys()))
-                return diverged(seq, p, extra, "the replay gives no such field")
+            want = epoch_record(seq, outcome)
+            if not _same(want, rec):
+                key = _first_difference(want, rec)
+                if key not in want:
+                    return diverged(seq, p, key, "the replay gives no such field")
+                return diverged(seq, p, key, f"replay gives {want[key]!r}, trace has {rec.get(key)!r}")
         used += n_rounds
     rounds_used = used if epochs == config.epoch_budget else config.round_budget
     partial = rounds_used - used
-    for fieldname, want in (("epochs", epochs), ("rounds_used", rounds_used), ("partial_rounds", partial)):
-        got = getattr(trace, fieldname)
-        if got != want or type(got) is not type(want):
-            return diverged(epochs, None, fieldname, f"need {want} {fieldname}, trace has {got!r}")
+    want = {"epochs": epochs, "rounds_used": rounds_used, "partial_rounds": partial}
+    got = {key: getattr(trace, key) for key in want}
+    if not _same(want, got):
+        key = _first_difference(want, got)
+        return diverged(epochs, None, key, f"need {want[key]} {key}, trace has {got[key]!r}")
     n_rounds = sched.rounds(next(iter(state.values())).t)  # the next epoch's; the learners' t agree
     if epochs > config.epoch_budget or rounds_used > config.round_budget or not 0 <= partial < n_rounds:
         budgets = f"epoch_budget {config.epoch_budget} and round_budget {config.round_budget}"
@@ -483,7 +471,11 @@ def _trial_message(config: RunConfig, trial: int) -> tuple[bytes, bool]:
 def _worker(config: RunConfig, first: int, step: int, writer, readers: list) -> None:
     """A forked worker: trials ``first``, ``first + step``, ... of the config, each sent on
     ``writer`` as one ``_trial_message`` once it ends, up to the first that fails.  It closes
-    the ``readers`` it inherited."""
+    the ``readers`` it inherited, and ignores SIGINT: a Ctrl-C reaches the parent too, which
+    kills and reaps every worker."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     for reader in readers:
         reader.close()
     for trial in range(first, config.trial_count, step):
@@ -563,9 +555,9 @@ def run_batch(config: RunConfig, workers: int = 1, on_trace=None) -> BatchResult
     worker's traceback text as its chained cause, or a RuntimeError naming
     the trial if pickle rejects the exception.  A worker that exits without
     a trial's result raises a RuntimeError naming the trial and the
-    worker's exit status.  On any raise, ``on_trace``'s included, the
-    workers still running are killed, and every worker is reaped before
-    this returns or raises.  ``workers > 1`` needs ``os.fork``; without it
+    worker's exit status.  On any raise, ``on_trace``'s and a Ctrl-C's
+    included, the workers still running are killed, and every worker is
+    reaped before this returns or raises; a worker ignores SIGINT.  ``workers > 1`` needs ``os.fork``; without it
     this raises ValueError before any trial starts.
     """
     check_count("workers", workers, 1)

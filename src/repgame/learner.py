@@ -77,14 +77,14 @@ def fresh_state(eq_profile: EquilibriumProfile, me: int, restarts: int = 0) -> E
 
 
 def histogram_total(hists, shape: Sequence[int]) -> int | None:
-    """The total of every histogram in ``hists``, when it is a list of one
-    list of nonnegative ints per player, of that player's action count, and
-    all totals are equal; otherwise None."""
-    if not isinstance(hists, list) or len(hists) != len(shape):
+    """The total of every histogram in ``hists``, when it is a list or tuple
+    of one list or tuple of nonnegative ints per player, of that player's
+    action count, and all totals are equal; otherwise None."""
+    if not isinstance(hists, (list, tuple)) or len(hists) != len(shape):
         return None
     totals = set()
     for h, k in zip(hists, shape):
-        if not isinstance(h, list) or len(h) != k or {*map(type, h)} != {int} or min(h) < 0:
+        if not isinstance(h, (list, tuple)) or len(h) != k or {*map(type, h)} != {int} or min(h) < 0:
             return None
         totals.add(sum(h))
     return totals.pop() if len(totals) == 1 else None

@@ -3,8 +3,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1094,6 +1096,35 @@ def test_validate_tells_apart_values_of_another_type(seq, edit, field, equal):
     assert (report.divergence["epoch"], report.divergence["field"]) == (seq, field)
 
 
+# A record is judged as the JSON line run_trial writes for it, so a value of
+# another Python type that writes the same line is the same, and one that JSON
+# cannot encode is a divergence at its field.  Epoch 0 keeps phi [0.5, 0.5], and
+# epoch 1 rejects the equilibrium hypothesis with a float margin.
+@pytest.mark.parametrize(
+    "seq, edit, field",
+    [
+        (0, lambda rec: rec.update(phi_after=rec["phi_before"]), None),
+        (1, lambda rec: rec.update(phi_after=tuple(rec["phi_after"])), None),
+        (1, lambda rec: rec.update(margin=np.float64(rec["margin"])), None),
+        (0, lambda rec: rec.update(phi_after=set(rec["phi_after"])), "phi_after"),
+        (0, lambda rec: rec.update(phi_after=np.array(rec["phi_after"])), "phi_after"),
+    ],
+    ids=["phi_after-is-phi_before", "phi_after-a-tuple", "margin-a-float64", "phi_after-a-set", "phi_after-an-ndarray"],
+)
+def test_validate_judges_a_record_by_the_line_it_writes(seq, edit, field):
+    scripted = {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0]}}
+    trace = run_trial(mp_config(roster=(LEARNER, scripted), epoch_budget=3), 0)
+    lines = list(traceio.trace_lines(trace))
+    edit(trace.events[seq])
+    report = validate_trace(trace)
+    if field is None:
+        assert report.ok
+        assert list(traceio.trace_lines(trace)) == lines
+    else:
+        assert not report.ok
+        assert (report.divergence["epoch"], report.divergence["field"]) == (seq, field)
+
+
 def test_validate_checks_each_learners_own_counts(sample_trace):
     # The replay runs on the epoch's first record's histograms, so a later
     # learner's counts equal to them in value but not in type are caught
@@ -1173,6 +1204,13 @@ def fuzz_traces():
 
 ODD_VALUES = [None, True, False, 0, -1, 0.0, -0.0, 1.5, 2**53, "x", [], {}, [0], math.nan, math.inf]
 DELETE = object()
+TUPLED = object()  # the value already there, with every list made a tuple: the same JSON
+
+
+def _tupled(node):
+    if isinstance(node, dict):
+        return {key: _tupled(child) for key, child in node.items()}
+    return tuple(map(_tupled, node)) if isinstance(node, list) else node
 
 
 def _edit_at(node, place, value):
@@ -1183,6 +1221,8 @@ def _edit_at(node, place, value):
         node[key] = _edit_at(node[key], place[1:], value)
     elif value is DELETE:
         del node[key]
+    elif value is TUPLED:
+        node[key] = _tupled(node[key])
     else:
         node[key] = copy.deepcopy(value)
     return node
@@ -1191,17 +1231,23 @@ def _edit_at(node, place, value):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_validate_reports_or_raises_value_error_for_any_one_edit(fuzz_traces, data):
-    # The replay checks every field of every epoch record, a float by its
-    # type and sign too, and every end field, so such an edit gives ok only
+    # The replay checks every field of every epoch record and every end
+    # field as the JSON line run_trial writes, so such an edit gives ok only
     # where the trace's lines are unchanged.  A header edit may give ok:
     # the replay reads neither the draws nor some header fields.
     doc, lines, places = data.draw(st.sampled_from(fuzz_traces))
     place = data.draw(st.sampled_from(data.draw(st.sampled_from(places))))
     # A RunTrace always has a header and its end fields, so those are only replaced.
     deletable = place != ("header",) and place[0] != "end"
-    value = data.draw(st.sampled_from(ODD_VALUES + [DELETE] * deletable))
+    value = data.draw(st.sampled_from(ODD_VALUES + [DELETE] * deletable + [TUPLED]))
     doc = _edit_at(doc, place, value)
     edited = RunTrace(header=doc["header"], events=doc["events"], **doc["end"])
+    # Conversely, an edit of an epoch record or an end field that leaves
+    # every line unchanged gives ok.
+    unchanged = list(traceio.trace_lines(edited)) == lines
+    if unchanged and place[0] in ("end", "events"):
+        assert validate_trace(edited).ok, place
+        return
     try:
         report = validate_trace(edited)
     except ValueError:
@@ -1209,7 +1255,7 @@ def test_validate_reports_or_raises_value_error_for_any_one_edit(fuzz_traces, da
     assert isinstance(report, harness.ValidationReport)
     checked = place[0] in ("end", "events") or place == ("header",)
     if report.ok and checked:
-        assert list(traceio.trace_lines(edited)) == lines, place
+        assert unchanged, place
 
 
 # -- trace persistence ------------------------------------------------------------------
@@ -1580,6 +1626,32 @@ def test_batch_names_the_trial_whose_worker_exits_without_its_result(monkeypatch
     assert_reaped(pids, 2)
     monkeypatch.undo()
     assert [trace_bytes(t) for t in seen] == [trace_bytes(run_trial(cfg, t)) for t in range(5)]
+
+
+def test_batch_workers_leave_a_ctrl_c_to_the_parent(monkeypatch, tmp_path, capfd):
+    # A Ctrl-C at a terminal reaches every process of the batch.  The parent
+    # kills and reaps the workers on its KeyboardInterrupt, so a worker
+    # ignores it: here only the workers get it, and the batch runs on.
+    sleeping = tmp_path / "sleeping"
+
+    def slow_trial(run_config, trial):
+        if trial == 1:
+            sleeping.touch()
+            time.sleep(1.5)
+        return run_trial(run_config, trial)
+
+    def on_trace(trace, summary):
+        if trace.header["trial"] == 0:
+            deadline = time.monotonic() + 30
+            while not sleeping.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGINT)
+
+    monkeypatch.setattr(harness, "run_trial", slow_trial)
+    assert len(run_batch(mp_config(trial_count=2), workers=2, on_trace=on_trace).summaries) == 2
+    assert sleeping.exists()
+    assert "Traceback" not in capfd.readouterr().err
 
 
 class TwoArgumentError(Exception):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repgame.catalog import matching_pennies, rock_paper_scissors
 from repgame.games import StageGame, best_response
+from repgame.harness import agent_stream
+from repgame.learner import STREAM_PLAY, STREAM_RESET_PICK
 from repgame.opponents import (
     EventuallyStationaryPolicy,
     FictitiousPlayPolicy,
@@ -113,6 +115,30 @@ def test_a_zero_length_draw_leaves_the_stream_and_the_script_where_they_were(met
         assert getattr(pol, method)(0).tolist() == ([0, 0, 0] if method == "act_counts" else []), where
     assert stationary.rng.bit_generator.state == state, f"{sampler} of 0 rounds on numpy {np.__version__} moved the stream"
     assert scripted.pos == 2, f"ScriptedPolicy.{method} of 0 rounds on numpy {np.__version__} moved the script"
+
+
+# numpy's random compatibility policy (NEP 19) fixes the bit generators'
+# streams, but not Generator's sampling algorithms, across releases; trace bytes
+# depend on both.  These are the draws the learners and stationary policies make,
+# in their call forms, on agent_stream seeds.
+@pytest.mark.parametrize(
+    "sampler, player, purpose, draw, want",
+    [
+        ("Generator.choice", 0, STREAM_PLAY,
+         lambda g: [g.choice(3, size=n, p=[0.5, 0.3, 0.2]).tolist() for n in (4, 8)],
+         [[2, 2, 0, 1], [0, 2, 2, 0, 2, 2, 0, 0]]),
+        ("Generator.multinomial", 0, STREAM_PLAY,
+         lambda g: [g.multinomial(n, [0.5, 0.3, 0.2]).tolist() for n in (5, 60, 1000)],
+         [[5, 0, 0], [35, 17, 8], [490, 306, 204]]),
+        ("Generator.integers", 1, STREAM_RESET_PICK,
+         lambda g: [int(g.integers(k)) for k in (2, 3, 3, 5, 5, 5)],
+         [0, 1, 2, 0, 2, 0]),
+    ],
+    ids=["choice", "multinomial", "integers"],
+)
+def test_numpy_samplers_draw_as_when_the_trace_digests_were_pinned(sampler, player, purpose, draw, want):
+    got = draw(agent_stream(7, 3, player, purpose))
+    assert got == want, f"{sampler} on numpy {np.__version__} draws {got}, not {want} as when the digests were pinned"
 
 
 # -- eventually stationary --------------------------------------------------------
