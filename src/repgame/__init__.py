@@ -12,7 +12,6 @@ from .equilibrium import (
 )
 from .games import (
     StageGame,
-    best_response,
     expected_utility,
     linf_distance,
     pure_action_values,
@@ -46,7 +45,6 @@ __all__ = [
     "enumerate_pure_nash",
     "support_enumeration_2p",
     "StageGame",
-    "best_response",
     "expected_utility",
     "linf_distance",
     "pure_action_values",

@@ -131,19 +131,6 @@ def load_game_file(path) -> StageGame:
     return parse_game_text(text, source=str(path))
 
 
-def format_game_text(game: StageGame) -> str:
-    names = game.action_names or tuple(
-        tuple(f"a{j}" for j in range(c)) for c in game.action_counts
-    )
-    out = [f"players: {game.num_players}"]
-    for i, per in enumerate(names):
-        out.append(f"actions {i}: " + " ".join(per))
-    out.append("payoffs:")
-    for profile in np.ndindex(*game.action_counts):
-        out.append(" ".join(repr(float(game.payoffs[(p, *profile)])) for p in range(game.num_players)))
-    return "\n".join(out) + "\n"
-
-
 # -- run configuration ---------------------------------------------------------
 
 # Integer fields of a run and the least value each may take.

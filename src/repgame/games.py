@@ -149,9 +149,6 @@ class StageGame:
         """Total number of actions summed over all players."""
         return sum(self.action_counts)
 
-    def payoff(self, player: int, profile) -> float:
-        return float(self.payoffs[player][tuple(int(a) for a in profile)])
-
     def action_values(self, player: int, weights) -> np.ndarray:
         """Each of ``player``'s pure-action values against one weight
         sequence per opponent (in player order).  Unchecked: raw counts give
@@ -206,13 +203,6 @@ def expected_utility(game: StageGame, player: int, own, others) -> float:
     ``own`` weighted over ``pure_action_values``."""
     values = pure_action_values(game, player, others)
     return float(as_strategy(own, game.action_counts[player]) @ values)
-
-
-def best_response(game: StageGame, player: int, others) -> tuple[int, float]:
-    """Best pure action and its value; ties broken toward the lowest index."""
-    values = pure_action_values(game, player, others)
-    action = int(np.argmax(values))  # argmax returns the first maximiser
-    return action, float(values[action])
 
 
 def regret(game: StageGame, profile, player: int) -> float:

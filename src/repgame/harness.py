@@ -76,34 +76,35 @@ def run_header(config: RunConfig, trial: int, eq: EquilibriumProfile | None = No
 # -- agent construction -----------------------------------------------------
 
 
-def _build_agents(config: RunConfig, trial: int):
-    learners: dict[int, EquilibriumRetreatAgent] = {}
-    policies = {}
+def _build_agents(config: RunConfig, trial: int) -> list:
+    """One agent per player, in player order: a learner, or a seeded copy of its parsed policy."""
+    players = []
     for player, policy in enumerate(config.policies):
         if policy is None:
             streams = (
                 agent_stream(config.master_seed, trial, player, STREAM_PLAY),
                 agent_stream(config.master_seed, trial, player, STREAM_RESET_PICK),
             )
-            learners[player] = EquilibriumRetreatAgent(
-                config.game, player, config.schedule, config.equilibrium, streams=streams
+            players.append(
+                EquilibriumRetreatAgent(config.game, player, config.schedule, config.equilibrium, streams=streams)
             )
         else:
             ss = np.random.SeedSequence([int(config.master_seed), int(trial), int(player), STREAM_PLAY])
-            policies[player] = policy.seeded(ss)
-    return learners, policies
+            players.append(policy.seeded(ss))
+    return players
 
 
 # -- trial driver ------------------------------------------------------------
 
 
-def _play_segment(players, policies: dict, responders: list[int], length: int) -> list[np.ndarray]:
-    """The joint actions of the next ``length`` rounds, shown to every
-    opponent policy.  Learners and history-free policies draw theirs in
-    one call.  A history-dependent policy's action in a round depends only
-    on the rounds before it, so a single one answers the whole segment in
-    one ``respond_segment`` call; two or more answer each other one round
-    at a time."""
+def _play_segment(players: list, responders: list[int], length: int) -> list[np.ndarray]:
+    """The joint actions of the next ``length`` rounds.  Learners and
+    history-free policies draw theirs in one ``act_segment`` call, which
+    moves them past the segment.  The responders, the history-dependent
+    policies, answer and then observe: a responder's action in a round
+    depends only on the rounds before it, so a single one answers the
+    whole segment in one ``respond_segment`` call; two or more answer each
+    other one round at a time."""
     joint = [
         np.zeros(length, dtype=np.int64) if p in responders else agent.act_segment(length)
         for p, agent in enumerate(players)
@@ -114,12 +115,9 @@ def _play_segment(players, policies: dict, responders: list[int], length: int) -
         steps = ([a[r : r + 1] for a in joint] for r in range(length))
     for step in steps:  # views into joint, so answers land there
         for p in responders:
-            step[p][:] = policies[p].respond_segment(step)
+            step[p][:] = players[p].respond_segment(step)
         for p in responders:
-            policies[p].observe_segment(step)
-    for p, pol in policies.items():
-        if p not in responders:
-            pol.observe_segment(joint)
+            players[p].observe_segment(step)
     return joint
 
 
@@ -135,16 +133,14 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     before any agent observes the joint profile.  Every learner plays
     ``config.equilibrium``.  Deterministic in (config, trial).
     """
-    learners, policies = _build_agents(config, trial)
-    agents = {**learners, **policies}
-    players = [agents[p] for p in range(config.game.num_players)]
-    learner_list = [learners[p] for p in sorted(learners)]
-    first = learner_list[0]
+    players = _build_agents(config, trial)
+    learners = [agent for agent, policy in zip(players, config.policies) if policy is None]
+    first = learners[0]
     # A segment runs to the epoch's end or the budget.  Without a
     # history-dependent policy every player's draws are independent of the
     # others' and the learners read only histograms, so a segment is one
     # histogram per player; with one, it is every player's actions.
-    responders = [p for p, pol in policies.items() if pol.history_dependent]
+    responders = [p for p, policy in enumerate(config.policies) if policy is not None and policy.history_dependent]
 
     events: list[dict] = []
     rounds_used = 0
@@ -153,11 +149,11 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     while rounds_used < config.round_budget and epochs < config.epoch_budget:
         length = min(first.rounds_left_in_epoch(), config.round_budget - rounds_used)
         if responders:
-            joint = _play_segment(players, policies, responders, length)
-            outcomes = [lr.observe_segment(joint) for lr in learner_list]
+            joint = _play_segment(players, responders, length)
+            outcomes = [lr.observe_segment(joint) for lr in learners]
         else:
             hists = [agent.act_counts(length) for agent in players]
-            outcomes = [lr.observe_counts(hists) for lr in learner_list]
+            outcomes = [lr.observe_counts(hists) for lr in learners]
         rounds_used += length
         if all(out is None for out in outcomes):
             continue

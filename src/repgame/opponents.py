@@ -47,15 +47,16 @@ class OpponentPolicy:
     """Base class.  A policy plays ``length`` rounds at once, the trial
     choosing one of two ways for its whole roster:
 
-    - actions: ``observe_segment(joint)`` shows the policy a segment of
-      rounds, with one int64 action array per player.  A history-free
-      policy draws its actions for the segment first, with
-      ``act_segment(length)``; a history-dependent one answers the other
-      players' actions with ``respond_segment(joint)``, its action in
-      round r depending only on the rounds before r.
+    - actions: a history-free policy draws its actions for the next
+      ``length`` rounds with ``act_segment(length)``, and moves past them.
+      A history-dependent one answers the other players' actions with
+      ``respond_segment(joint)``, one int64 action array per player, its
+      action in round r depending only on the rounds before r; then
+      ``observe_segment(joint)`` shows it the rounds it answered.
     - histogram: ``act_counts(length)`` returns how often the policy plays
       each action over the next ``length`` rounds, and moves past them.
-      Only history-free policies play this way; they observe nothing.
+      Only history-free policies play this way; on neither path are they
+      shown the rounds.
 
     A policy that draws random numbers takes them from the generator it was
     built with; ``seeded(ss)`` gives a copy that draws from streams of
@@ -78,9 +79,6 @@ class OpponentPolicy:
 
     def respond_segment(self, joint: list[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
-
-    def observe_segment(self, joint: list[np.ndarray]) -> None:
-        pass
 
     def act_counts(self, length: int) -> np.ndarray:
         raise NotImplementedError
@@ -115,10 +113,8 @@ class ScriptedPolicy(OpponentPolicy):
 
     def act_segment(self, length: int) -> np.ndarray:
         idx = np.minimum(np.arange(self.pos, self.pos + length), len(self.actions) - 1)
+        self.pos += length
         return self.actions[idx]
-
-    def observe_segment(self, joint: list[np.ndarray]) -> None:
-        self.pos += len(joint[0])
 
     def act_counts(self, length: int) -> np.ndarray:
         # Exact: the part of the script these rounds reach, and the rest on
@@ -156,6 +152,7 @@ class EventuallyStationaryPolicy(OpponentPolicy):
     def act_segment(self, length: int) -> np.ndarray:
         # A zero-length draw takes nothing from a stream or a script.
         pre_len = self._pre_len(length)
+        self.round += length
         return np.concatenate([self.pre.act_segment(pre_len), self.post.act_segment(length - pre_len)])
 
     def respond_segment(self, joint: list[np.ndarray]) -> np.ndarray:

@@ -42,12 +42,14 @@ class Schedule:
     epoch0_rounds: int | None = None
 
     def __post_init__(self):
-        # Floats, with -0.0 as 0.0, so a run document's 0, 0.0 and -0.0 give
-        # one schedule and one trace header.  A harmonic one hashes its unused rate.
+        # Finite floats, with -0.0 as 0.0, so a run document's 0, 0.0 and -0.0 give one
+        # schedule and one trace header.  A harmonic one hashes and writes its unused rate.
         for name in ("epsilon_base", "offset", "rate"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, float(value) + 0.0)
         if not 0.0 < self.epsilon_base <= 1.0:
             raise ValueError("epsilon_base must be in (0, 1]")

@@ -1,9 +1,9 @@
-"""Small catalog of textbook games used in tests, docs and demos."""
+"""Small catalog of textbook games used in tests."""
 from __future__ import annotations
 
 import numpy as np
 
-from .games import StageGame
+from repgame.games import StageGame
 
 
 def matching_pennies() -> StageGame:

@@ -11,11 +11,12 @@ import pytest
 import conftest
 
 from repgame import traceio
-from repgame.catalog import battle_of_sexes, matching_pennies, prisoners_dilemma, rock_paper_scissors
 from repgame.equilibrium import compute_equilibrium, support_enumeration_2p
 from repgame.games import StageGame, expected_utility, pure_action_values, pure_strategy, regret
 from repgame.harness import RunConfig, validate_trace
 from repgame.schedule import PRODUCT_LIMIT, Schedule, never_restart_lower_bound
+
+from catalog import battle_of_sexes, matching_pennies, prisoners_dilemma, rock_paper_scissors
 
 PAPER = (0.0, 1.0, 0.0)  # pure second action of rock-paper-scissors
 LEARNER = {"agent": "learner"}
@@ -289,11 +290,11 @@ def _is_pure_nash(game: StageGame, profile) -> bool:
     strategies = [np.asarray(s) for s in profile]
     actions = [int(np.argmax(s)) for s in strategies]
     for p in range(game.num_players):
-        current = game.payoff(p, actions)
+        current = game.payoffs[(p, *actions)]
         for a in range(game.action_counts[p]):
             trial = list(actions)
             trial[p] = a
-            if game.payoff(p, trial) > current:
+            if game.payoffs[(p, *trial)] > current:
                 return False
     return True
 

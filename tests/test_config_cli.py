@@ -4,16 +4,32 @@ import os
 import numpy as np
 import pytest
 
-from repgame.catalog import battle_of_sexes, matching_pennies, prisoners_dilemma
 from repgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from repgame.config import (
     ConfigError,
     build_run_config,
-    format_game_text,
     load_run_config,
     parse_game_text,
 )
+from repgame.games import StageGame
 from repgame.schedule import Schedule, never_restart_lower_bound, never_restart_products
+
+from catalog import battle_of_sexes, matching_pennies, prisoners_dilemma
+
+
+def format_game_text(game: StageGame) -> str:
+    """``game`` in the game text grammar that ``parse_game_text`` reads."""
+    names = game.action_names or tuple(
+        tuple(f"a{j}" for j in range(c)) for c in game.action_counts
+    )
+    out = [f"players: {game.num_players}"]
+    for i, per in enumerate(names):
+        out.append(f"actions {i}: " + " ".join(per))
+    out.append("payoffs:")
+    for profile in np.ndindex(*game.action_counts):
+        out.append(" ".join(repr(float(game.payoffs[(p, *profile)])) for p in range(game.num_players)))
+    return "\n".join(out) + "\n"
+
 
 MP_TEXT = """\
 players: 2
@@ -444,10 +460,12 @@ def test_cli_unavailable_equilibrium_exits_3(tmp_path, capsys, command):
 
 
 def test_cli_rejects_non_integer_schedule_count(tmp_path, capsys):
-    cfg = write_yaml_config(tmp_path, schedule={"epsilon_base": 0.5, "epoch0_rounds": 2.5})
-    assert main(["run", str(cfg)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "invalid schedule" in err and "epoch0_rounds" in err
+    # A NaN offset too: it would reach int(N^t) as NaN.
+    for key, value in (("epoch0_rounds", 2.5), ("offset", float("nan"))):
+        cfg = write_yaml_config(tmp_path, schedule={"epsilon_base": 0.5, key: value})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG, key
+        err = capsys.readouterr().err
+        assert "invalid schedule" in err and key in err, err
 
 
 def _drop(key):

@@ -11,9 +11,10 @@ under the same schedule.
 """
 import numpy as np
 
-from repgame.catalog import matching_pennies, rock_paper_scissors
 from repgame.harness import RunConfig, run_batch
 from repgame.schedule import Schedule, never_restart_lower_bound
+
+from catalog import matching_pennies, rock_paper_scissors
 
 PAPER = (0.0, 1.0, 0.0)
 

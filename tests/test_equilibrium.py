@@ -3,13 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repgame.catalog import (
-    battle_of_sexes,
-    coordination_3p,
-    matching_pennies,
-    prisoners_dilemma,
-    rock_paper_scissors,
-)
 from repgame.equilibrium import (
     EquilibriumUnavailableError,
     compute_equilibrium,
@@ -17,6 +10,14 @@ from repgame.equilibrium import (
     support_enumeration_2p,
 )
 from repgame.games import StageGame, regret
+
+from catalog import (
+    battle_of_sexes,
+    coordination_3p,
+    matching_pennies,
+    prisoners_dilemma,
+    rock_paper_scissors,
+)
 
 
 def three_player_no_pure_ne() -> StageGame:

@@ -3,21 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repgame.catalog import (
-    coordination_3p,
-    matching_pennies,
-    prisoners_dilemma,
-    rock_paper_scissors,
-)
 from repgame.games import (
     StageGame,
     as_strategy,
-    best_response,
     expected_utility,
     linf_distance,
     pure_action_values,
     pure_strategy,
     regret,
+)
+
+from catalog import (
+    coordination_3p,
+    matching_pennies,
+    prisoners_dilemma,
+    rock_paper_scissors,
 )
 
 
@@ -203,29 +203,24 @@ def test_values_sum_each_opponents_actions_in_index_order(case):
         assert columns[:, 0].tobytes() == want.tobytes()
 
 
-# -- best_response ---------------------------------------------------------------
+# -- best responses: the first maximiser of pure_action_values ----------------------
 
 
 def test_best_response_rps_vs_skewed_opponent():
-    g = rock_paper_scissors()
-    action, value = best_response(g, 0, [[0.5, 0.3, 0.2]])
-    assert action == 1  # Paper
-    assert value == pytest.approx(0.3)
-    values = pure_action_values(g, 0, [[0.5, 0.3, 0.2]])
+    values = pure_action_values(rock_paper_scissors(), 0, [[0.5, 0.3, 0.2]])
+    assert values.argmax() == 1  # Paper
     assert values == pytest.approx([-0.1, 0.3, -0.2])
 
 
 def test_best_response_tie_breaks_to_lowest_index():
-    g = matching_pennies()
-    action, value = best_response(g, 0, [[0.5, 0.5]])
-    assert (action, value) == (0, pytest.approx(0.0))
+    values = pure_action_values(matching_pennies(), 0, [[0.5, 0.5]])
+    assert (values.argmax(), values.max()) == (0, pytest.approx(0.0))
 
 
 def test_best_response_dominant_defect():
     g = prisoners_dilemma()
     for w in np.linspace(0.0, 1.0, 11):
-        action, _ = best_response(g, 0, [[w, 1 - w]])
-        assert action == 1  # Defect
+        assert pure_action_values(g, 0, [[w, 1 - w]]).argmax() == 1  # Defect
 
 
 def test_best_response_dominates_every_pure_action():
@@ -235,7 +230,7 @@ def test_best_response_dominates_every_pure_action():
         k = int(rng.integers(2, 5))
         g = random_game(rng, n, k)
         others = [simplex(rng, k) for _ in range(n - 1)]
-        _, value = best_response(g, 0, others)
+        value = pure_action_values(g, 0, others).max()
         for a in range(k):
             assert value >= expected_utility(g, 0, pure_strategy(a, k), others) - 1e-12
 
@@ -325,4 +320,4 @@ def test_stage_game_validation():
     assert g.num_players == 2
     assert g.action_counts == (2, 2)
     assert g.actions_total == 4
-    assert g.payoff(0, (0, 0)) == 1.0
+    assert g.payoffs[(0, 0, 0)] == 1.0

@@ -20,7 +20,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repgame import config, harness, traceio
-from repgame.catalog import battle_of_sexes, matching_pennies, rock_paper_scissors
 from repgame.cli import EXIT_CONFIG, main
 from repgame.config import build_run_config, config_to_dict
 from repgame.equilibrium import EquilibriumUnavailableError, compute_equilibrium
@@ -35,6 +34,7 @@ from repgame.harness import (
 )
 from repgame.schedule import Schedule
 
+from catalog import battle_of_sexes, matching_pennies, rock_paper_scissors
 from conftest import run_batch_delivered
 
 LEARNER = {"agent": "learner"}
@@ -212,18 +212,24 @@ def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
 
 
 def test_scripted_opponent_moves_through_its_script_beside_fictitious_play():
-    # On the action path history-free policies observe each segment too: the
-    # script plays once, in the first epoch, and then repeats its last action.
-    cfg = RunConfig(
-        game=StageGame(np.array(THREE_PLAYER_PAYOFFS)),
-        roster=(LEARNER, {"agent": "opponent", "policy": {"kind": "scripted", "actions": [0, 0, 1]}}, fp()),
-        schedule=Schedule(epsilon_base=0.5, actions_total=7, epoch0_rounds=37),
-        round_budget=2000,
-        epoch_budget=3,
-        master_seed=3,
-    )
-    trace = run_trial(cfg, 0)
-    assert [rec["counts"][1] for rec in trace.events] == [[2, 35], [0, 224], [0, 1584]]
+    # On the action path a history-free policy is shown nothing: each
+    # act_segment call moves it past its segment.  The script plays once, in
+    # the first epoch, and then repeats its last action.  The eventually
+    # stationary opponent plays the same script until round 100, inside the
+    # second epoch (rounds 37-260), and then 0 or 1 with odds 1:3.
+    script = {"kind": "scripted", "actions": [0, 0, 1]}
+    switching = {"kind": "eventually_stationary", "pre": script, "switch_round": 100, "probs": [0.25, 0.75]}
+    for policy, want in ((script, [[2, 35], [0, 224], [0, 1584]]), (switching, [[2, 35], [50, 174], [373, 1211]])):
+        cfg = RunConfig(
+            game=StageGame(np.array(THREE_PLAYER_PAYOFFS)),
+            roster=(LEARNER, {"agent": "opponent", "policy": policy}, fp()),
+            schedule=Schedule(epsilon_base=0.5, actions_total=7, epoch0_rounds=37),
+            round_budget=2000,
+            epoch_budget=3,
+            master_seed=3,
+        )
+        trace = run_trial(cfg, 0)
+        assert [rec["counts"][1] for rec in trace.events] == want, policy["kind"]
 
 
 def test_per_round_trace_bytes_are_frozen():

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repgame.catalog import matching_pennies, prisoners_dilemma, rock_paper_scissors
 from repgame.equilibrium import EquilibriumProfile, compute_equilibrium
 from repgame.games import StageGame, pure_action_values, pure_strategy
 from repgame.learner import EpochOutcome, EpochState, EquilibriumRetreatAgent, epoch_step, fresh_state
 from repgame.schedule import Schedule
+
+from catalog import matching_pennies, prisoners_dilemma, rock_paper_scissors
 
 
 class FixedSchedule:

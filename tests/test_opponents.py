@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repgame.catalog import matching_pennies, rock_paper_scissors
-from repgame.games import StageGame, best_response
+from repgame.games import StageGame, pure_action_values
 from repgame.harness import agent_stream
 from repgame.learner import STREAM_PLAY, STREAM_RESET_PICK
 from repgame.opponents import (
@@ -14,20 +13,18 @@ from repgame.opponents import (
     StationaryPolicy,
 )
 
+from catalog import matching_pennies, rock_paper_scissors
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def play_rounds(pol, rounds, other=lambda r: 0):
-    """Play ``rounds`` one-round segments as player 0 of a two-player game,
-    the other player taking action ``other(r)`` in round r."""
-    seen = []
-    for r in range(rounds):
-        a = pol.act_segment(1)
-        seen.append(int(a[0]))
-        pol.observe_segment([a, np.array([other(r)], dtype=np.int64)])
-    return seen
+def play_rounds(pol, rounds):
+    """Play ``rounds`` one-round segments of a history-free policy, as a
+    trial does: each ``act_segment`` call moves it past its round, and it
+    is shown nothing."""
+    return [int(pol.act_segment(1)[0]) for _ in range(rounds)]
 
 
 # -- stationary ---------------------------------------------------------------
@@ -41,10 +38,12 @@ def test_stationary_empirical_frequencies():
 
 
 def test_stationary_ignores_history():
-    # Same stream, different observed histories: identical action sequences.
-    others = [lambda r: 0, lambda r: r % 3]
-    seqs = [play_rounds(StationaryPolicy([0.5, 0.3, 0.2], rng(7)), 50, other) for other in others]
-    assert seqs[0] == seqs[1]
+    # History-free: it has no observe_segment, so a trial shows it no
+    # rounds, and the same stream plays the same actions one round at a
+    # time as in one segment.
+    pol = StationaryPolicy([0.5, 0.3, 0.2], rng(7))
+    assert not pol.history_dependent and not hasattr(pol, "observe_segment")
+    assert play_rounds(pol, 50) == StationaryPolicy([0.5, 0.3, 0.2], rng(7)).act_segment(50).tolist()
 
 
 def test_stationary_counts_follow_probs():
@@ -62,10 +61,15 @@ def test_stationary_rejects_bad_probs():
 
 
 def test_scripted_repeats_last_action():
-    assert play_rounds(ScriptedPolicy([0, 1], 2), 4) == [0, 1, 1, 1]
+    # Each act_segment call moves the script past the round it returns; the
+    # policy has no observe_segment.
+    pol = ScriptedPolicy([0, 1], 2)
+    assert play_rounds(pol, 4) == [0, 1, 1, 1]
+    assert pol.pos == 4 and not hasattr(pol, "observe_segment")
 
 
 def test_scripted_segment_matches_per_round():
+    # One six-round segment plays what six one-round segments play.
     a = ScriptedPolicy([2, 0, 1], 3)
     seg = a.act_segment(6)
     assert seg.dtype == np.int64
@@ -88,13 +92,21 @@ def test_scripted_rejects_actions_outside_the_player(actions):
     script=st.lists(st.integers(0, 2), min_size=1, max_size=6),
     pos=st.integers(0, 10),
     length=st.integers(0, 12),
+    cuts=st.lists(st.integers(0, 12), max_size=3),
 )
-def test_scripted_counts_equal_bincount_of_its_segment(script, pos, length):
-    pol = ScriptedPolicy(script, 3)
-    pol.act_counts(pos)
-    expected = np.bincount(pol.act_segment(length), minlength=3)
-    assert pol.act_counts(length).tolist() == expected.tolist()
-    assert pol.pos == pos + length
+def test_scripted_counts_equal_bincount_of_its_segment(script, pos, length, cuts):
+    # act_counts and act_segment each move the script past the rounds they
+    # play, so the segment comes from a twin at the same place; and any split
+    # of those rounds into act_segment calls plays the segment's actions.
+    pol, twin, split = (ScriptedPolicy(script, 3) for _ in range(3))
+    for p in (pol, twin, split):
+        p.act_counts(pos)
+    segment = twin.act_segment(length)
+    assert pol.act_counts(length).tolist() == np.bincount(segment, minlength=3).tolist()
+    bounds = [0, *sorted(min(c, length) for c in cuts), length]
+    parts = [split.act_segment(hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tolist() == segment.tolist()
+    assert pol.pos == twin.pos == split.pos == pos + length
 
 
 # -- zero-length draws -------------------------------------------------------------
@@ -145,10 +157,13 @@ def test_numpy_samplers_draw_as_when_the_trace_digests_were_pinned(sampler, play
 
 
 def test_eventually_stationary_switch_contract():
+    # Each act_segment call moves the policy, and its scripted pre while
+    # the pre plays, past its round; from round 500 on the stationary part plays.
     pre = ScriptedPolicy([0], 3)
     pol = EventuallyStationaryPolicy(pre, 500, [0.5, 0.3, 0.2], rng(9))
     draws = play_rounds(pol, 2000)
     assert set(draws[:500]) == {0}
+    assert (pol.round, pre.pos) == (2000, 500)
     post = np.bincount(draws[500:], minlength=3) / 1500
     # 4-sigma multinomial band at n=1500 is about 0.052.
     assert np.all(np.abs(post - [0.5, 0.3, 0.2]) < 0.06)
@@ -204,8 +219,7 @@ def test_fictitious_play_best_responds_to_counts():
         my_action = pol.respond_segment([np.array([opp_action]), np.zeros(1, dtype=np.int64)])
         # Replay check: the action is a best response to current counts.
         freqs = [pol.counts[0] / pol.counts[0].sum()]
-        expected, _ = best_response(g, 1, freqs)
-        assert my_action.tolist() == [expected]
+        assert my_action.tolist() == [pure_action_values(g, 1, freqs).argmax()]
         pol.observe_segment([np.array([opp_action]), my_action])
 
 
@@ -217,7 +231,7 @@ def test_fictitious_play_best_responds_in_three_player_games():
         g = StageGame(gen.normal(size=(3, 2, 3, 4)))
         counts = [gen.integers(1, 9, size=2).astype(float), gen.integers(1, 9, size=4).astype(float)]
         pol = FictitiousPlayPolicy(g, 1, initial_counts=counts)
-        expected, _ = best_response(g, 1, [c / c.sum() for c in counts])
+        expected = pure_action_values(g, 1, [c / c.sum() for c in counts]).argmax()
         assert pol.respond_segment([np.zeros(1, dtype=np.int64)] * 3).tolist() == [expected]
 
 

@@ -107,6 +107,11 @@ def test_invalid_parameters_rejected():
         Schedule(epsilon_base=0.5, actions_total=0)
     with pytest.raises(ValueError):
         Schedule(epsilon_base=0.5, actions_total=4, decay="cubic")
+    # A non-finite offset gives NaN thresholds, and a harmonic schedule writes
+    # its unused rate into the trace header, where NaN is not JSON.
+    for bad in ({"offset": math.nan}, {"offset": math.inf}, {"rate": math.nan}, {"rate": math.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            Schedule(**{"epsilon_base": 0.5, "actions_total": 4, **bad})
     # Counts are integers, not floats or bools.
     for bad in ({"epoch0_rounds": 2.5}, {"epoch0_rounds": True}, {"epoch0_rounds": 0},
                 {"actions_total": 4.5}, {"actions_total": True}, {"actions_total": 4.0}):
