@@ -24,7 +24,7 @@ trial.
 """
 from __future__ import annotations
 
-import copy
+import json
 import pickle
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -155,9 +155,9 @@ class RunConfig:
 
     Every check of a configuration is made here, so a config built in code
     fails as the same config read from a document does.  The config owns
-    its roster: it keeps a deep copy of the one it is given, and parses
-    each opponent's descriptor once, into ``policies``; a trial plays a
-    seeded copy of that policy.
+    its roster: it keeps each entry as the JSON a trace header writes, so
+    one JSON cannot hold fails here, and parses each opponent's descriptor
+    once, into ``policies``; a trial plays a seeded copy of that policy.
     """
 
     game: StageGame
@@ -188,7 +188,10 @@ class RunConfig:
             unknown = sorted(map(str, entry.keys() - _ENTRY_KEYS[agent]))
             if unknown:
                 raise ValueError(f"roster[{player}]: unknown keys {', '.join(unknown)} for agent {agent!r}")
-            entry, policy = copy.deepcopy(entry), None
+            try:
+                entry, policy = json.loads(json.dumps(entry, allow_nan=False)), None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"roster[{player}]: not a JSON value: {exc}") from exc
             if agent == "opponent":
                 # Built once here, so a descriptor that does not fit the
                 # game fails now, not partway through a run.

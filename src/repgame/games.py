@@ -92,7 +92,7 @@ class StageGame:
     action_names: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.payoffs, dtype=np.float64)
+        arr = np.array(self.payoffs, dtype=np.float64)  # a copy: the caller's array stays theirs
         if arr.ndim < 2:
             raise ValueError("payoff tensor needs at least (player, action) axes")
         n = arr.shape[0]

@@ -176,8 +176,6 @@ class EquilibriumRetreatAgent:
             raise ValueError(
                 f"joint profile has {len(joint)} action arrays for {self.n_players} players"
             )
-        if any(len(a) != len(joint[0]) for a in joint):
-            raise ValueError("joint profile needs equally long action arrays")
         return self.observe_counts([np.bincount(a, minlength=k) for a, k in zip(joint, self.game.action_counts)])
 
     def observe_counts(self, hists: list) -> EpochOutcome | None:

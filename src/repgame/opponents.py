@@ -3,11 +3,10 @@ fictitious play (a nonstationary stressor), and build_policy, which makes
 one from its run-document descriptor."""
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .games import StageGame, as_strategy
+from .schedule import check_count
 
 
 def as_script(actions, n_actions: int) -> np.ndarray:
@@ -18,13 +17,6 @@ def as_script(actions, n_actions: int) -> np.ndarray:
     if arr.dtype.kind not in "iu" or not ((arr >= 0) & (arr < n_actions)).all():
         raise ValueError(f"scripted actions {list(actions)} must be integers in [0, {n_actions})")
     return arr.astype(np.int64)
-
-
-def as_switch_round(value) -> int:
-    """A round index: an integer (not a bool) of at least 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"switch_round {value!r} must be an integer >= 0")
-    return int(value)
 
 
 def as_initial_counts(game: StageGame, player: int, counts=None) -> list[np.ndarray]:
@@ -135,7 +127,7 @@ class EventuallyStationaryPolicy(OpponentPolicy):
 
     def __init__(self, pre: OpponentPolicy, switch_round: int, probs, rng: np.random.Generator | None = None):
         self.pre = pre
-        self.switch_round = as_switch_round(switch_round)
+        self.switch_round = check_count("switch_round", switch_round, 0)
         self.post = StationaryPolicy(probs, rng)
         self.round = 0
         self.history_dependent = pre.history_dependent

@@ -365,6 +365,8 @@ def test_cli_missing_output_dir_rejected(tmp_path, capsys):
         ),
         {"kind": "fictitious_play", "initial_counts": [[1.0, 1.0, 1.0]]},
         {"kind": "fictitious_play", "initial_counts": [[0.0, 0.0]]},
+        # YAML's .inf: a trace header must hold it as JSON, which has no infinity.
+        pytest.param({"kind": "fictitious_play", "initial_counts": [[float("inf"), 1.0]]}, id="initial-counts-inf"),
         # Unknown keys: a typo must not run with the defaults.
         pytest.param({"kind": "fictitious_play", "initial_count": [[50, 1]]}, id="initial_count"),
         pytest.param({"agent": "learner", "seed": 4}, id="learner-seed"),
@@ -381,6 +383,26 @@ def test_cli_rejects_opponent_that_does_not_fit_game(tmp_path, capsys, policy):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert "roster[1]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_rejects_a_header_json_cannot_hold(tmp_path, capsys):
+    # Python's json reads Infinity, but no config with it builds, so no run
+    # wrote the header.
+    out_dir = tmp_path / "out"
+    fictitious = {"kind": "fictitious_play", "initial_counts": [[0.5, 1.5]]}
+    cfg = write_yaml_config(
+        tmp_path,
+        roster=[{"agent": "learner"}, {"agent": "opponent", "policy": fictitious}],
+        output={"trace_dir": str(out_dir), "make_dirs": True},
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    trace_path = out_dir / "trial-0000.jsonl"
+    text = trace_path.read_text()
+    assert text.count('"initial_counts":[[0.5,1.5]]') == 1
+    trace_path.write_text(text.replace('"initial_counts":[[0.5,1.5]]', '"initial_counts":[[Infinity,1.5]]'))
+    capsys.readouterr()
+    assert main(["validate", str(trace_path)]) == EXIT_CONFIG
+    assert "roster[1]: not a JSON value" in capsys.readouterr().err
 
 
 def test_cli_validate_detects_tampering(tmp_path, capsys):

@@ -307,6 +307,14 @@ def test_strategy_validation():
         as_strategy([np.nan, 1.0])
 
 
+def test_stage_game_copies_the_callers_payoffs():
+    a = matching_pennies().payoffs.copy()
+    g = StageGame(a)
+    assert a.flags.writeable and g.payoffs is not a
+    a[0, 0, 0] = 5.0
+    assert g.payoffs[0, 0, 0] == 1.0
+
+
 def test_stage_game_validation():
     with pytest.raises(ValueError):
         StageGame(np.array([[1.0, np.nan], [0.0, 0.0]])[None].repeat(2, axis=0))

@@ -149,6 +149,8 @@ def test_budget_truncation_marks_partial_epoch():
             {"kind": "eventually_stationary", "pre": pre, "switch_round": 5, "probs": [0.5, 0.3, 0.2]}
             for pre in ({"kind": "psychic"}, 5)
         ),
+        # A trace header must hold it as JSON, which has no infinity.
+        pytest.param({"kind": "fictitious_play", "initial_counts": [[math.inf, 1.0, 1.0]]}, id="initial-counts-inf"),
         # Unknown keys: a typo must not run with the defaults.
         pytest.param({"kind": "fictitious_play", "initial_count": [[50, 1, 1]]}, id="initial_count"),
         pytest.param({"kind": "stationary", "probs": [0.5, 0.3, 0.2], "seed": 4}, id="stationary-seed"),
@@ -172,6 +174,27 @@ def test_run_config_rejects_opponent_that_does_not_fit_game(policy):
         RunConfig(
             game=g,
             roster=(LEARNER, entry),
+            schedule=Schedule(epsilon_base=0.5, actions_total=g.actions_total),
+        )
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {"kind": "eventually_stationary", "pre": {"kind": "scripted", "actions": [0]},
+         "switch_round": np.int64(5), "probs": [0.5, 0.3, 0.2]},
+        {"kind": "stationary", "probs": np.array([0.5, 0.3, 0.2])},
+    ],
+    ids=["switch-round-int64", "probs-ndarray"],
+)
+def test_run_config_rejects_a_roster_entry_json_cannot_hold(policy):
+    # Each fits the game, but no trace header could hold it: the config
+    # fails when it is built, not when its first trace is written.
+    g = rock_paper_scissors()
+    with pytest.raises(ValueError, match=r"roster\[1\]: not a JSON value: .* is not JSON serializable"):
+        RunConfig(
+            game=g,
+            roster=(LEARNER, {"agent": "opponent", "policy": policy}),
             schedule=Schedule(epsilon_base=0.5, actions_total=g.actions_total),
         )
 
