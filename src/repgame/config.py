@@ -247,10 +247,7 @@ def game_from_dict(d: dict) -> StageGame:
     if not isinstance(d, dict):
         raise TypeError(f"a game must be a mapping, got {type(d).__name__}")
     names = d.get("action_names")
-    game = StageGame(
-        np.asarray(d["payoffs"], dtype=np.float64),
-        action_names=names or None,
-    )
+    game = StageGame(d["payoffs"], action_names=names or None)
     if d.get("num_players", game.num_players) != game.num_players:
         raise ValueError(
             f"num_players is {d['num_players']!r}, but the payoffs are for {game.num_players}"

@@ -15,7 +15,8 @@ Usage, from anywhere::
 
 For each mutant, one after another, the runner copies ``src/`` to a
 temporary directory, applies the edit there, and runs its tests with pytest
-from the checkout, in a session of their own under the mutant's timeout:
+from the checkout, in a session of their own under a timeout of TIMEOUT_S
+seconds:
 
     python -m pytest -x -q -p no:cacheprovider -o pythonpath=<tmp>/src TESTS
 
@@ -258,9 +259,8 @@ def run(mutant: dict) -> tuple[str, str]:
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.Popen(command, cwd=ROOT, env=env, start_new_session=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        timeout = mutant.get("timeout", TIMEOUT_S)
         try:
-            out, _ = proc.communicate(timeout=timeout)
+            out, _ = proc.communicate(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             out = None
         finally:  # end the session: after a timeout, a Ctrl-C, or a batch worker the tests left
@@ -268,7 +268,7 @@ def run(mutant: dict) -> tuple[str, str]:
                 os.killpg(proc.pid, signal.SIGKILL)
         if out is None:
             proc.communicate()
-            return "killed", f"timed out after {timeout} s"
+            return "killed", f"timed out after {TIMEOUT_S} s"
     last = out.strip().splitlines()[-1:] or [""]
     if proc.returncode == 1:
         return "killed", last[0]
