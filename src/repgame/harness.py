@@ -254,13 +254,22 @@ def detect_convergence(trace: RunTrace) -> RunSummary:
 # The one encoder of trace records, which traceio writes with and the replay compares in.
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# What pickle raises for a value it cannot take: a lambda, say.
+_UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
+
+
+def _header_key(header: dict) -> bytes:
+    """The pickle of ``header`` with ``trial`` set to 0, which the headers of a batch share.  Equal
+    keys hold the same types, float bits, key order and structure, so the same ``_canonical`` JSON."""
+    return pickle.dumps({**header, "trial": 0}, protocol=pickle.HIGHEST_PROTOCOL)
+
 
 def _same(want: dict, got: dict) -> bool:
     """Whether ``got`` has ``want``'s ``_canonical`` JSON; a value JSON cannot encode has none.  Values
     that pickle alike, in ``want``'s key order, hold the same types, float bits and structure: no encode."""
     try:
         hit = want.keys() == got.keys() and pickle.dumps([*want.values()]) == pickle.dumps([*map(got.get, want)])
-    except (pickle.PicklingError, TypeError, AttributeError):  # a lambda, say: the encode decides
+    except _UNPICKLABLE:  # the encode decides
         hit = False
     try:
         return hit or _canonical(want) == _canonical(got)
@@ -278,12 +287,11 @@ def _first_difference(want: dict, got: dict) -> str:
 
 @functools.lru_cache(maxsize=32)
 def _header_config(key: bytes) -> RunConfig:
-    """The RunConfig of a trace header, given its pickle with ``trial`` set to 0, once the
-    header is the one run_trial writes for it, compared as ``_canonical`` JSON.  Equal
-    pickles hold the same types, float bits, key order and structure, so they have the same
-    JSON: a hit needs no encode, and a header that differs only in key order or in shared
-    references misses.  The checks that need no solve of the game come first: the header
-    with its own equilibrium, then that equilibrium's regrets."""
+    """The RunConfig of a trace header, given its ``_header_key``, once the header is the one
+    run_trial writes for it, compared as ``_canonical`` JSON.  A hit needs no encode, and a
+    header that differs only in key order or in shared references misses.  The checks that
+    need no solve of the game come first: the header with its own equilibrium, then that
+    equilibrium's regrets."""
     header = pickle.loads(key)
     try:
         text = _canonical(header)
@@ -349,8 +357,8 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
         raise ValueError(f"trace header must be a mapping, got {header!r}")
     check_count("trace header trial", header.get("trial"), 0)
     try:
-        key = pickle.dumps({**header, "trial": 0}, protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:  # a lambda, say
+        key = _header_key(header)
+    except _UNPICKLABLE as exc:
         raise ValueError(f"trace header is not JSON: {exc}") from exc
     config = _header_config(key)
     game, sched, eq = config.game, config.schedule, config.equilibrium

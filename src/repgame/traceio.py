@@ -2,16 +2,23 @@
 
 Traces are JSON-lines: one header record, then epoch records in order,
 then an end record; read_trace rejects any other order.  Every record
-is serialised with sorted keys so a trace produced from the same config
-and trial is byte-identical across runs and platforms.
+is serialised with sorted keys, and every line ends in ``\n`` on every
+platform, so a trace's bytes are a function of the config, the trial, the
+repgame version and numpy's sampler algorithms; a mixed equilibrium's
+bits can still depend on the BLAS kernel that solves it (README,
+Determinism).  The headers of a batch differ only in ``trial``, so a
+header line is encoded, and parsed back, once per config.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import pickle
+import re
 from pathlib import Path
 
-from .harness import TRACE_SCHEMA, BatchResult, RunSummary, RunTrace, _canonical
+from .harness import _UNPICKLABLE, TRACE_SCHEMA, BatchResult, RunSummary, RunTrace, _canonical, _header_key
 from .schedule import check_count
 
 # The fields each record type must carry; read_trace rejects a record
@@ -24,8 +31,31 @@ _RECORD_FIELDS = {
 }
 
 
+@functools.lru_cache(maxsize=32)
+def _header_halves(key: bytes) -> tuple[str, str]:
+    """The ``_canonical`` text of the header that ``key`` pickles, split around its ``trial`` 0:
+    the one character where the text differs from the text with ``trial`` 1."""
+    header = pickle.loads(key)
+    zero, one = _canonical(header), _canonical({**header, "trial": 1})
+    cut = next(i for i, (a, b) in enumerate(zip(zero, one)) if a != b)
+    return zero[:cut], zero[cut + 1 :]
+
+
+def _header_line(header) -> str:
+    """``_canonical(header)``.  A header whose ``trial`` is an int (a bool encodes as ``true``)
+    takes its config's cached text, keyed by ``_header_key``, with the trial spliced in."""
+    trial = header.get("trial") if type(header) is dict else None
+    if type(trial) is int:
+        try:
+            head, tail = _header_halves(_header_key(header))
+            return f"{head}{trial}{tail}"
+        except _UNPICKLABLE:  # the encode raises what JSON cannot hold, or encodes what pickle cannot
+            pass
+    return _canonical(header)
+
+
 def trace_lines(trace: RunTrace):
-    yield _canonical(trace.header)
+    yield _header_line(trace.header)
     for rec in trace.events:
         yield _canonical(rec)
     yield _canonical(
@@ -40,9 +70,37 @@ def trace_lines(trace: RunTrace):
 
 def write_trace(trace: RunTrace, path) -> None:
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
         for line in trace_lines(trace):
             fh.write(line + "\n")
+
+
+# How a header line that _canonical writes ends after its last ``,"trial":``: ``trial`` and
+# ``type`` sort last.
+_HEADER_END = re.compile(r'(0|[1-9][0-9]*),"type":"header"}')
+
+
+@functools.lru_cache(maxsize=32)
+def _header_pickle(head: str) -> bytes:
+    """The pickle of the record of the header line that starts ``head`` and has ``trial`` 0."""
+    return pickle.dumps(json.loads(f'{head},"trial":0,"type":"header"}}'), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _record(line: str):
+    """``json.loads(line)``.  A line that ends as ``_canonical`` ends a header, with a trial
+    >= 0 written as it writes one, is parsed once per distinct text with that trial written 0;
+    each call gets a fresh copy with its own trial."""
+    if line.endswith('"header"}'):  # so every other line pays no search
+        head, _, tail = line.rpartition(',"trial":')
+        match = _HEADER_END.fullmatch(tail)
+        if match is not None:
+            try:
+                rec = pickle.loads(_header_pickle(head))
+                rec["trial"] = int(match[1])
+                return rec
+            except ValueError:  # not JSON, or too many digits: json.loads says where in this line
+                pass
+    return json.loads(line)
 
 
 def read_trace(path) -> RunTrace:
@@ -56,7 +114,7 @@ def read_trace(path) -> RunTrace:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = _record(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
             kind = rec.get("type") if isinstance(rec, dict) else None
@@ -144,4 +202,4 @@ def write_batch_report(result: BatchResult, path) -> None:
         "restart_histogram": {str(k): v for k, v in result.restart_histogram.items()},
         "mean_epochs_to_convergence": result.mean_epochs_to_convergence,
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")

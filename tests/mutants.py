@@ -60,6 +60,7 @@ _STDLIB_WORKERS = "Batch workers on the standard library"
 _ONE_RULE = "One comparison rule for the replay"
 _TEST_ONLY = "Test-only code leaves src/repgame"
 _ONE_COPY = "One copy, one check"
+_HEADER_ONCE = "A trace header costs one encode and one parse per config"
 
 MUTANTS = [
     {
@@ -231,6 +232,30 @@ MUTANTS = [
         "new": 'check_count("switch_round", switch_round, -1)',
         "tests": ["tests/test_harness.py::test_run_config_rejects_opponent_that_does_not_fit_game"],
         "found": _ONE_COPY,
+    },
+    {
+        "name": "header-splice-ignores-trial",
+        "file": "traceio.py",
+        "old": 'return f"{head}{trial}{tail}"',
+        "new": 'return f"{head}0{tail}"',
+        "tests": ["tests/test_acceptance.py::test_trace_bytes_are_frozen"],
+        "found": _HEADER_ONCE,
+    },
+    {
+        "name": "header-read-shares-cached-dict",
+        "file": "traceio.py",
+        "old": "rec = pickle.loads(_header_pickle(head))",
+        "new": "rec = _header_pickle.__dict__.setdefault(head, pickle.loads(_header_pickle(head)))",
+        "tests": ["tests/test_harness.py::test_read_trace_reads_each_header_line_as_json_loads_does"],
+        "found": _HEADER_ONCE,
+    },
+    {
+        "name": "header-read-accepts-leading-zero",
+        "file": "traceio.py",
+        "old": "r'(0|[1-9][0-9]*),",
+        "new": "r'([0-9]+),",
+        "tests": ["tests/test_harness.py::test_read_trace_reads_each_header_line_as_json_loads_does"],
+        "found": _HEADER_ONCE,
     },
 ]
 

@@ -1,3 +1,4 @@
+import _pyio
 import copy
 import dataclasses
 import hashlib
@@ -5,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -1331,6 +1333,131 @@ def test_trace_lines_are_canonical_json(sample_trace):
     for line in traceio.trace_lines(sample_trace):
         rec = json.loads(line)
         assert line == json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def _set(key, value):
+    def edit(header):
+        header[key] = value
+
+    return edit
+
+
+def _reverse_keys(header):
+    items = [*header.items()][::-1]
+    header.clear()
+    header.update(items)
+
+
+def _retype_payoff(header):
+    assert repr(header["config"]["game"]["payoffs"][0][0][0]) == "1.0"
+    header["config"]["game"]["payoffs"][0][0][0] = 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        *(_set("trial", trial) for trial in (0, 9, 10, 10**20, -1, True, 1.0, "3")),
+        _set("note", "sorts before trial"),
+        _set("trial_note", "sorts between trial and type"),
+        _set("zzz", "sorts after type"),
+        _set("type", ',"trial":0,'),
+        lambda header: header["equilibrium"].update(trial=0),
+        _retype_payoff,
+        _reverse_keys,
+    ],
+    ids=[*(f"trial-{trial!r}" for trial in (0, 9, 10, "1e20", -1, True, 1.0, "3")), "key-before-trial",
+         "key-between", "key-after-type", "type-holds-trial-0", "nested-trial-0", "payoff-an-int",
+         "keys-reversed"],
+)
+def test_trace_lines_writes_each_header_as_its_canonical_json(edit):
+    # A header line is its config's cached text with the trial spliced in;
+    # any other edit of a header misses the cache and is encoded in full.
+    traces = run_batch_delivered(mp_config(trial_count=2, master_seed=37)).traces
+    for trace in traces:
+        assert next(traceio.trace_lines(trace)) == harness._canonical(trace.header)
+    trace = traces[1]
+    edit(trace.header)
+    for _ in range(2):
+        assert next(traceio.trace_lines(trace)) == harness._canonical(trace.header)
+
+
+def test_write_trace_writes_a_header_changed_in_place_with_its_new_bytes(tmp_path):
+    trace = run_trial(mp_config(), 3)
+    path = tmp_path / "trace.jsonl"
+    traceio.write_trace(trace, path)
+    trace.header["equilibrium"]["provenance"] = "user-supplied"
+    traceio.write_trace(trace, path)
+    first = path.read_text(encoding="utf-8").splitlines()[0]
+    assert '"provenance":"user-supplied"' in first and first == harness._canonical(trace.header)
+
+
+def _trial_written(text):
+    return lambda line: line.replace(',"trial":7,"type":"header"}', f',"trial":{text},"type":"header"}}')
+
+
+# Header lines that a trace of trial 7 could hold instead of its own: each
+# must read as ``json.loads`` reads it, or fail as it fails.
+_HEADER_LINES = {
+    "trial-0": _trial_written("0"),
+    "trial-7": _trial_written("7"),
+    "trial-20-digits": _trial_written("12345678901234567890"),
+    "trial-5000-digits": _trial_written("9" * 5000),
+    "trial-leading-zeros": _trial_written("007"),
+    "trial-minus-1": _trial_written("-1"),
+    "trial-a-float": _trial_written("7.0"),
+    "trial-an-exponent": _trial_written("1e0"),
+    "space-after-colon": lambda line: line.replace('"trial":7', '"trial": 7'),
+    "duplicated-trial": lambda line: '{"trial":5,' + line[1:],
+    # Not JSON: the outer object is never closed, and the error names the
+    # position of the line's end, after the trial's two digits.
+    "inside-an-unclosed-object": lambda line: '{"x":' + line.replace('"trial":7', '"trial":12'),
+    "string-holds-trial": lambda line: line.replace(
+        '"provenance":"support-enumeration-2p"', '"provenance":"a,\\"trial\\":3,\\"type\\":\\"header\\"}"'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HEADER_LINES))
+def test_read_trace_reads_each_header_line_as_json_loads_does(tmp_path, name):
+    lines = list(traceio.trace_lines(run_trial(mp_config(), 7)))
+    assert lines[0].endswith(',"trial":7,"type":"header"}')
+    line = _HEADER_LINES[name](lines[0])
+    assert line != lines[0] or name == "trial-7"
+    cached = tmp_path / "cached.jsonl"  # the config's entry exists before the edited line is read
+    cached.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    traceio.read_trace(cached)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join([line, *lines[1:]]) + "\n", encoding="utf-8")
+    try:
+        want = json.loads(line)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: not JSON: {exc}")):
+            traceio.read_trace(path)
+        return
+    first, second = traceio.read_trace(path), traceio.read_trace(path)
+    assert first.header is not second.header
+    for header in (first.header, second.header):
+        assert pickle.dumps(header) == pickle.dumps(want)
+    # A read's header is its own, nested values included.
+    first.header["trial"] = 99
+    first.header["config"]["game"]["payoffs"][0][0][0] = 99.0
+    first.header["equilibrium"]["strategies"][0].append(0.5)
+    assert pickle.dumps(traceio.read_trace(path).header) == pickle.dumps(want)
+
+
+def test_written_files_end_each_line_with_a_newline_alone(tmp_path, monkeypatch, sample_trace):
+    # As on a platform whose line separator is \r\n: text mode, which the
+    # pure-Python io reads os.linesep for, would write one at each \n.
+    def crlf_open(self, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+        return _pyio.open(self, mode, buffering, encoding, errors, newline)
+
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(Path, "open", crlf_open)
+    path, report = tmp_path / "trace.jsonl", tmp_path / "report.json"
+    traceio.write_trace(sample_trace, path)
+    assert path.read_bytes() == "".join(line + "\n" for line in traceio.trace_lines(sample_trace)).encode()
+    traceio.write_batch_report(run_batch(mp_config()), report)
+    assert b"\r" not in report.read_bytes() and report.read_bytes().endswith(b"}\n")
 
 
 def test_config_dict_round_trip():
