@@ -9,7 +9,7 @@ when no pure equilibrium exists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class EquilibriumProfile:
 
     strategies: tuple[np.ndarray, ...]
     provenance: str  # "pure-enumeration" | "support-enumeration-2p" | "user-supplied"
+    strategy_floats: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)  # as Python floats
 
     def __post_init__(self):
         frozen = []
@@ -40,6 +41,7 @@ class EquilibriumProfile:
             arr.flags.writeable = False
             frozen.append(arr)
         object.__setattr__(self, "strategies", tuple(frozen))
+        object.__setattr__(self, "strategy_floats", tuple(tuple(s.tolist()) for s in frozen))
 
     @property
     def kind(self) -> str:

@@ -12,6 +12,7 @@ the kernel; ``is_equilibrium`` reads regrets only against a tolerance.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -106,6 +107,9 @@ class StageGame:
             raise ValueError("payoffs must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "payoffs", arr)
+        for player, mu in enumerate(self.payoff_ranges):  # μ scales the learner's switch margin
+            if not math.isfinite(mu):
+                raise ValueError(f"payoff range of player {player} is not finite: max - min overflows a float")
         if self.action_names is not None:
             # A list of lists of names: a string is not read as its characters.
             if not isinstance(self.action_names, (list, tuple)):
@@ -142,7 +146,7 @@ class StageGame:
     @cached_property
     def payoff_ranges(self) -> tuple[float, ...]:
         """Each player's best minus worst outcome over all joint profiles."""
-        return tuple(float(u.max() - u.min()) for u in self.payoffs)
+        return tuple(float(u.max()) - float(u.min()) for u in self.payoffs)
 
     @property
     def actions_total(self) -> int:

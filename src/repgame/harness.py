@@ -69,7 +69,7 @@ def run_header(config: RunConfig, trial: int, eq: EquilibriumProfile | None = No
         "schema": TRACE_SCHEMA,
         "trial": trial,
         "config": config_to_dict(config),
-        "equilibrium": {"strategies": [list(map(float, s)) for s in eq.strategies], "provenance": eq.provenance},
+        "equilibrium": {"strategies": [list(s) for s in eq.strategy_floats], "provenance": eq.provenance},
     }
 
 
@@ -267,9 +267,9 @@ def _header_key(header: dict) -> bytes:
 def _same(want: dict, got: dict) -> bool:
     """Whether ``got`` has ``want``'s ``_canonical`` JSON; a value JSON cannot encode has none.  Values
     that pickle alike, in ``want``'s key order, hold the same types, float bits and structure: no encode."""
-    try:
-        hit = want.keys() == got.keys() and pickle.dumps([*want.values()]) == pickle.dumps([*map(got.get, want)])
-    except _UNPICKLABLE:  # the encode decides
+    try:  # a key of want's that got lacks raises KeyError; then, with as many keys, the key sets are equal
+        hit = len(want) == len(got) and pickle.dumps([*want.values()]) == pickle.dumps([*map(got.__getitem__, want)])
+    except (KeyError, *_UNPICKLABLE):  # the encode decides
         hit = False
     try:
         return hit or _canonical(want) == _canonical(got)
@@ -380,10 +380,11 @@ def validate_trace(trace: RunTrace) -> ValidationReport:
     state = {p: fresh_state(eq, p) for p, entry in enumerate(config.roster) if entry["agent"] == "learner"}
     events, size = trace.events, len(state)
     epochs = -(-len(events) // size)
+    records = iter(events + [{}] * size)  # {} stands in for each record a short last epoch lacks
     used = 0  # rounds of the epochs replayed so far
     for seq in range(epochs):
         first = seq * size
-        for p, rec in zip(state, events[first : first + size] + [{}] * size):  # a short last epoch lacks records
+        for p, rec in zip(state, records):
             if not isinstance(rec, dict):
                 raise ValueError(f"trace epoch {seq} record of learner {p} must be a mapping, got {rec!r}")
             n_rounds = sched.rounds(state[p].t)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .games import StageGame, _dot_rows, linf_distance, pure_strategy
+from .games import StageGame, _dot_rows
 
 # Stream-purpose codes for the documented seed-splitting scheme.
 STREAM_PLAY = 0
@@ -84,8 +84,11 @@ def histogram_total(hists, shape: Sequence[int]) -> int | None:
         return None
     totals = set()
     for h, k in zip(hists, shape):
-        if not isinstance(h, (list, tuple)) or len(h) != k or {*map(type, h)} != {int} or min(h) < 0:
+        if not isinstance(h, (list, tuple)) or len(h) != k or not h:
             return None
+        for c in h:  # one pass: an int, not a bool, and >= 0
+            if type(c) is not int or c < 0:
+                return None
         totals.add(sum(h))
     return totals.pop() if len(totals) == 1 else None
 
@@ -241,54 +244,54 @@ def epoch_step(
     # float64 vector division would give, so records keep every bit.
     counts = [list(map(int, h)) for h in hists]
     n_rounds = float(sum(counts[0]))
-    freq = [[c / n_rounds for c in h] for h in counts]
-    eq_after, grace_after, stat_after = eq_hyp, grace, True
-    phi_after = phi[:]  # a list of its own: no two fields of a record share one
-    switched = False
-
+    # The live hypothesis, tested over every player, self included: the
+    # equilibrium, else stationarity but in the one grace epoch right after
+    # the equilibrium's rejection.
+    if eq_hyp:
+        held = _within(counts, n_rounds, eq_profile.strategy_floats, eps_e_t)
+    elif grace:
+        held = True
+    elif h_prev is None:
+        raise ValueError("stationarity test needs the previous epoch's histograms")
+    else:
+        prev_total = float(sum(h_prev[0]))
+        held = _within(counts, n_rounds, ([c / prev_total for c in h] for h in h_prev), eps_s_t)
+    eq_after, grace_after, switched, action = eq_hyp, grace and eq_hyp, False, None
     if not eq_hyp:
-        # Stationarity test over every player, self included, unless
-        # this is the single grace epoch right after rejection.
-        if not grace:
-            if h_prev is None:
-                raise ValueError("stationarity test needs the previous epoch's histograms")
-            prev_total = float(sum(h_prev[0]))
-            stat_after = all(
-                linf_distance(f, [c / prev_total for c in h]) <= eps_s_t
-                for f, h in zip(freq, h_prev)
-            )
-        grace_after = False
         # Best-response adjustment with hysteresis: switch only for a
         # strictly more-than-margin improvement over the current action.
-        values = game.action_values(me, [f for p, f in enumerate(freq) if p != me])
-        best_action = int(values.argmax())
-        if float(values[best_action]) > _dot_rows([values.tolist()], phi)[0] + margin:
-            phi_after = pure_strategy(best_action, shape[me]).tolist()
-            switched = True
-    elif any(linf_distance(f, s.tolist()) > eps_e_t for f, s in zip(freq, eq_profile.strategies)):
-        # The equilibrium test over every player, self included, failed.
-        eq_after, grace_after = False, True
-        phi_after = pure_strategy(pick(), shape[me]).tolist()
-
-    restart = not stat_after
+        others = [[c / n_rounds for c in h] for p, h in enumerate(counts) if p != me]
+        values = game.action_values(me, others).tolist()
+        best = values.index(max(values))  # the first best, as argmax
+        if values[best] > _dot_rows([values], phi)[0] + margin:
+            action, switched = best, True
+    elif not held:
+        eq_after, grace_after, action = False, True, pick()
+    if action is None:
+        phi_after = phi[:]  # a list of its own: no two fields of a record share one
+    elif 0 <= action < shape[me]:
+        phi_after = [0.0] * shape[me]  # pure_strategy's vector, as floats
+        phi_after[action] = 1.0
+    else:
+        raise ValueError(f"action {action} out of range [0, {shape[me]})")
+    restart = not (eq_hyp or held)
     restarts = state.restarts + restart
     outcome = EpochOutcome(
-        player=me,
-        t=t,
-        counts=counts,
-        eps_e=eps_e_t,
-        eps_s=eps_s_t,
-        margin=margin,
-        eq_hyp_before=eq_hyp,
-        eq_hyp_after=eq_after,
-        grace_before=grace,
-        grace_after=grace_after,
-        phi_before=phi,
-        phi_after=phi_after,
-        switched=switched,
-        restart=restart,
-        restarts_total=restarts,
-    )
+        me, t, counts, eps_e_t, eps_s_t, margin, eq_hyp, eq_after, grace, grace_after, phi, phi_after, switched,
+        restart, restarts,
+    )  # positional, in field order: keywords cost a record about 1 µs
     if restart:
         return outcome, fresh_state(eq_profile, me, restarts)
-    return outcome, EpochState(outcome.phi_after, t + 1, eq_after, grace_after, outcome.counts, restarts)
+    return outcome, EpochState(phi_after, t + 1, eq_after, grace_after, counts, restarts)
+
+
+def _within(counts, total: float, refs, bound: float) -> bool:
+    """Whether each ``count / total`` is within ``bound`` of its reference entry: ``linf_distance``'s
+    subtractions and ``abs``, where one past the bound is their max past it; stops at the first."""
+    for h, ref in zip(counts, refs):
+        if len(h) != len(ref):
+            raise ValueError(f"length mismatch: {len(h)} vs {len(ref)}")
+        for c, r in zip(h, ref):
+            if abs(c / total - r) > bound:
+                return False
+    return True

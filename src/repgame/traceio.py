@@ -78,6 +78,8 @@ def write_trace(trace: RunTrace, path) -> None:
 # How a header line that _canonical writes ends after its last ``,"trial":``: ``trial`` and
 # ``type`` sort last.
 _HEADER_END = re.compile(r'(0|[1-9][0-9]*),"type":"header"}')
+# What JSON counts as space in a line read in text mode, which ends lines at "\r" too, once its "\n" is gone.
+_SPACE = " \t"
 
 
 @functools.lru_cache(maxsize=32)
@@ -105,22 +107,27 @@ def _record(line: str):
 
 def read_trace(path) -> RunTrace:
     path = Path(path)
-    header = None
+    header = end = None
     events = []
-    end = None
+    last = 0  # the least seq the next epoch record may have
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+            line = line.removesuffix("\n")  # the line end alone: JSON says what else is space
             try:
                 rec = _record(line)
             except ValueError as exc:
+                if not line.strip(_SPACE):  # a blank line
+                    continue
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
             kind = rec.get("type") if isinstance(rec, dict) else None
+            seq = rec.get("seq") if kind == "epoch" else None
+            if type(seq) is int and seq >= last and header is not None and end is None:  # the common case
+                events.append(rec)
+                last = seq
+                continue
             fields = _RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
             if fields is None:
-                raise ValueError(f"{path}:{lineno}: not a header, epoch or end record: {line[:60]}")
+                raise ValueError(f"{path}:{lineno}: not a header, epoch or end record: {line.strip(_SPACE)[:60]}")
             if not rec.keys() >= fields:
                 missing = ", ".join(sorted(fields - rec.keys()))
                 raise ValueError(f"{path}:{lineno}: {kind} record without {missing}")
@@ -136,14 +143,12 @@ def read_trace(path) -> RunTrace:
                 header = rec
             elif header is None:
                 raise ValueError(f"{path}:{lineno}: {kind} record before the header")
-            elif kind == "epoch":
+            elif kind == "epoch":  # its seq failed the first test
                 try:
                     check_count("seq", rec["seq"], 0)
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: epoch {exc}") from None
-                if events and rec["seq"] < events[-1]["seq"]:
-                    raise ValueError(f"{path}:{lineno}: epoch seq {rec['seq']} after seq {events[-1]['seq']}")
-                events.append(rec)
+                raise ValueError(f"{path}:{lineno}: epoch seq {rec['seq']} after seq {last}")
             else:
                 end = rec
     if header is None or end is None:

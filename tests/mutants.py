@@ -61,6 +61,7 @@ _ONE_RULE = "One comparison rule for the replay"
 _TEST_ONLY = "Test-only code leaves src/repgame"
 _ONE_COPY = "One copy, one check"
 _HEADER_ONCE = "A trace header costs one encode and one parse per config"
+_REPLAY_COST = "A replayed epoch record costs only its arithmetic"
 
 MUTANTS = [
     {
@@ -256,6 +257,65 @@ MUTANTS = [
         "new": "r'([0-9]+),",
         "tests": ["tests/test_harness.py::test_read_trace_reads_each_header_line_as_json_loads_does"],
         "found": _HEADER_ONCE,
+    },
+    {
+        "name": "read-strips-every-space",
+        "file": "traceio.py",
+        "old": 'line = line.removesuffix("\\n")',
+        "new": "line = line.strip()",
+        "tests": ["tests/test_harness.py::test_read_trace_rejects_a_line_with_a_space_json_does_not_count"],
+        "found": _HEADER_ONCE,
+    },
+    {
+        "name": "read-without-an-end-record",
+        "file": "traceio.py",
+        "old": "if header is None or end is None:",
+        "new": "if header is None and end is None:",
+        "tests": ["tests/test_harness.py::test_read_trace_needs_the_header_and_the_end_record"],
+        "found": _REPLAY_COST,
+    },
+    {
+        "name": "read-epoch-seq-order-unchecked",
+        "file": "traceio.py",
+        "old": "if type(seq) is int and seq >= last and",
+        "new": "if type(seq) is int and seq >= 0 and",
+        "tests": ["tests/test_config_cli.py::test_cli_validate_rejects_malformed_records"],
+        "found": _REPLAY_COST,
+    },
+    {
+        "name": "histogram-count-may-be-a-bool",
+        "file": "learner.py",
+        "old": "if type(c) is not int or c < 0:",
+        "new": "if not isinstance(c, int) or c < 0:",
+        "tests": ["tests/test_learner.py::test_histogram_total_takes_one_row_of_nonnegative_ints_per_player"],
+        "found": _REPLAY_COST,
+    },
+    {
+        "name": "hypothesis-tests-the-first-player-only",
+        "file": "learner.py",
+        "old": "for h, ref in zip(counts, refs):",
+        "new": "for h, ref in zip(counts[:1], refs):",
+        "tests": ["tests/test_learner.py::test_each_hypothesis_test_covers_every_player"],
+        "found": _REPLAY_COST,
+    },
+    {
+        "name": "partial-rounds-may-fill-the-next-epoch",
+        "file": "harness.py",
+        "old": "not 0 <= partial < n_rounds",
+        "new": "not 0 <= partial <= n_rounds",
+        "tests": ["tests/test_harness.py::test_validate_accepts_only_the_end_record_run_trial_writes"],
+        "found": _REPLAY_COST,
+    },
+    {
+        "name": "payoff-range-unchecked",
+        "file": "games.py",
+        "old": "if not math.isfinite(mu):",
+        "new": "if False:",
+        "tests": [
+            "tests/test_games.py::test_stage_game_rejects_a_payoff_range_that_overflows",
+            "tests/test_config_cli.py::test_cli_run_rejects_a_game_whose_payoff_range_overflows",
+        ],
+        "found": _REPLAY_COST,
     },
 ]
 

@@ -209,6 +209,16 @@ def write_yaml_config(tmp_path, **overrides):
     return path
 
 
+def test_cli_run_rejects_a_game_whose_payoff_range_overflows(tmp_path, capsys):
+    # Each payoff is finite, but 1e308 - (-1e308) is not: the run would write a
+    # margin of Infinity into every epoch record.
+    game = {"num_players": 2, "payoffs": [[[1e308, -1e308], [-1e308, 1e308]], [[-1e308, 1e308], [1e308, -1e308]]]}
+    cfg = write_yaml_config(tmp_path, game=game)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "game: invalid inline game: payoff range of player 0 is not finite" in err
+
+
 def test_cli_solve_matching_pennies(tmp_path, capsys):
     path = tmp_path / "mp.game"
     path.write_text(MP_TEXT)

@@ -154,6 +154,8 @@ def test_compute_override_passthrough():
     assert eq.kind == "mixed" and eq.provenance == "user-supplied"
     for got, given in zip(eq.strategies, override):
         assert np.asarray(got).tobytes() == given.tobytes()
+    # The floats the epoch step reads, as tuples (a list never equals one): no caller edits them in place.
+    assert eq.strategy_floats == tuple(tuple(s.tolist()) for s in override)
 
 
 def test_compute_override_kind_follows_its_strategies():

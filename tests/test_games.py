@@ -315,6 +315,15 @@ def test_stage_game_copies_the_callers_payoffs():
     assert g.payoffs[0, 0, 0] == 1.0
 
 
+def test_stage_game_rejects_a_payoff_range_that_overflows():
+    # Finite payoffs whose max - min is not: matching pennies at ±1e308 would give
+    # μ = inf, and every epoch record a margin of Infinity, which JSON cannot hold.
+    with pytest.raises(ValueError, match="payoff range of player 0 is not finite"):
+        StageGame(matching_pennies().payoffs * 1e308)
+    one_sided = np.where(matching_pennies().payoffs > 0, 1e308, 0.0)
+    assert StageGame(one_sided).payoff_ranges == (1e308, 1e308)
+
+
 def test_stage_game_validation():
     with pytest.raises(ValueError):
         StageGame(np.array([[1.0, np.nan], [0.0, 0.0]])[None].repeat(2, axis=0))

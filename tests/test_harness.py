@@ -795,6 +795,11 @@ def _header_of(**budgets):
     return edit
 
 
+def _last_epoch_cut(trace):
+    del trace.events[-1]  # one learner: epoch 1's record
+    trace.epochs, trace.partial_rounds = 1, 128
+
+
 # Traces run_trial never writes, each with end fields that agree with its
 # epochs.  Epoch 0 needs 32 rounds and epoch 1 needs 128, so a round budget of
 # 160 stops the run after 2 epochs, as does an epoch budget of 2.
@@ -809,8 +814,12 @@ def _header_of(**budgets):
         # Stopped by its epoch budget, but with more rounds than its round budget.
         ({"round_budget": 200, "epoch_budget": 2}, _header_of(round_budget=100, epoch_budget=2), "epochs",
          "no run under epoch_budget 2 and round_budget 100 stops after 2 epochs of 160 rounds"),
+        # Stopped by its round budget, but with all of the next epoch's 128 rounds partial.
+        ({"round_budget": 160, "epoch_budget": 5}, _last_epoch_cut, "epochs",
+         "no run under epoch_budget 5 and round_budget 160 stops after 1 epochs of 32 rounds and 128 of the next"),
     ],
-    ids=["epochs-past-the-epoch-budget", "partial-rounds-after-the-epoch-budget", "rounds-past-the-round-budget"],
+    ids=["epochs-past-the-epoch-budget", "partial-rounds-after-the-epoch-budget", "rounds-past-the-round-budget",
+         "a-whole-epoch-partial"],
 )
 def test_validate_accepts_only_the_end_record_run_trial_writes(budgets, edit, field, message):
     tampered = run_trial(mp_config(**budgets), 0)
@@ -819,7 +828,8 @@ def test_validate_accepts_only_the_end_record_run_trial_writes(budgets, edit, fi
     edit(tampered)
     report = validate_trace(tampered)
     assert not report.ok
-    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (2, None, field)
+    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (
+        tampered.epochs, None, field)
     assert report.divergence["message"].startswith(message)
 
 
@@ -1309,6 +1319,45 @@ def test_read_trace_rejects_other_schema(tmp_path, sample_trace):
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="schema"):
+        traceio.read_trace(path)
+
+
+# Characters str.strip() removes and JSON does not count as space, each put on its own
+# epoch line: read_trace removes a line's "\n" and nothing else.
+@pytest.mark.parametrize(
+    "index, edit",
+    [(1, lambda line: line + "\x1c "), (2, lambda line: "\x85" + line), (3, lambda line: line + "\u3000")],
+    ids=["info-separator-after", "next-line-before", "ideographic-space-after"],
+)
+def test_read_trace_rejects_a_line_with_a_space_json_does_not_count(tmp_path, capsys, sample_trace, index, edit):
+    path = tmp_path / "trace.jsonl"
+    traceio.write_trace(sample_trace, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{index + 1}: not JSON: ")):
+        traceio.read_trace(path)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert f"{path}:{index + 1}: not JSON: " in capsys.readouterr().err
+
+
+def test_read_trace_takes_json_space_around_a_record_and_skips_a_blank_line(tmp_path, sample_trace):
+    path = tmp_path / "trace.jsonl"
+    traceio.write_trace(sample_trace, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = " \t" + lines[1] + "\t "
+    lines[2:2] = ["", " \t "]
+    path.write_text("\n".join(lines), encoding="utf-8", newline="\n")
+    assert trace_bytes(traceio.read_trace(path)) == trace_bytes(sample_trace)
+
+
+@pytest.mark.parametrize("kept", [slice(0, -1), slice(0, 1)], ids=["without-the-end", "header-alone"])
+def test_read_trace_needs_the_header_and_the_end_record(tmp_path, sample_trace, kept):
+    path = tmp_path / "trace.jsonl"
+    traceio.write_trace(sample_trace, path)
+    lines = path.read_text(encoding="utf-8").splitlines()[kept]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: trace must contain header and end records")):
         traceio.read_trace(path)
 
 

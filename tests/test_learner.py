@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repgame.equilibrium import EquilibriumProfile, compute_equilibrium
 from repgame.games import StageGame, pure_action_values, pure_strategy
-from repgame.learner import EpochOutcome, EpochState, EquilibriumRetreatAgent, epoch_step, fresh_state
+from repgame.learner import EpochOutcome, EpochState, EquilibriumRetreatAgent, epoch_step, fresh_state, histogram_total
 from repgame.schedule import Schedule
 
 from catalog import matching_pennies, prisoners_dilemma, rock_paper_scissors
@@ -402,6 +402,64 @@ def test_phi_constant_within_epoch():
     for _ in range(49):
         agent.observe_segment([agent.act_segment(1), np.zeros(1, dtype=np.int64)])
         np.testing.assert_array_equal(agent.state.phi, before)
+
+
+# -- histograms and the hypothesis tests ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "hists, total",
+    [
+        ([[1, 2], [3, 0]], 3),
+        (([1, 2], (0, 3)), 3),
+        ([[0, 0], [0, 0]], 0),
+        ([[True, 2], [3, 0]], None),  # True == 1, but a bool is not a count
+        ([[1, 2], [3, False]], None),
+        ([[1.0, 2], [3, 0]], None),
+        ([[np.int64(1), 2], [3, 0]], None),
+        ([[-1, 4], [3, 0]], None),
+        ([[1, 2, 0], [3, 0]], None),
+        ([[1, 2], [3]], None),
+        ([[1, 2], [2, 0]], None),
+        ([[1, 2]], None),
+        ([[1, 2], [3, 0], [3, 0]], None),
+        ([np.array([1, 2]), [3, 0]], None),
+        (np.array([[1, 2], [3, 0]]), None),
+        ([[1, "2"], [3, 0]], None),
+        (None, None),
+    ],
+    ids=["lists", "tuples", "zeros", "bool-true", "bool-false", "float", "numpy-int", "negative", "long-row",
+         "short-row", "unequal-totals", "one-histogram", "three-histograms", "numpy-row", "numpy-rows", "string",
+         "none"],
+)
+def test_histogram_total_takes_one_row_of_nonnegative_ints_per_player(hists, total):
+    got = histogram_total(hists, (2, 2))
+    assert (got, type(got)) == (total, type(total))
+
+
+@pytest.mark.parametrize("eq_hyp", [True, False], ids=["equilibrium", "stationarity"])
+def test_each_hypothesis_test_covers_every_player(eq_hyp):
+    # Player 0 stays at the equilibrium and at its previous frequencies; only
+    # player 1 moves, by 0.4, past the bound of 0.1.
+    game = matching_pennies()
+    sched = FixedSchedule([0.1], [100])
+    state = EpochState([0.5, 0.5], 1, eq_hyp, False, [[50, 50], [50, 50]], 0)
+    still, _ = epoch_step(game, 0, sched, compute_equilibrium(game), state, [[50, 50], [50, 50]], lambda: 0)
+    moved, _ = epoch_step(game, 0, sched, compute_equilibrium(game), state, [[50, 50], [90, 10]], lambda: 0)
+    if eq_hyp:
+        assert (still.eq_hyp_after, moved.eq_hyp_after) == (True, False)
+    else:
+        assert (still.restart, moved.restart) == (False, True)
+
+
+@pytest.mark.parametrize("eq_hyp", [True, False], ids=["equilibrium", "stationarity"])
+def test_each_hypothesis_test_rejects_a_reference_of_another_length(eq_hyp):
+    # As linf_distance does: player 1's reference has 3 entries, its histogram 2.
+    game = matching_pennies()
+    eq = EquilibriumProfile((np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5])), "user-supplied")
+    state = EpochState([0.5, 0.5], 1, eq_hyp, False, [[50, 50], [50, 50, 0]], 0)
+    with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+        epoch_step(game, 0, FixedSchedule([0.9], [100]), eq, state, [[50, 50], [50, 50]], lambda: 0)
 
 
 # -- self-play synchronization ----------------------------------------------------------
