@@ -117,6 +117,12 @@ class EquilibriumRetreatAgent:
         self._play_rng, self._pick_rng = streams
         self.n_players = game.num_players
         self.n_actions = game.action_counts[self.me]
+        strategies = eq_profile.strategies
+        for p, k in enumerate(game.action_counts):
+            if p >= len(strategies) or len(strategies[p]) != k:
+                raise ValueError(f"the equilibrium profile needs a strategy of {k} actions for player {p}")
+        if len(strategies) != self.n_players:
+            raise ValueError(f"the equilibrium profile has {len(strategies)} strategies for {self.n_players} players")
         self.state = fresh_state(eq_profile, self.me)
         self._start_epoch()
 
@@ -239,7 +245,7 @@ def epoch_step(
     shape = game.action_counts
     eps_e_t = schedule.eps_e(t)
     eps_s_t = schedule.eps_s(t)
-    margin = len(shape) * max(shape) * schedule.eps_s(t + 1) * game.payoff_ranges[me]
+    margin = len(shape) * max(shape) * eps_e_t * game.payoff_ranges[me]  # eps_e^t is eps_s^{t+1}
     # Plain ints and floats: each frequency is one float division, as a
     # float64 vector division would give, so records keep every bit.
     counts = [list(map(int, h)) for h in hists]

@@ -62,6 +62,7 @@ _TEST_ONLY = "Test-only code leaves src/repgame"
 _ONE_COPY = "One copy, one check"
 _HEADER_ONCE = "A trace header costs one encode and one parse per config"
 _REPLAY_COST = "A replayed epoch record costs only its arithmetic"
+_ONE_FACTOR = "One validity factor"
 
 MUTANTS = [
     {
@@ -316,6 +317,34 @@ MUTANTS = [
             "tests/test_config_cli.py::test_cli_run_rejects_a_game_whose_payoff_range_overflows",
         ],
         "found": _REPLAY_COST,
+    },
+    {
+        "name": "factor-reads-eps-e-one-epoch-early",
+        "file": "schedule.py",
+        "old": "(n * eps_e[1:] ** 2)",
+        "new": "(n * eps_e[:-1] ** 2)",
+        "tests": ["tests/test_schedule.py::test_single_factor_value"],
+        "found": _ONE_FACTOR,
+    },
+    {
+        "name": "margin-reads-eps-s-of-this-epoch",
+        "file": "learner.py",
+        "old": "max(shape) * eps_e_t *",
+        "new": "max(shape) * eps_s_t *",
+        "tests": ["tests/test_harness.py::test_per_round_trace_bytes_are_frozen"],
+        "found": _ONE_FACTOR,
+    },
+    {
+        "name": "factor-check-skips-the-epoch-length",
+        "file": "schedule.py",
+        "old": "np.isfinite(n) & np.isfinite(factors)",
+        "new": "np.isfinite(factors)",
+        "tests": [
+            "tests/test_schedule.py::test_infinite_epoch_length_fails",
+            "tests/test_schedule.py::test_infinite_epoch_length_raises_in_bound",
+            "tests/test_config_cli.py::test_cli_schedule_reports_an_infinite_epoch_length",
+        ],
+        "found": _ONE_FACTOR,
     },
 ]
 

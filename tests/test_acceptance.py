@@ -190,10 +190,10 @@ def test_criterion_2_schedule_suite():
     factors = 1.0 - 4.0 / (rounds * eps_e**2)
     factor_ok = bool(np.all(factors >= 2.0 ** -(1.0 / t) ** 2))
 
-    prod_s, prod_e = never_restart_lower_bound(sched, 10**6)
-    product_ok = prod_s >= PRODUCT_LIMIT and prod_e >= PRODUCT_LIMIT
+    prod = never_restart_lower_bound(sched, 10**6)
+    product_ok = prod >= PRODUCT_LIMIT
     # Frozen oracle for the partial product itself (independent recomputation).
-    frozen_ok = abs(prod_s - 0.31982705577279097) < 1e-12
+    frozen_ok = abs(prod - 0.31982705577279097) < 1e-12
 
     elapsed = time.perf_counter() - start
     ok = factor_ok and product_ok and frozen_ok and elapsed < 5.0
@@ -201,7 +201,7 @@ def test_criterion_2_schedule_suite():
         2,
         ok,
         f"factor bound exact t<=1e4: {factor_ok}; partial product at T=1e6 = "
-        f"{prod_s:.7f} vs analytic limit 2^(-pi^2/6) = {PRODUCT_LIMIT:.7f}; "
+        f"{prod:.7f} vs analytic limit 2^(-pi^2/6) = {PRODUCT_LIMIT:.7f}; "
         f"runtime {elapsed:.2f}s",
     )
 
@@ -260,7 +260,7 @@ def test_criterion_4_eventually_stationary(batch3, batch4):
 
 
 def test_criterion_5_self_play_mixed(batch5):
-    bound = never_restart_lower_bound(Schedule(epsilon_base=0.5, actions_total=4), 10)[0]
+    bound = never_restart_lower_bound(Schedule(epsilon_base=0.5, actions_total=4), 10)
     good = 0
     phi_ok = True
     for trace in batch5.traces:

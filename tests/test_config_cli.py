@@ -253,6 +253,7 @@ def test_cli_solve_malformed_game(tmp_path, capsys):
 def test_cli_schedule_table(capsys):
     assert main(["schedule", "-T", "3"]) == EXIT_OK
     out = capsys.readouterr().out
+    assert out.splitlines()[0].split() == ["t", "eps_e", "eps_s", "N", "prod"]
     rows = [l.split() for l in out.splitlines()[1:4]]
     assert [r[3] for r in rows] == ["32", "128", "906"]
     assert "valid" in out
@@ -262,19 +263,18 @@ def test_cli_schedule_product_columns_match_the_bound(capsys):
     assert main(["schedule", "-T", "100"]) == EXIT_OK
     rows = [l.split() for l in capsys.readouterr().out.splitlines()[1:101]]
     for horizon in (1, 10, 100):
-        prod_s, prod_e = never_restart_lower_bound(Schedule(), horizon)
-        assert rows[horizon - 1][4:] == [f"{prod_s:.6g}", f"{prod_e:.6g}"]
+        assert rows[horizon - 1][4:] == [f"{never_restart_lower_bound(Schedule(), horizon):.6g}"]
 
 
 def test_cli_schedule_reports_an_infinite_epoch_length(capsys):
     args = ["schedule", "-T", "4000", "--decay", "geometric", "--rate", "0.9"]
     assert main(args) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    # Row t holds the products through t + 1.  The factor at t = 3277 fails,
-    # so row 3275 has the last products, and row 3276, whose N is finite,
+    # Row t holds the product through t + 1.  The factor at t = 3277 fails,
+    # so row 3275 has the last product, and row 3276, whose N is finite,
     # has none.
-    prod_s, prod_e = never_restart_products(Schedule(decay="geometric", rate=0.9), 3276)
-    assert lines[1 + 3275].split()[4:] == [f"{prod_s[-1]:.6g}", f"{prod_e[-1]:.6g}"]
+    prods = never_restart_products(Schedule(decay="geometric", rate=0.9), 3276)
+    assert lines[1 + 3275].split()[4:] == [f"{prods[-1]:.6g}"]
     assert lines[1 + 3276].split()[3].isdigit() and len(lines[1 + 3276].split()) == 4
     assert lines[1 + 3277].split()[3] == "inf"
     assert lines[-1] == "INVALID: nonpositive or non-finite product factor (first offending t=3277)"
@@ -430,28 +430,10 @@ def test_cli_validate_detects_tampering(tmp_path, capsys):
     assert "DIVERGENCE" in capsys.readouterr().out
 
 
-def test_cli_master_seed_env_override(tmp_path, monkeypatch, capsys):
-    out_dir = tmp_path / "out"
-    cfg = write_yaml_config(
-        tmp_path, output={"trace_dir": str(out_dir), "make_dirs": True}
-    )
-    assert main(["run", str(cfg)]) == EXIT_OK
-    baseline = (out_dir / "trial-0000.jsonl").read_bytes()
-    monkeypatch.setenv("REPGAME_MASTER_SEED", "999")
-    assert main(["run", str(cfg)]) == EXIT_OK
-    overridden = (out_dir / "trial-0000.jsonl").read_bytes()
-    assert baseline != overridden
-    assert b'"master_seed": 999' in overridden or b'"master_seed":999' in overridden
-
-
-def test_cli_rejects_negative_master_seed(tmp_path, monkeypatch, capsys):
+def test_cli_rejects_negative_master_seed(tmp_path, capsys):
     out_dir = tmp_path / "out"
     output = {"trace_dir": str(out_dir), "make_dirs": True}
     cfg = write_yaml_config(tmp_path, master_seed=-5, output=output)
-    assert main(["run", str(cfg)]) == EXIT_CONFIG
-    assert "master_seed" in capsys.readouterr().err
-    cfg = write_yaml_config(tmp_path, output=output)
-    monkeypatch.setenv("REPGAME_MASTER_SEED", "-5")
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert "master_seed" in capsys.readouterr().err
     assert not out_dir.exists()

@@ -69,6 +69,6 @@ def test_zero_restart_fraction_vs_equilibrium_opponent():
     )
     result = run_batch(cfg)
     zero_restart = sum(1 for s in result.summaries if s.restarts == 0)
-    bound = never_restart_lower_bound(sched, 10)[0]
+    bound = never_restart_lower_bound(sched, 10)
     sigma = (bound * (1 - bound) / 100) ** 0.5
     assert zero_restart / 100 >= bound - 3 * sigma

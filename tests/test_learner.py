@@ -462,6 +462,26 @@ def test_each_hypothesis_test_rejects_a_reference_of_another_length(eq_hyp):
         epoch_step(game, 0, FixedSchedule([0.9], [100]), eq, state, [[50, 50], [50, 50]], lambda: 0)
 
 
+@pytest.mark.parametrize(
+    "strategies, message",
+    [
+        (([0.5, 0.5], [0.2, 0.3, 0.5]), "a strategy of 2 actions for player 1"),
+        (([0.5, 0.5],), "a strategy of 2 actions for player 1"),
+        (([0.2, 0.3, 0.5], [0.5, 0.5]), "a strategy of 2 actions for player 0"),
+        (([0.5, 0.5], [0.5, 0.5], [0.5, 0.5]), "3 strategies for 2 players"),
+    ],
+    ids=["long-strategy", "missing-player", "own-strategy", "extra-player"],
+)
+def test_the_agent_rejects_a_profile_that_does_not_fit_the_game(strategies, message):
+    # Caught where the agent takes the profile, not after an epoch of play:
+    # a long strategy failed only at the epoch's end, and a missing one made
+    # the equilibrium test skip that player.
+    eq = EquilibriumProfile(tuple(np.array(s) for s in strategies), "user-supplied")
+    for me in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            make_agent(matching_pennies(), me=me, eq=eq)
+
+
 # -- self-play synchronization ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -35,10 +36,24 @@ def test_epoch_params_six_action_values():
 
 
 def test_eps_coupling():
-    for s in (DEFAULT, Schedule(epsilon_base=0.3, actions_total=6, decay="geometric")):
-        assert s.eps_s(0) == s.eps_e(0)
-        for t in range(25):
-            assert s.eps_s(t + 1) == s.eps_e(t)
+    # The coupling the validity factor and the margin read eps_s^{t+1} from,
+    # bit for bit, on built-in schedules and on schedules overriding columns.
+    bits = struct.Struct("<d").pack
+    for s in (
+        DEFAULT,
+        Schedule(epsilon_base=0.3, actions_total=6, decay="geometric"),
+        Schedule(epsilon_base=0.5, actions_total=6),
+        Schedule(epsilon_base=1 / 30, actions_total=6, offset=29.0),
+        GEOMETRIC_09,
+        Schedule(epoch0_rounds=7),
+        _ForcedRoundsSchedule(),
+        _ShrinkingRoundsSchedule(),
+        _ConstantEpsSchedule(),
+        _NanEpsSchedule(),
+    ):
+        assert bits(s.eps_s(0)) == bits(s.eps_e(0))
+        for t in range(5000):
+            assert bits(s.eps_s(t + 1)) == bits(s.eps_e(t)), (s, t)
 
 
 def test_epoch_params_pure_function():
@@ -83,11 +98,12 @@ def schedules(draw):
 @example(Schedule(decay="geometric", rate=0.9), [], list(range(400)))
 def test_lookups_equal_the_arrays_the_prefix_check_reads(schedule, first, order):
     # ``first`` are looked up before the rest, in ``order``, so the table
-    # grows from different sizes; every value must still be the array's.
-    eps_e, eps_s, rounds = _factors(schedule, 399)[:3]
+    # grows from different sizes; every value must still be the array's,
+    # and eps_s^t the array's eps_e^{t-1} (eps_e^0 at t = 0).
+    eps_e, rounds = _factors(schedule, 399)[:2]
     for t in first + order:
         assert (schedule.eps_e(t), schedule.eps_s(t), schedule.rounds(t)) == (
-            eps_e[t], eps_s[t], int(rounds[t])
+            eps_e[t], eps_e[max(t - 1, 0)], int(rounds[t])
         ), t
 
 
@@ -135,8 +151,7 @@ def test_a_harmonic_schedule_needs_a_numeric_rate(rate):
 def test_default_family_valid_long_prefix():
     report = check_valid_prefix(DEFAULT, 1000)
     assert report.valid
-    assert report.eps_e_decreasing and report.eps_s_decreasing
-    assert report.rounds_nondecreasing and report.factors_positive
+    assert report.eps_e_decreasing and report.rounds_nondecreasing
     assert report.first_bad_t is None
 
 
@@ -165,13 +180,12 @@ class _ConstantEpsSchedule(Schedule):
 def test_forced_single_round_schedule_fails():
     report = check_valid_prefix(_ForcedRoundsSchedule(), 10)
     assert not report.valid
-    assert not report.factors_positive
     assert report.first_bad_t == 1
 
 
 def test_shrinking_rounds_schedule_fails():
     report = check_valid_prefix(_ShrinkingRoundsSchedule(), 10)
-    assert report.eps_e_decreasing and report.eps_s_decreasing and report.factors_positive
+    assert report.eps_e_decreasing and report.first_bad_t is None
     assert not report.rounds_nondecreasing
     assert not report.valid
 
@@ -192,7 +206,7 @@ class _NanEpsSchedule(Schedule):
 
 def test_nan_factor_fails():
     report = check_valid_prefix(_NanEpsSchedule(), 10)
-    assert not report.factors_positive
+    assert not report.valid
     assert report.first_bad_t == 5
 
 
@@ -207,7 +221,7 @@ def test_infinite_epoch_length_fails():
     report = check_valid_prefix(GEOMETRIC_09, 3600)
     assert not report.valid
     assert report.first_bad_t == 3277
-    assert report.eps_e_decreasing and report.eps_s_decreasing
+    assert report.eps_e_decreasing
 
 
 def test_short_horizon_rejected():
@@ -219,18 +233,16 @@ def test_short_horizon_rejected():
 
 
 def test_single_factor_value():
-    prod_s, prod_e = never_restart_lower_bound(DEFAULT, 1)
-    # t=1: both thresholds are 0.25, N^1 = 128.
-    assert prod_e == pytest.approx(1 - 4 / (128 * 0.0625))
-    assert prod_e == pytest.approx(0.5)
-    assert prod_s == pytest.approx(prod_e)
+    prod = never_restart_lower_bound(DEFAULT, 1)
+    # t=1: eps_e^1 = eps_s^2 = 0.25, N^1 = 128.
+    assert prod == pytest.approx(1 - 4 / (128 * 0.0625))
+    assert prod == pytest.approx(0.5)
 
 
 def test_products_monotone_nonincreasing():
     prods = [never_restart_lower_bound(DEFAULT, T) for T in range(1, 30)]
-    for (s1, e1), (s2, e2) in zip(prods, prods[1:]):
-        assert s2 <= s1 + 1e-15
-        assert e2 <= e1 + 1e-15
+    for p1, p2 in zip(prods, prods[1:]):
+        assert p2 <= p1 + 1e-15
 
 
 def test_factor_bound_holds_exactly():
@@ -245,18 +257,14 @@ def test_factor_bound_holds_exactly():
 
 def test_partial_products_bounded_below_by_limit():
     for T in (10, 100, 1000):
-        prod_s, prod_e = never_restart_lower_bound(DEFAULT, T)
-        assert prod_s >= PRODUCT_LIMIT
-        assert prod_e >= PRODUCT_LIMIT
+        assert never_restart_lower_bound(DEFAULT, T) >= PRODUCT_LIMIT
 
 
 def test_products_at_every_horizon_match_the_bound():
-    prods_s, prods_e = never_restart_products(DEFAULT, 1000)
-    assert prods_s.shape == prods_e.shape == (1000,)
+    prods = never_restart_products(DEFAULT, 1000)
+    assert prods.shape == (1000,)
     for T in (1, 10, 100, 1000):
-        prod_s, prod_e = never_restart_lower_bound(DEFAULT, T)
-        assert prods_s[T - 1] == pytest.approx(prod_s, rel=1e-12)
-        assert prods_e[T - 1] == pytest.approx(prod_e, rel=1e-12)
+        assert prods[T - 1] == pytest.approx(never_restart_lower_bound(DEFAULT, T), rel=1e-12)
 
 
 def test_product_limit_constant():
@@ -269,6 +277,6 @@ def test_nonpositive_factor_raises_in_bound():
 
 
 def test_infinite_epoch_length_raises_in_bound():
-    assert 0 < never_restart_lower_bound(GEOMETRIC_09, 3276)[0] < 1
+    assert 0 < never_restart_lower_bound(GEOMETRIC_09, 3276) < 1
     with pytest.raises(ValueError, match="t=3277"):
         never_restart_lower_bound(GEOMETRIC_09, 3600)
