@@ -178,6 +178,10 @@ class RunConfig:
             raise ValueError(f"roster must list one agent per player ({n})")
         for key, least in _INT_FIELDS.items():
             check_count(key, getattr(self, key), least)
+        # No segment is longer than the budget, and numpy counts a
+        # segment's rounds (``multinomial``) in an int64.
+        if self.round_budget > 2**63 - 1:
+            raise ValueError(f"round_budget must be at most 2**63 - 1, got {self.round_budget}")
         roster, policies = [], []
         for player, entry in enumerate(self.roster):
             agent = entry.get("agent") if isinstance(entry, dict) else None

@@ -44,6 +44,27 @@ def as_strategy(probs, n_actions: int | None = None) -> np.ndarray:
     return vec
 
 
+def draw_actions(rng: np.random.Generator, probs, n: int) -> np.ndarray:
+    """``n`` actions drawn from strategy ``probs``: the int64 array that
+    ``rng.choice(len(probs), size=n, p=probs)`` returns, with ``rng`` left
+    where that call leaves it.
+
+    ``choice`` draws one double a round and maps it through the strategy's
+    cdf, and a pure strategy's cdf (one entry exactly 1.0, the rest 0.0)
+    maps every double to its action.  So on a PCG64 stream a pure strategy
+    advances the stream n doubles, in O(log n), instead of drawing them.
+    ``advance`` also drops PCG64's buffered half of a 64-bit draw, which
+    only a 32-bit draw leaves and a stream of doubles never holds.  Any
+    other strategy or bit generator draws through ``choice``.
+    """
+    values = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
+    if values.count(0.0) == len(values) - 1 and 1.0 in values and isinstance(rng.bit_generator, np.random.PCG64):
+        actions = np.full(n, values.index(1.0), dtype=np.int64)
+        rng.bit_generator.advance(n)
+        return actions
+    return rng.choice(len(values), size=n, p=probs)
+
+
 def pure_strategy(action: int, n_actions: int) -> np.ndarray:
     """Degenerate strategy putting all mass on ``action``."""
     if not 0 <= action < n_actions:
@@ -140,7 +161,7 @@ class StageGame:
     @cached_property
     def _payoff_rows(self) -> tuple[list[list[float]], ...]:
         """``own_axis_payoffs`` as Python floats, one list per row along the
-        last axis: the 1-D form of ``action_values`` reads these."""
+        last axis: ``action_value_list`` reads these."""
         return tuple(u.reshape(-1, u.shape[-1]).tolist() for u in self.own_axis_payoffs)
 
     @cached_property
@@ -162,10 +183,11 @@ class StageGame:
         One contraction in one fixed order: the last opponent first, and
         within an opponent a sum over its actions in index order, each
         product and each partial sum one IEEE operation.  The 1-D form does
-        them on Python floats.  The column form, one (k, L) array per
-        opponent, does them on numpy rows and returns (|A_player|, L); its
-        column r is the 1-D form's values against column r of each array,
-        bit for bit, since the same operations run in the same order.
+        them on Python floats: it is ``action_value_list`` as an array.  The
+        column form, one (k, L) array per opponent, does them on numpy rows
+        and returns (|A_player|, L); its column r is the 1-D form's values
+        against column r of each array, bit for bit, since the same
+        operations run in the same order.
         """
         if not weights:
             return self.own_axis_payoffs[player]
@@ -177,12 +199,19 @@ class StageGame:
                     total += values[..., j, :] * w[j]
                 values = total
             return values
+        return np.array(self.action_value_list(player, weights))
+
+    def action_value_list(self, player: int, weights) -> list[float]:
+        """``action_values``' 1-D form as a new list of Python floats, for a
+        caller that computes on in plain floats."""
+        if not weights:
+            return self.own_axis_payoffs[player].tolist()
         values = self._payoff_rows[player]
         for i in range(len(weights) - 1, 0, -1):
             flat = _dot_rows(values, weights[i])
             k = len(weights[i - 1])
             values = [flat[s : s + k] for s in range(0, len(flat), k)]
-        return np.array(_dot_rows(values, weights[0]))
+        return _dot_rows(values, weights[0])
 
     def _check_player(self, player: int) -> None:
         if not 0 <= player < self.num_players:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumProfile
-from .games import StageGame, _dot_rows
+from .games import StageGame, _dot_rows, draw_actions
 
 # Stream-purpose codes for the documented seed-splitting scheme.
 STREAM_PLAY = 0
@@ -116,6 +116,8 @@ class EquilibriumRetreatAgent:
         self.eq_profile = eq_profile
         self._play_rng, self._pick_rng = streams
         self.n_players = game.num_players
+        if not 0 <= self.me < self.n_players:
+            raise ValueError(f"player {me} out of range [0, {self.n_players})")
         self.n_actions = game.action_counts[self.me]
         strategies = eq_profile.strategies
         for p, k in enumerate(game.action_counts):
@@ -144,17 +146,17 @@ class EquilibriumRetreatAgent:
     def act_segment(self, length: int) -> np.ndarray:
         """Actions for the next ``length`` rounds, drawn from phi.
 
-        The whole epoch's draws are taken from the play stream in one
-        vectorised call on the epoch's first play, so every split of an
-        epoch into segments plays the same actions.  Repeated calls
+        The whole epoch's N^t actions are drawn from the play stream on
+        the epoch's first play, by ``draw_actions``, and held until the
+        epoch ends, so every split of an epoch into segments plays the same
+        actions.  A pure phi advances the stream by N^t doubles instead of
+        drawing them, which leaves it where drawing would.  Repeated calls
         return the same actions until observe_segment commits them.
         """
         if length > self.rounds_left_in_epoch():
             raise ValueError("segment crosses an epoch boundary")
         if self._buffer is None:
-            self._buffer = self._play_rng.choice(
-                self.n_actions, size=self.epoch_rounds, p=self.state.phi
-            )
+            self._buffer = draw_actions(self._play_rng, self.state.phi, self.epoch_rounds)
         start = self.round_in_epoch
         return self._buffer[start : start + length]
 
@@ -267,7 +269,7 @@ def epoch_step(
         # Best-response adjustment with hysteresis: switch only for a
         # strictly more-than-margin improvement over the current action.
         others = [[c / n_rounds for c in h] for p, h in enumerate(counts) if p != me]
-        values = game.action_values(me, others).tolist()
+        values = game.action_value_list(me, others)
         best = values.index(max(values))  # the first best, as argmax
         if values[best] > _dot_rows([values], phi)[0] + margin:
             action, switched = best, True

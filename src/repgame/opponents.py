@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .games import StageGame, as_strategy
+from .games import StageGame, as_strategy, draw_actions
 from .schedule import check_count
 
 
@@ -89,7 +89,7 @@ class StationaryPolicy(OpponentPolicy):
         return new
 
     def act_segment(self, length: int) -> np.ndarray:
-        return self.rng.choice(len(self.probs), size=length, p=self.probs)
+        return draw_actions(self.rng, self.probs, length)
 
     def act_counts(self, length: int) -> np.ndarray:
         return self.rng.multinomial(length, self.probs)

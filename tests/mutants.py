@@ -63,6 +63,7 @@ _ONE_COPY = "One copy, one check"
 _HEADER_ONCE = "A trace header costs one encode and one parse per config"
 _REPLAY_COST = "A replayed epoch record costs only its arithmetic"
 _ONE_FACTOR = "One validity factor"
+_PURE_DRAW = "A pure strategy's epoch costs one stream advance"
 
 MUTANTS = [
     {
@@ -87,8 +88,8 @@ MUTANTS = [
     {
         "name": "zero-length-choice-draws-one",
         "file": "opponents.py",
-        "old": "return self.rng.choice(len(self.probs), size=length, p=self.probs)",
-        "new": "return self.rng.choice(len(self.probs), size=max(length, 1), p=self.probs)[:length]",
+        "old": "return draw_actions(self.rng, self.probs, length)",
+        "new": "return draw_actions(self.rng, self.probs, max(length, 1))[:length]",
         "tests": ["tests/test_opponents.py::test_a_zero_length_draw_leaves_the_stream_and_the_script_where_they_were"],
         "found": _ONE_COUNT_PATH,
     },
@@ -345,6 +346,72 @@ MUTANTS = [
             "tests/test_config_cli.py::test_cli_schedule_reports_an_infinite_epoch_length",
         ],
         "found": _ONE_FACTOR,
+    },
+    {
+        "name": "pure-draw-skips-the-advance",
+        "file": "games.py",
+        "old": "        rng.bit_generator.advance(n)\n",
+        "new": "",
+        "tests": ["tests/test_games.py::test_a_pure_strategy_draws_what_choice_draws"],
+        "found": _PURE_DRAW,
+    },
+    {
+        "name": "pure-draw-advances-one-short",
+        "file": "games.py",
+        "old": "rng.bit_generator.advance(n)",
+        "new": "rng.bit_generator.advance(n - 1)",
+        "tests": ["tests/test_games.py::test_a_pure_strategy_draws_what_choice_draws"],
+        "found": _PURE_DRAW,
+    },
+    {
+        "name": "agent-takes-player-minus-one",
+        "file": "learner.py",
+        "old": "if not 0 <= self.me < self.n_players:",
+        "new": "if not -1 <= self.me < self.n_players:",
+        "tests": ["tests/test_learner.py::test_the_agent_rejects_a_player_outside_the_game"],
+        "found": _PURE_DRAW,
+    },
+    {
+        "name": "round-budget-unbounded",
+        "file": "config.py",
+        "old": "if self.round_budget > 2**63 - 1:",
+        "new": "if False:",
+        "tests": ["tests/test_config_cli.py::test_cli_run_rejects_a_round_budget_past_int64"],
+        "found": _PURE_DRAW,
+    },
+    {
+        "name": "round-budget-may-reach-2-to-the-63",
+        "file": "config.py",
+        "old": "if self.round_budget > 2**63 - 1:",
+        "new": "if self.round_budget > 2**63:",
+        "tests": ["tests/test_harness.py::test_run_config_bounds_the_round_budget"],
+        "found": _PURE_DRAW,
+    },
+    {
+        "name": "lock-kind-reads-the-second-last-epoch",
+        "file": "harness.py",
+        "old": 'if all(rec["eq_hyp_after"] for rec in last):',
+        "new": 'if all(rec["eq_hyp_after"] for rec in window_groups[-2]):',
+        # Killed by the case pure-equilibrium-rejected-in-the-last-epoch.
+        "tests": ["tests/test_harness.py::test_detect_convergence_on_hand_made_traces"],
+        "found": _PURE_DRAW,
+    },
+    {
+        "name": "stable-suffix-starts-at-the-second-last-epoch",
+        "file": "harness.py",
+        "old": "for i in range(len(groups) - 1, -1, -1):",
+        "new": "for i in range(len(groups) - 2, -1, -1):",
+        # Killed by the cases restart-in-the-last-epoch and stable-last-epoch-after-a-restart.
+        "tests": ["tests/test_harness.py::test_detect_convergence_on_hand_made_traces"],
+        "found": _PURE_DRAW,
+    },
+    {
+        "name": "no-epochs-summarise-one-restart",
+        "file": "harness.py",
+        "old": 'for rec in trace.events), default=0)',
+        "new": 'for rec in trace.events), default=1)',
+        "tests": ["tests/test_harness.py::test_detect_convergence_on_a_trace_of_no_epochs"],
+        "found": _PURE_DRAW,
     },
 ]
 

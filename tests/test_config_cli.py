@@ -219,6 +219,25 @@ def test_cli_run_rejects_a_game_whose_payoff_range_overflows(tmp_path, capsys):
     assert "game: invalid inline game: payoff range of player 0 is not finite" in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # N^t passes 2**63 at t = 25, inside the epoch budget.
+        {"schedule": {"epsilon_base": 0.5, "decay": "geometric", "rate": 0.5}, "round_budget": 10**30,
+         "epoch_budget": 40},
+        {"schedule": {"epsilon_base": 0.5, "epoch0_rounds": 10**19}, "round_budget": 10**20},
+    ],
+    ids=["geometric-epochs-past-int64", "first-epoch-past-int64"],
+)
+def test_cli_run_rejects_a_round_budget_past_int64(tmp_path, capsys, overrides):
+    # The histogram path draws a segment of up to the budget's rounds with
+    # multinomial, which takes an int64: past it the run raised OverflowError.
+    cfg = write_yaml_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"round_budget must be at most 2**63 - 1, got {overrides['round_budget']}" in err
+
+
 def test_cli_solve_matching_pennies(tmp_path, capsys):
     path = tmp_path / "mp.game"
     path.write_text(MP_TEXT)

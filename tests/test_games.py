@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repgame.games import (
     StageGame,
     as_strategy,
+    draw_actions,
     expected_utility,
     linf_distance,
     pure_action_values,
@@ -19,6 +20,8 @@ from catalog import (
     prisoners_dilemma,
     rock_paper_scissors,
 )
+from repgame.harness import agent_stream
+from repgame.learner import STREAM_PLAY
 
 
 # -- hypothesis strategies ----------------------------------------------------
@@ -199,8 +202,60 @@ def test_values_sum_each_opponents_actions_in_index_order(case):
         others = [s.tolist() for q, s in enumerate(profile) if q != p]
         want = np.array(values_in_index_order(game, p, others))
         assert game.action_values(p, others).tobytes() == want.tobytes()
+        # The learner's epoch rule computes on in the 1-D form's plain floats.
+        values = game.action_value_list(p, others)
+        assert {type(v) for v in values} == {float} and np.array(values).tobytes() == want.tobytes()
         columns = game.action_values(p, [np.array(s)[:, None] for s in others])
         assert columns[:, 0].tobytes() == want.tobytes()
+
+
+def test_value_list_of_a_one_player_game_is_its_payoffs():
+    game = StageGame([[1.0, -3.0, 2.5]])
+    values = game.action_value_list(0, [])
+    assert values == [1.0, -3.0, 2.5] and type(values[0]) is float
+    values[0] = 9.0  # a list of the caller's own
+    assert game.action_value_list(0, []) == [1.0, -3.0, 2.5]
+
+
+# -- drawing actions from a strategy ------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 906, 3454])
+def test_a_pure_strategy_draws_what_choice_draws(k, n):
+    # A pure strategy advances the stream past n doubles instead of drawing
+    # them.  ``advance`` also drops PCG64's buffered half of a 64-bit draw,
+    # which only a 32-bit draw leaves: a play stream draws doubles alone, and
+    # so do these streams before the draw.
+    for seed in (0, 9, 97):
+        for action in range(k):
+            for probs in (pure_strategy(action, k), pure_strategy(action, k).tolist()):
+                fast, slow = agent_stream(seed, 1, 0, STREAM_PLAY), agent_stream(seed, 1, 0, STREAM_PLAY)
+                for g in (fast, slow):
+                    g.choice(k, size=5, p=np.full(k, 1 / k))  # an earlier epoch's draws
+                got, want = draw_actions(fast, probs, n), slow.choice(k, size=n, p=probs)
+                assert (got.dtype, want.dtype) == (np.int64, np.int64)
+                assert got.tolist() == want.tolist() == [action] * n
+                assert fast.bit_generator.state == slow.bit_generator.state, (seed, action, probs)
+
+
+@pytest.mark.parametrize(
+    "probs, bit_generator",
+    [
+        ([0.5, 0.5], np.random.PCG64),
+        ([0.25, 0.0, 0.75], np.random.PCG64),
+        # Philox's advance counts blocks of four draws, and MT19937 has none.
+        ([0.0, 1.0], np.random.Philox),
+        ([0.0, 1.0], np.random.MT19937),
+    ],
+    ids=["mixed", "mixed-with-a-zero", "pure-on-philox", "pure-on-mt19937"],
+)
+def test_other_strategies_and_streams_draw_through_choice(probs, bit_generator):
+    fast, slow = (np.random.Generator(bit_generator(np.random.SeedSequence(9))) for _ in range(2))
+    for n in (0, 1, 33, 906):
+        got, want = draw_actions(fast, probs, n), slow.choice(len(probs), size=n, p=probs)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert fast.random(8).tolist() == slow.random(8).tolist()  # Philox's and MT19937's states hold arrays
 
 
 # -- best responses: the first maximiser of pure_action_values ----------------------

@@ -201,6 +201,16 @@ def test_run_config_rejects_a_roster_entry_json_cannot_hold(policy):
         )
 
 
+def test_run_config_bounds_the_round_budget():
+    # At the bound a histogram-path run takes its whole budget in one
+    # segment, inside an epoch 0 of 10**19 rounds.
+    schedule = Schedule(epsilon_base=0.5, actions_total=4, epoch0_rounds=10**19)
+    trace = run_trial(mp_config(schedule=schedule, round_budget=2**63 - 1), 0)
+    assert (trace.epochs, trace.rounds_used, trace.partial_rounds) == (0, 2**63 - 1, 2**63 - 1)
+    with pytest.raises(ValueError, match=re.escape("round_budget must be at most 2**63 - 1, got 9223372036854775808")):
+        mp_config(schedule=schedule, round_budget=2**63)
+
+
 def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
     # Fictitious play answers each epoch in one respond_segment call, and
     # the learner draws it in one act_segment call: no round is played on
@@ -534,10 +544,22 @@ LEFT, RIGHT, HALF = [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]
              [_rec(0, RIGHT, MIXED, restarts_total=1)]], (False, "none", None, 1)),
         (2, [[_rec(0, RIGHT, MIXED, phi_before=HALF)]] + [[_rec(0, RIGHT, MIXED)]] * 3,
          (True, "best-response-lock", 1, 0)),
+        # The pure equilibrium (Left, Left) holds, then the opponent plays
+        # Right and the learner's pick is Left again: φ stays, the
+        # hypothesis is rejected in the window's last epoch.
+        (2, [[_rec(0, LEFT, [[5, 0], [5, 0]], eq=True)], [_rec(0, LEFT, [[5, 0], [0, 5]])]],
+         (True, "best-response-lock", 0, 0)),
+        (2, [[_rec(0, RIGHT, MIXED)]] * 2 + [[_rec(0, RIGHT, MIXED, restart=True, restarts_total=1)]],
+         (False, "none", None, 1)),
+        # A restart puts φ back to the equilibrium, which holds in the epoch after it.
+        (1, [[_rec(0, RIGHT, MIXED)], [_rec(0, RIGHT, MIXED, restart=True, restarts_total=1)],
+             [_rec(0, HALF, MIXED, eq=True, restarts_total=1)]],
+         (True, "equilibrium-hypothesis-held", 2, 1)),
     ],
     ids=["insufficient-data", "equilibrium-hypothesis-held", "pure-profile-lock", "best-response-lock",
          "held-before-pure-profile", "pure-profile-before-best-response", "pure-histograms-that-change-action", "mixed-third-player", "phi-after-not-pure",
-         "restart-in-window", "suffix-longer-than-window"],
+         "restart-in-window", "suffix-longer-than-window", "pure-equilibrium-rejected-in-the-last-epoch",
+         "restart-in-the-last-epoch", "stable-last-epoch-after-a-restart"],
 )
 def test_detect_convergence_on_hand_made_traces(window, epochs, want):
     events = [dict(rec, seq=seq) for seq, group in enumerate(epochs) for rec in group]
@@ -552,6 +574,15 @@ def test_detect_convergence_on_hand_made_traces(window, epochs, want):
     assert (summary.converged, summary.kind, summary.epochs_to_convergence, summary.restarts) == want
     assert (summary.trial, summary.rounds_used, summary.epochs) == (7, 10 * len(epochs), len(epochs))
     assert summary.final_phi == {rec["player"]: tuple(rec["phi_after"]) for rec in epochs[-1]}
+
+
+def test_detect_convergence_on_a_trace_of_no_epochs():
+    # Epoch 0 needs 32 rounds: no epoch ends, so no learner restarted.
+    trace = run_trial(mp_config(round_budget=20), 0)
+    assert trace.epochs == 0
+    summary = detect_convergence(trace)
+    assert (summary.converged, summary.kind, summary.epochs_to_convergence) == (None, "insufficient-data", None)
+    assert (summary.restarts, summary.final_phi, summary.rounds_used, summary.epochs) == (0, {}, 20, 0)
 
 
 # -- trace replay validation ----------------------------------------------------------

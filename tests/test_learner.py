@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -480,6 +481,14 @@ def test_the_agent_rejects_a_profile_that_does_not_fit_the_game(strategies, mess
     for me in (0, 1):
         with pytest.raises(ValueError, match=message):
             make_agent(matching_pennies(), me=me, eq=eq)
+
+
+@pytest.mark.parametrize("me", [-1, 2])
+def test_the_agent_rejects_a_player_outside_the_game(me):
+    # As a Python index -1 played as the last player, while the epoch rule's
+    # "other players" (p != me) kept every player and its records said -1.
+    with pytest.raises(ValueError, match=re.escape(f"player {me} out of range [0, 2)")):
+        make_agent(matching_pennies(), me=me)
 
 
 # -- self-play synchronization ----------------------------------------------------------
