@@ -1,21 +1,10 @@
-"""Human-writable file formats: the game text grammar and the run
-document, with the RunConfig it builds.
+"""Human-writable file formats: the game file and the run document, with
+the RunConfig it builds.
 
-Game file grammar (line-oriented, ``#`` comments)::
-
-    players: 2
-    actions 0: Heads Tails
-    actions 1: Heads Tails
-    payoffs:
-    1 -1
-    -1 1
-    -1 1
-    1 -1
-
-After ``payoffs:`` there is one line per joint action profile, in
-lexicographic profile order with player 0 varying slowest, holding one
-payoff per player.  Parse failures raise ConfigError with the file and
-line number.
+A game file is a YAML document holding the inline game mapping of a run
+document's ``game`` and a trace header's ``config.game``: ``payoffs``, where
+``payoffs[i][a_0]...[a_{n-1}]`` is player i's payoff at that joint profile,
+and optional ``num_players`` and ``action_names``.  game_from_dict reads it.
 
 The run document is a mapping with explicit keys, read from YAML by
 load_run_config and from a mapping by build_run_config.  config_to_dict
@@ -46,89 +35,26 @@ class ConfigError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-# -- game text format ---------------------------------------------------------
+def _load_yaml(path, what: str):
+    """The YAML document in ``path``, or a ConfigError naming the file and, if YAML gives one, the line."""
+    import yaml
 
-
-def parse_game_text(text: str, source: str = "<string>") -> StageGame:
-    lines = text.splitlines()
-    players = None
-    actions: dict[int, list[str]] = {}
-    payoff_rows: list[list[float]] = []
-    in_payoffs = False
-    for lineno, raw in enumerate(lines, start=1):
-        where = f"{source}:{lineno}"
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if in_payoffs:
-            try:
-                payoff_rows.append([float(tok) for tok in line.split()])
-            except ValueError:
-                raise ConfigError(f"non-numeric payoff entry in {line!r}", where)
-            continue
-        if ":" not in line:
-            raise ConfigError(f"expected 'key: value', got {line!r}", where)
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key == "players":
-            try:
-                players = int(value)
-            except ValueError:
-                raise ConfigError(f"players must be an integer, got {value!r}", where)
-            if players < 1:
-                raise ConfigError("players must be at least 1", where)
-        elif key.startswith("actions"):
-            try:
-                idx = int(key.split(None, 1)[1])
-            except (IndexError, ValueError):
-                raise ConfigError(
-                    f"expected 'actions <player>:', got {key!r}", where
-                )
-            names = value.split()
-            if not names:
-                raise ConfigError(f"player {idx} has no actions", where)
-            actions[idx] = names
-        elif key == "payoffs":
-            in_payoffs = True
-        else:
-            raise ConfigError(f"unknown key {key!r}", where)
-    if players is None:
-        raise ConfigError("missing 'players:' line", source)
-    if sorted(actions) != list(range(players)):
-        raise ConfigError(
-            f"need 'actions i:' for each player 0..{players - 1}, got {sorted(actions)}",
-            source,
-        )
-    if not in_payoffs:
-        raise ConfigError("missing 'payoffs:' section", source)
-    counts = [len(actions[i]) for i in range(players)]
-    profiles = int(np.prod(counts))
-    if len(payoff_rows) != profiles:
-        raise ConfigError(
-            f"expected {profiles} payoff lines (one per joint profile), got {len(payoff_rows)}",
-            source,
-        )
-    for i, row in enumerate(payoff_rows):
-        if len(row) != players:
-            raise ConfigError(
-                f"payoff line {i + 1} has {len(row)} entries, expected {players}",
-                source,
-            )
-    flat = np.asarray(payoff_rows, dtype=np.float64)  # (profiles, players)
-    payoffs = np.moveaxis(flat.reshape(counts + [players]), -1, 0)
-    return StageGame(
-        payoffs, action_names=tuple(tuple(actions[i]) for i in range(players))
-    )
+    try:
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}", str(path))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        raise ConfigError(f"YAML parse error: {exc}", f"{path}:{mark.line + 1}" if mark else str(path))
 
 
 def load_game_file(path) -> StageGame:
-    path = Path(path)
+    """The game in the YAML game file ``path``."""
+    doc = _load_yaml(path, "game")  # its ConfigError is located already
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read game file: {exc}", str(path))
-    return parse_game_text(text, source=str(path))
+        return game_from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid game: {exc}", str(path))
 
 
 # -- run configuration ---------------------------------------------------------
@@ -147,6 +73,8 @@ _DOC_KEYS = {"game", "roster", "schedule", "equilibrium_override", "output", *_I
 _OUTPUT_PATHS = ("trace_dir", "summary_csv", "report_json")
 # The keys of a roster entry, by its agent.
 _ENTRY_KEYS = {"learner": {"agent"}, "opponent": {"agent", "policy"}}
+# The keys of an inline game, as game_to_dict writes them.
+_GAME_KEYS = {"num_players", "action_names", "payoffs"}
 
 
 @dataclass(frozen=True)
@@ -247,12 +175,28 @@ def game_to_dict(game: StageGame) -> dict:
     }
 
 
+def _check_payoffs(value, name: str = "payoffs") -> None:
+    """ValueError naming the first entry of the nested lists ``value`` that is not an int or a float."""
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_payoffs(item, f"{name}[{i}]")
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def game_from_dict(d: dict) -> StageGame:
+    """The game of an inline game mapping: a run document's ``game``, a game
+    file's document or a trace header's ``config.game``."""
     if not isinstance(d, dict):
         raise TypeError(f"a game must be a mapping, got {type(d).__name__}")
-    names = d.get("action_names")
-    game = StageGame(d["payoffs"], action_names=names or None)
-    if d.get("num_players", game.num_players) != game.num_players:
+    unknown = sorted(map(str, d.keys() - _GAME_KEYS))
+    if unknown:
+        raise ValueError(f"unknown keys {', '.join(unknown)}")
+    if "payoffs" not in d:
+        raise ValueError("missing key payoffs")
+    _check_payoffs(d["payoffs"])
+    game = StageGame(d["payoffs"], action_names=d.get("action_names") or None)
+    if "num_players" in d and check_count("num_players", d["num_players"], 1) != game.num_players:
         raise ValueError(
             f"num_players is {d['num_players']!r}, but the payoffs are for {game.num_players}"
         )
@@ -276,15 +220,12 @@ def build_run_config(doc: dict, source: str = "<config>", base_dir=None) -> RunC
     if unknown:
         raise ConfigError(f"unknown keys {', '.join(unknown)}", source)
     game_field = doc.get("game")
-    if isinstance(game_field, str):
-        path = Path(game_field)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        game = load_game_file(path)
+    if isinstance(game_field, str):  # an absolute path stays as it is
+        game = load_game_file(Path(base_dir or ".") / game_field)
     elif isinstance(game_field, dict):
         try:
             game = game_from_dict(game_field)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid inline game: {exc}", f"{source}: game")
     else:
         raise ConfigError("game must be a file path or inline mapping", f"{source}: game")
@@ -317,19 +258,8 @@ def load_run_config(path) -> tuple[RunConfig, dict]:
     rejected).  Any other key, or a value of another type, is a
     ConfigError.
     """
-    import yaml
-
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}", str(path))
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f"{path}:{mark.line + 1}" if mark else str(path)
-        raise ConfigError(f"YAML parse error: {exc}", where)
+    doc = _load_yaml(path, "config")
     config = build_run_config(doc, source=str(path), base_dir=path.parent)
     output = doc.get("output") or {}
     where = f"{path}: output"

@@ -64,6 +64,7 @@ _HEADER_ONCE = "A trace header costs one encode and one parse per config"
 _REPLAY_COST = "A replayed epoch record costs only its arithmetic"
 _ONE_FACTOR = "One validity factor"
 _PURE_DRAW = "A pure strategy's epoch costs one stream advance"
+_ONE_SYNTAX = "One game syntax"
 
 MUTANTS = [
     {
@@ -412,6 +413,25 @@ MUTANTS = [
         "new": 'for rec in trace.events), default=1)',
         "tests": ["tests/test_harness.py::test_detect_convergence_on_a_trace_of_no_epochs"],
         "found": _PURE_DRAW,
+    },
+    {
+        "name": "game-mapping-takes-unknown-keys",
+        "file": "config.py",
+        "old": "unknown = sorted(map(str, d.keys() - _GAME_KEYS))",
+        "new": "unknown = []",
+        "tests": ["tests/test_config_cli.py::test_game_mapping_rejects_unknown_keys"],
+        "found": _ONE_SYNTAX,
+    },
+    {
+        "name": "payoffs-take-any-entry",
+        "file": "config.py",
+        "old": '    _check_payoffs(d["payoffs"])\n',
+        "new": "",
+        "tests": [
+            "tests/test_config_cli.py::test_game_mapping_needs_number_payoffs",
+            "tests/test_config_cli.py::test_cli_solve_rejects_a_payoff_yaml_reads_as_a_string",
+        ],
+        "found": _ONE_SYNTAX,
     },
 ]
 

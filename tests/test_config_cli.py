@@ -1,15 +1,19 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+import yaml
 
 from repgame.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from repgame.config import (
     ConfigError,
     build_run_config,
+    game_from_dict,
+    game_to_dict,
+    load_game_file,
     load_run_config,
-    parse_game_text,
 )
 from repgame.games import StageGame
 from repgame.schedule import Schedule, never_restart_lower_bound, never_restart_products
@@ -17,88 +21,85 @@ from repgame.schedule import Schedule, never_restart_lower_bound, never_restart_
 from catalog import battle_of_sexes, matching_pennies, prisoners_dilemma
 
 
-def format_game_text(game: StageGame) -> str:
-    """``game`` in the game text grammar that ``parse_game_text`` reads."""
-    names = game.action_names or tuple(
-        tuple(f"a{j}" for j in range(c)) for c in game.action_counts
-    )
-    out = [f"players: {game.num_players}"]
-    for i, per in enumerate(names):
-        out.append(f"actions {i}: " + " ".join(per))
-    out.append("payoffs:")
-    for profile in np.ndindex(*game.action_counts):
-        out.append(" ".join(repr(float(game.payoffs[(p, *profile)])) for p in range(game.num_players)))
-    return "\n".join(out) + "\n"
+def game_yaml(game: StageGame) -> str:
+    """``game`` as a YAML game file: its inline mapping."""
+    return yaml.safe_dump(game_to_dict(game))
 
 
-MP_TEXT = """\
-players: 2
-actions 0: H T
-actions 1: H T
-payoffs:
-1 -1
--1 1
--1 1
-1 -1
-"""
+MP_YAML = game_yaml(matching_pennies())
 
-NO_PURE_NE_3P = """\
-players: 3
-actions 0: a b
-actions 1: a b
-actions 2: a b
-payoffs:
-1 -1 0
-1 -1 0
--1 1 0
--1 1 0
--1 1 0
--1 1 0
-1 -1 0
-1 -1 0
+# Matching pennies as the README writes it.
+MP_BY_HAND = """\
+num_players: 2
+action_names: [[H, T], [H, T]]
+payoffs: [[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]]
 """
 
 
-# -- game text format --------------------------------------------------------------
+def _no_pure_ne_3p() -> StageGame:
+    """Players 0 and 1 play matching pennies, whatever player 2 plays, and player 2's payoff is 0."""
+    u = np.zeros((3, 2, 2, 2))
+    u[:2] = matching_pennies().payoffs[:, :, :, None]
+    return StageGame(u, action_names=(("a", "b"),) * 3)
 
 
-def test_parse_game_text_matching_pennies():
-    g = parse_game_text(MP_TEXT)
-    mp = matching_pennies()
-    assert g.action_names == (("H", "T"), ("H", "T"))
-    np.testing.assert_array_equal(g.payoffs, mp.payoffs)
+NO_PURE_NE_3P = game_yaml(_no_pure_ne_3p())
 
 
-def test_format_parse_round_trip():
-    for game in (matching_pennies(), prisoners_dilemma(), battle_of_sexes()):
-        again = parse_game_text(format_game_text(game))
-        np.testing.assert_array_equal(again.payoffs, game.payoffs)
-        assert again.action_names == game.action_names
+# -- game files ----------------------------------------------------------------------
 
 
-def test_parse_errors_are_located():
-    bad = MP_TEXT.replace("1 -1\n-1 1\n-1 1\n1 -1\n", "1 -1\n-1 one\n-1 1\n1 -1\n")
-    with pytest.raises(ConfigError) as err:
-        parse_game_text(bad, source="mp.game")
-    assert "mp.game:6" in str(err.value)
+def test_a_game_file_is_the_inline_mapping(tmp_path):
+    path = tmp_path / "mp.yaml"
+    path.write_text(MP_YAML)
+    assert game_to_dict(load_game_file(path)) == game_to_dict(matching_pennies())
 
 
-def test_parse_rejects_wrong_profile_count():
-    with pytest.raises(ConfigError, match="4 payoff lines"):
-        parse_game_text(MP_TEXT.rsplit("1 -1\n", 1)[0])
+def test_game_mapping_rejects_unknown_keys(tmp_path):
+    # A typo such as payoff: for payoffs would otherwise be dropped unread.
+    game = {**game_to_dict(matching_pennies()), "bogus": 1}
+    with pytest.raises(ConfigError, match="game: invalid inline game: unknown keys bogus"):
+        build_run_config(make_config_doc(tmp_path, game=game))
 
 
-def test_parse_rejects_missing_players():
-    with pytest.raises(ConfigError, match="players"):
-        parse_game_text("actions 0: x y\npayoffs:\n0 0\n")
+def test_game_mapping_names_missing_payoffs(tmp_path):
+    game = {"num_players": 2, "action_names": [["H", "T"], ["H", "T"]]}
+    with pytest.raises(ConfigError, match="game: invalid inline game: missing key payoffs"):
+        build_run_config(make_config_doc(tmp_path, game=game))
+
+
+@pytest.mark.parametrize("num_players", [True, 1.0])
+def test_game_mapping_needs_an_integer_num_players(num_players):
+    # Both equal 1, the player count of a one-player game.
+    with pytest.raises(ValueError, match=f"num_players must be an integer >= 1, got {num_players!r}"):
+        game_from_dict({"num_players": num_players, "payoffs": [[1.0, 2.0]]})
+
+
+@pytest.mark.parametrize("entry", ["1", True, "1e-200"], ids=["string", "bool", "string-1e-200"])
+def test_game_mapping_needs_number_payoffs(tmp_path, entry):
+    # numpy would read each as a number.
+    game = game_to_dict(matching_pennies())
+    game["payoffs"][1][0][1] = entry
+    with pytest.raises(ConfigError, match=re.escape(f"payoffs[1][0][1] must be a number, got {entry!r}")):
+        build_run_config(make_config_doc(tmp_path, game=game))
+
+
+def test_cli_solve_rejects_a_payoff_yaml_reads_as_a_string(tmp_path, capsys):
+    # PyYAML reads 1e-200, without a dot, as a string; 1.0e-200 is a float.
+    path = tmp_path / "mp.yaml"
+    path.write_text(MP_BY_HAND.replace("[[[1, -1]", "[[[1e-200, -1]"))
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    assert f"{path}: invalid game: payoffs[0][0][0] must be a number, got '1e-200'" in capsys.readouterr().err
+    path.write_text(MP_BY_HAND.replace("[[[1, -1]", "[[[1.0e-200, -1]"))
+    assert main(["solve", str(path)]) == EXIT_OK
 
 
 # -- run config ----------------------------------------------------------------------
 
 
 def make_config_doc(tmp_path, **overrides):
-    game_path = tmp_path / "mp.game"
-    game_path.write_text(MP_TEXT)
+    game_path = tmp_path / "mp.yaml"
+    game_path.write_text(MP_YAML)
     doc = {
         "game": str(game_path),
         "roster": [
@@ -177,8 +178,6 @@ def test_build_run_config_rejects_unknown_keys(tmp_path):
 
 
 def test_load_run_config_rejects_schedule_cap(tmp_path):
-    import yaml
-
     doc = make_config_doc(tmp_path, schedule={"epsilon_base": 0.5, "cap": 8})
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -187,8 +186,6 @@ def test_load_run_config_rejects_schedule_cap(tmp_path):
 
 
 def test_load_run_config_yaml(tmp_path):
-    import yaml
-
     doc = make_config_doc(tmp_path, output={"trace_dir": "out", "make_dirs": True})
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -201,8 +198,6 @@ def test_load_run_config_yaml(tmp_path):
 
 
 def write_yaml_config(tmp_path, **overrides):
-    import yaml
-
     doc = make_config_doc(tmp_path, **overrides)
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(doc))
@@ -239,8 +234,8 @@ def test_cli_run_rejects_a_round_budget_past_int64(tmp_path, capsys, overrides):
 
 
 def test_cli_solve_matching_pennies(tmp_path, capsys):
-    path = tmp_path / "mp.game"
-    path.write_text(MP_TEXT)
+    path = tmp_path / "mp.yaml"
+    path.write_text(MP_YAML)
     assert main(["solve", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "0.500000, 0.500000" in out
@@ -248,25 +243,68 @@ def test_cli_solve_matching_pennies(tmp_path, capsys):
 
 
 def test_cli_solve_pd_prints_pure_defect(tmp_path, capsys):
-    path = tmp_path / "pd.game"
-    path.write_text(format_game_text(prisoners_dilemma()))
+    path = tmp_path / "pd.yaml"
+    path.write_text(game_yaml(prisoners_dilemma()))
     assert main(["solve", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "[D]" in out and "kind: pure" in out
 
 
+_REGRETS_0 = "regret certificate:\nplayer 0: regret = 0.000e+00\nplayer 1: regret = 0.000e+00\n"
+_MP_OUT = ("equilibrium kind: mixed (support-enumeration-2p)\n"
+           "player 0: (0.500000, 0.500000)\nplayer 1: (0.500000, 0.500000)\n" + _REGRETS_0)
+
+
+@pytest.mark.parametrize(
+    "text, out",
+    [
+        (MP_YAML, _MP_OUT),
+        (MP_BY_HAND, _MP_OUT),
+        (game_yaml(prisoners_dilemma()), "equilibrium kind: pure (support-enumeration-2p)\n"
+         "player 0: (0.000000, 1.000000)  [D]\nplayer 1: (0.000000, 1.000000)  [D]\n" + _REGRETS_0),
+        (game_yaml(battle_of_sexes()), "equilibrium kind: pure (support-enumeration-2p)\n"
+         "player 0: (1.000000, 0.000000)  [O]\nplayer 1: (1.000000, 0.000000)  [O]\n" + _REGRETS_0),
+    ],
+    ids=["matching-pennies", "matching-pennies-by-hand", "prisoners-dilemma", "battle-of-sexes"],
+)
+def test_cli_solve_prints_what_the_text_game_format_printed(tmp_path, capsys, text, out):
+    # Each output is the one printed for the game in the line-oriented text
+    # format that game files were written in before this one.
+    path = tmp_path / "game.yaml"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == out
+
+
 def test_cli_solve_unavailable_equilibrium(tmp_path, capsys):
-    path = tmp_path / "hard.game"
+    path = tmp_path / "hard.yaml"
     path.write_text(NO_PURE_NE_3P)
     assert main(["solve", str(path)]) == EXIT_SOLVER
     assert "override" in capsys.readouterr().err
 
 
 def test_cli_solve_malformed_game(tmp_path, capsys):
-    path = tmp_path / "bad.game"
-    path.write_text("players: two\n")
+    path = tmp_path / "bad.yaml"
+    path.write_text("num_players: 2\npayoffs: [[[1, -1], [-1, 1]],\n")
     assert main(["solve", str(path)]) == EXIT_CONFIG
-    assert "bad.game:1" in capsys.readouterr().err
+    assert f"{path}:3: YAML parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, what", [("solve", "game"), ("run", "config")])
+def test_cli_rejects_a_file_that_is_not_utf8(tmp_path, capsys, command, what):
+    # One reader for both: it raised UnicodeDecodeError out of main.
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("num_players: 2  # \u00e9\n".encode("latin-1"))
+    assert main([command, str(path)]) == EXIT_CONFIG
+    assert f"{path}: cannot read {what} file: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_cli_solve_rejects_a_game_in_the_text_format(tmp_path, capsys):
+    # The line-oriented format is gone: its first payoff line is not YAML.
+    path = tmp_path / "mp.game"
+    path.write_text("players: 2\nactions 0: H T\nactions 1: H T\npayoffs:\n1 -1\n-1 1\n-1 1\n1 -1\n")
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    assert f"{path}:6: YAML parse error" in capsys.readouterr().err
 
 
 def test_cli_schedule_table(capsys):
@@ -468,8 +506,8 @@ def test_cli_rejects_negative_trial(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "batch"])
 def test_cli_rejects_override_that_is_not_an_equilibrium(tmp_path, capsys, command):
-    game_path = tmp_path / "bos.game"
-    game_path.write_text(format_game_text(battle_of_sexes()))
+    game_path = tmp_path / "bos.yaml"
+    game_path.write_text(game_yaml(battle_of_sexes()))
     out_dir = tmp_path / "out"
     cfg = write_yaml_config(
         tmp_path,
@@ -485,7 +523,7 @@ def test_cli_rejects_override_that_is_not_an_equilibrium(tmp_path, capsys, comma
 
 @pytest.mark.parametrize("command", ["run", "batch"])
 def test_cli_unavailable_equilibrium_exits_3(tmp_path, capsys, command):
-    game_path = tmp_path / "hard.game"
+    game_path = tmp_path / "hard.yaml"
     game_path.write_text(NO_PURE_NE_3P)
     cfg = write_yaml_config(tmp_path, game=str(game_path), roster=[{"agent": "learner"}] * 3)
     assert main([command, str(cfg)]) == EXIT_SOLVER

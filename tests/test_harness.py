@@ -959,11 +959,16 @@ def _edit(*keys, value):
          "trace header config.game.payoffs is not what run_trial writes", "config.game.payoffs"),
         (_edit("config", "game", "action_names", 1, 0, value=None),
          "trace header config: game: invalid inline game: action_names of player 1 must be strings", "action_names"),
+        (_edit("config", "game", "note", value="x"), "trace header config: game: invalid inline game: unknown keys note",
+         "note"),
+        (_edit("config", "game", "payoffs", 0, 1, 0, value="-1.0"),
+         "trace header config: game: invalid inline game: payoffs[0][1][0] must be a number, got '-1.0'",
+         "payoffs[0][1][0]"),
     ],
     ids=["header-unknown-key", "config-unknown-key", "roster-entry-unknown-key", "opponent-probs-no-strategy",
          "override-no-equilibrium", "provenance-without-override", "strategies-not-the-equilibrium",
          "config-output", "game-a-path", "offset-an-int", "offset-minus-zero", "rate-a-bool", "payoffs-ints",
-         "action-name-null"],
+         "action-name-null", "game-unknown-key", "payoff-a-string"],
 )
 def test_validate_accepts_only_the_header_run_trial_writes(tmp_path, monkeypatch, capsys, edit, message, name):
     def no_file(path):
