@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import EquilibriumProfile, compute_equilibrium
-from .games import StageGame
+from .games import StageGame, check_numbers
 from .opponents import OpponentPolicy, build_policy
 from .schedule import Schedule, check_count
 
@@ -175,15 +175,6 @@ def game_to_dict(game: StageGame) -> dict:
     }
 
 
-def _check_payoffs(value, name: str = "payoffs") -> None:
-    """ValueError naming the first entry of the nested lists ``value`` that is not an int or a float."""
-    if isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            _check_payoffs(item, f"{name}[{i}]")
-    elif not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-
-
 def game_from_dict(d: dict) -> StageGame:
     """The game of an inline game mapping: a run document's ``game``, a game
     file's document or a trace header's ``config.game``."""
@@ -194,7 +185,7 @@ def game_from_dict(d: dict) -> StageGame:
         raise ValueError(f"unknown keys {', '.join(unknown)}")
     if "payoffs" not in d:
         raise ValueError("missing key payoffs")
-    _check_payoffs(d["payoffs"])
+    check_numbers(d["payoffs"], "payoffs")
     game = StageGame(d["payoffs"], action_names=d.get("action_names") or None)
     if "num_players" in d and check_count("num_players", d["num_players"], 1) != game.num_players:
         raise ValueError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import StageGame, as_strategy, is_pure, pure_strategy, regret
+from .games import StageGame, as_strategy, check_numbers, is_pure, pure_strategy, regret
 
 # A candidate profile is accepted only if every player's regret is below this.
 REGRET_TOL = 1e-9
@@ -160,6 +160,7 @@ def compute_equilibrium(game: StageGame, override=None) -> EquilibriumProfile:
     if override is not None:
         if not isinstance(override, (list, tuple)) or len(override) != game.num_players:
             raise ValueError(f"equilibrium_override needs one strategy per player ({game.num_players})")
+        check_numbers(override, "equilibrium_override")
         strategies = []
         for player, (row, count) in enumerate(zip(override, game.action_counts)):
             try:

@@ -23,6 +23,19 @@ import numpy as np
 PROB_SUM_TOL = 1e-12
 
 
+def check_numbers(value, name: str) -> None:
+    """ValueError naming the first entry of ``value``, a number or nested
+    lists of them, that is not an int or a float, so that numpy does not
+    read a string or a bool as one; a numpy array of numbers passes whole."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            check_numbers(item, f"{name}[{i}]")
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def as_strategy(probs, n_actions: int | None = None) -> np.ndarray:
     """Validate and return a mixed strategy as a float64 vector.
 

@@ -97,18 +97,30 @@ def _build_agents(config: RunConfig, trial: int) -> list:
 # -- trial driver ------------------------------------------------------------
 
 
-def _play_segment(players: list, responders: list[int], length: int) -> list[np.ndarray]:
-    """The joint actions of the next ``length`` rounds.  Learners and
-    history-free policies draw theirs in one ``act_segment`` call, which
-    moves them past the segment.  The responders, the history-dependent
-    policies, answer and then observe: a responder's action in a round
-    depends only on the rounds before it, so a single one answers the
-    whole segment in one ``respond_segment`` call; two or more answer each
-    other one round at a time."""
-    joint = [
-        np.zeros(length, dtype=np.int64) if p in responders else agent.act_segment(length)
-        for p, agent in enumerate(players)
-    ]
+def _play_segment(game, players: list, responders: list[int], learners: list, length: int) -> list:
+    """Play the next ``length`` rounds and return what each learner's
+    observing them returns.  Learners and history-free policies draw their
+    actions in one ``act_segment`` call, which moves them past the segment.
+    The responders, the history-dependent policies, answer and then
+    observe.  With two players and one responder, when the other plays one
+    action throughout, the responder may answer in runs with
+    ``respond_counts``, and the learners observe the two histograms.
+    Otherwise a responder's action in a round depends only on the rounds
+    before it, so a single one answers the whole segment in one
+    ``respond_segment`` call; two or more answer each other one round at a
+    time; and the learners observe every player's actions."""
+    joint = [None if p in responders else agent.act_segment(length) for p, agent in enumerate(players)]
+    if len(joint) == 2 and len(responders) == 1:
+        (p,) = responders
+        actions = joint[1 - p]
+        action = int(actions[0])
+        hist = players[p].respond_counts(action, length) if (actions == action).all() else None
+        if hist is not None:
+            hists = [hist, hist]
+            hists[1 - p] = [0] * game.action_counts[1 - p]
+            hists[1 - p][action] = length
+            return [lr.observe_counts(hists) for lr in learners]
+    joint = [np.zeros(length, dtype=np.int64) if a is None else a for a in joint]
     if len(responders) == 1:
         steps = [joint]
     else:
@@ -118,7 +130,7 @@ def _play_segment(players: list, responders: list[int], length: int) -> list[np.
             step[p][:] = players[p].respond_segment(step)
         for p in responders:
             players[p].observe_segment(step)
-    return joint
+    return [lr.observe_segment(joint) for lr in learners]
 
 
 def epoch_record(seq: int, outcome) -> dict:
@@ -149,8 +161,7 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     while rounds_used < config.round_budget and epochs < config.epoch_budget:
         length = min(first.rounds_left_in_epoch(), config.round_budget - rounds_used)
         if responders:
-            joint = _play_segment(players, responders, length)
-            outcomes = [lr.observe_segment(joint) for lr in learners]
+            outcomes = _play_segment(config.game, players, responders, learners, length)
         else:
             hists = [agent.act_counts(length) for agent in players]
             outcomes = [lr.observe_counts(hists) for lr in learners]

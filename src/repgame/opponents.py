@@ -3,9 +3,12 @@ fictitious play (a nonstationary stressor), and build_policy, which makes
 one from its run-document descriptor."""
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
-from .games import StageGame, as_strategy, draw_actions
+from .games import StageGame, as_strategy, check_numbers, draw_actions
 from .schedule import check_count
 
 
@@ -21,17 +24,21 @@ def as_script(actions, n_actions: int) -> np.ndarray:
 
 def as_initial_counts(game: StageGame, player: int, counts=None) -> list[np.ndarray]:
     """Fictitious play's starting counts: one vector per opponent of
-    ``player``, in player order, each of that opponent's length and with a
-    nonnegative entries and a positive total; one of each action when
-    ``counts`` is None."""
+    ``player``, in player order, each of that opponent's length and with
+    nonnegative entries and a positive total, and small enough that the
+    largest payoff times the product of the totals is a finite float; one
+    of each action when ``counts`` is None."""
     lengths = [c for p, c in enumerate(game.action_counts) if p != player]
     if counts is None:
         return [np.ones(k) for k in lengths]
     counts = [np.array(c, dtype=np.float64) for c in counts]
     if [c.shape for c in counts] != [(k,) for k in lengths]:
         raise ValueError(f"initial_counts need one vector per opponent, of lengths {lengths}")
-    if any(not (c >= 0).all() or c.sum() <= 0 for c in counts):  # NaN fails too
+    if any(not (c >= 0).all() or sum(c.tolist()) <= 0 for c in counts):  # NaN fails too
         raise ValueError("initial_counts need nonnegative entries and positive totals")
+    largest = float(np.abs(game.payoffs[player]).max())
+    if not math.isfinite(largest * math.prod(sum(c.tolist()) for c in counts)):
+        raise ValueError("initial_counts overflow: the largest payoff times the product of their totals is not finite")
     return counts
 
 
@@ -44,7 +51,10 @@ class OpponentPolicy:
       A history-dependent one answers the other players' actions with
       ``respond_segment(joint)``, one int64 action array per player, its
       action in round r depending only on the rounds before r; then
-      ``observe_segment(joint)`` shows it the rounds it answered.
+      ``observe_segment(joint)`` shows it the rounds it answered.  When its
+      one opponent plays a single action throughout, ``respond_counts(action,
+      length)`` may answer and observe in one call, returning the histogram
+      of its answers; None means it cannot, and nothing changed.
     - histogram: ``act_counts(length)`` returns how often the policy plays
       each action over the next ``length`` rounds, and moves past them.
       Only history-free policies play this way; on neither path are they
@@ -74,6 +84,9 @@ class OpponentPolicy:
 
     def act_counts(self, length: int) -> np.ndarray:
         raise NotImplementedError
+
+    def respond_counts(self, action: int, length: int) -> list[int] | None:
+        return None
 
 
 class StationaryPolicy(OpponentPolicy):
@@ -182,6 +195,17 @@ class FictitiousPlayPolicy(OpponentPolicy):
     form, which costs less than building the columns and gives the same
     bits.  Observing a segment adds 1.0 per round to the observed action's
     count, as round-by-round play does.
+
+    Against one opponent that plays one action throughout, each action's
+    value is linear in the round, so ``respond_counts`` answers in runs: it
+    solves where the lines cross in Python ints, a lower index winning a
+    tie, and its answers change at most once per action.  It answers only
+    where the column form's floats are exact integers: this player's
+    payoffs and its counts are integers, and max(1, max|u|) times the
+    counts' total after the segment is at most 2**53.  Then every product,
+    partial sum and count of the column form is an integer of at most
+    2**53, so float order is integer order, and ``c[action] + length``
+    equals ``length`` adds of 1.0.
     """
 
     history_dependent = True
@@ -191,6 +215,11 @@ class FictitiousPlayPolicy(OpponentPolicy):
         self.player = int(player)
         self.counts = as_initial_counts(game, self.player, initial_counts)
         self._others = [p for p in range(game.num_players) if p != self.player]
+        u = game.own_axis_payoffs[self.player]
+        self._int_rows = None  # respond_counts' payoff rows, as Python ints
+        if game.num_players == 2 and (u == np.trunc(u)).all():
+            self._int_rows = [list(map(int, row)) for row in u.tolist()]
+            self._scale = max(1, int(np.abs(u).max()))
 
     def _running_counts(self, joint: list[np.ndarray]) -> list[np.ndarray]:
         """Per opponent, its counts before each round of the segment: L
@@ -218,6 +247,37 @@ class FictitiousPlayPolicy(OpponentPolicy):
             best[values[action] > top] = action
             top = np.maximum(top, values[action])
         return best
+
+    def respond_counts(self, action: int, length: int) -> list[int] | None:
+        """How often it plays each action in the next ``length`` rounds
+        while its one opponent plays ``action``, with those rounds observed;
+        None, changing nothing, unless the answers are exact as runs (see
+        the class docstring)."""
+        counts = self.counts[0].tolist()
+        if self._int_rows is None or not all(map(float.is_integer, counts)):
+            return None
+        counts = list(map(int, counts))
+        if self._scale * (sum(counts) + length) > 2**53:
+            return None
+        values = [sum(map(operator.mul, row, counts)) for row in self._int_rows]
+        slopes = [row[action] for row in self._int_rows]
+        hist = [0] * len(values)
+        r = 0
+        while r < length:  # values[a] is action a's value in round r
+            best = values.index(max(values))
+            end = length
+            for a, (value, slope) in enumerate(zip(values, slopes)):
+                gain = slope - slopes[best]
+                if gain > 0:  # a overtakes best n rounds on: strictly if a > best, at a tie if a < best
+                    lead = values[best] - value
+                    end = min(end, r + (lead // gain + 1 if a > best else -(-lead // gain)))
+            hist[best] += end - r
+            values = [value + (end - r) * slope for value, slope in zip(values, slopes)]
+            r = end
+        after = self.counts[0].copy()  # a new array: seeded copies share the old one
+        after[action] += length
+        self.counts = [after]
+        return hist
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:
         # Counted from ``joint`` rather than kept from respond_segment: with
@@ -252,6 +312,9 @@ def build_policy(desc: dict, game: StageGame, player: int) -> OpponentPolicy:
     unknown = sorted(map(str, desc.keys() - _POLICY_KEYS[kind]))
     if unknown:
         raise ValueError(f"unknown keys {', '.join(unknown)} in a {kind} policy")
+    for key in ("probs", "initial_counts"):  # numpy would read a string or a bool as a number
+        if desc.get(key) is not None:
+            check_numbers(desc[key], key)
     n_actions = game.action_counts[player]
     if kind == "stationary":
         return StationaryPolicy(as_strategy(desc["probs"], n_actions))

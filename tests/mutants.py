@@ -65,6 +65,7 @@ _REPLAY_COST = "A replayed epoch record costs only its arithmetic"
 _ONE_FACTOR = "One validity factor"
 _PURE_DRAW = "A pure strategy's epoch costs one stream advance"
 _ONE_SYNTAX = "One game syntax"
+_RUNS = "Fictitious play answers a constant stretch in runs"
 
 MUTANTS = [
     {
@@ -425,13 +426,56 @@ MUTANTS = [
     {
         "name": "payoffs-take-any-entry",
         "file": "config.py",
-        "old": '    _check_payoffs(d["payoffs"])\n',
+        "old": '    check_numbers(d["payoffs"], "payoffs")\n',
         "new": "",
         "tests": [
             "tests/test_config_cli.py::test_game_mapping_needs_number_payoffs",
             "tests/test_config_cli.py::test_cli_solve_rejects_a_payoff_yaml_reads_as_a_string",
         ],
         "found": _ONE_SYNTAX,
+    },
+    {
+        "name": "fp-runs-lower-index-needs-a-strict-win",
+        "file": "opponents.py",
+        "old": "lead // gain + 1 if a > best else -(-lead // gain)",
+        "new": "lead // gain + 1",
+        "tests": ["tests/test_opponents.py::test_fictitious_play_answers_a_constant_stretch_in_runs_as_in_columns"],
+        "found": _RUNS,
+    },
+    {
+        "name": "fp-runs-past-2**53",
+        "file": "opponents.py",
+        "old": "if self._scale * (sum(counts) + length) > 2**53:",
+        "new": "if False:",
+        "tests": ["tests/test_opponents.py::test_fictitious_play_leaves_a_stretch_it_cannot_answer_exactly"],
+        "found": _RUNS,
+    },
+    {
+        "name": "fp-runs-leave-the-counts",
+        "file": "opponents.py",
+        "old": "        self.counts = [after]\n",
+        "new": "",
+        "tests": [
+            "tests/test_opponents.py::test_fictitious_play_answers_a_constant_stretch_in_runs_as_in_columns",
+            "tests/test_opponents.py::test_fictitious_play_answers_a_million_rounds_in_runs",
+        ],
+        "found": _RUNS,
+    },
+    {
+        "name": "probs-take-any-entry",
+        "file": "opponents.py",
+        "old": 'for key in ("probs", "initial_counts"):',
+        "new": 'for key in ("initial_counts",):',
+        "tests": ["tests/test_config_cli.py::test_cli_run_needs_number_probs"],
+        "found": _RUNS,
+    },
+    {
+        "name": "initial-counts-overflow-unchecked",
+        "file": "opponents.py",
+        "old": "if not math.isfinite(largest * math.prod(sum(c.tolist()) for c in counts)):",
+        "new": "if False:",
+        "tests": ["tests/test_opponents.py::test_fictitious_play_rejects_counts_whose_values_overflow"],
+        "found": _RUNS,
     },
 ]
 

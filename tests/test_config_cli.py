@@ -521,6 +521,48 @@ def test_cli_rejects_override_that_is_not_an_equilibrium(tmp_path, capsys, comma
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "probs, entry",
+    [(["0.5", "0.5"], "'0.5'"), (["1e-200", 1.0], "'1e-200'"), ([True, False], "True")],
+    ids=["strings", "yaml-string", "bools"],
+)
+def test_cli_run_needs_number_probs(tmp_path, capsys, probs, entry):
+    # numpy would read each as a probability.
+    policy = {"kind": "eventually_stationary", "pre": {"kind": "stationary", "probs": probs},
+              "switch_round": 5, "probs": [0.5, 0.5]}
+    for policy in ({"kind": "stationary", "probs": probs}, policy):
+        cfg = write_yaml_config(tmp_path, roster=[{"agent": "learner"}, {"agent": "opponent", "policy": policy}])
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert f"roster[1]: invalid opponent policy: probs[0] must be a number, got {entry}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("counts, entry", [([["1", "2"]], "'1'"), ([[True, True]], "True")], ids=["strings", "bools"])
+def test_cli_run_needs_number_initial_counts(tmp_path, capsys, counts, entry):
+    policy = {"kind": "fictitious_play", "initial_counts": counts}
+    cfg = write_yaml_config(tmp_path, roster=[{"agent": "learner"}, {"agent": "opponent", "policy": policy}])
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert f"invalid opponent policy: initial_counts[0][0] must be a number, got {entry}" in capsys.readouterr().err
+
+
+def test_cli_run_needs_a_number_equilibrium_override(tmp_path, capsys):
+    cfg = write_yaml_config(
+        tmp_path, roster=[{"agent": "learner"}, {"agent": "learner"}],
+        equilibrium_override=[["0.5", "0.5"], ["0.5", "0.5"]],
+    )
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "equilibrium_override[0][0] must be a number, got '0.5'" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_initial_counts_whose_values_overflow(tmp_path, capsys):
+    # Each count is finite, but a value of matching pennies at ±2 against
+    # them is not: fictitious play would answer from NaN values.
+    game = {"num_players": 2, "payoffs": (2 * matching_pennies().payoffs).tolist()}
+    policy = {"kind": "fictitious_play", "initial_counts": [[1.0e308, 1.0e308]]}
+    cfg = write_yaml_config(tmp_path, game=game, roster=[{"agent": "learner"}, {"agent": "opponent", "policy": policy}])
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "roster[1]: invalid opponent policy: initial_counts overflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "batch"])
 def test_cli_unavailable_equilibrium_exits_3(tmp_path, capsys, command):
     game_path = tmp_path / "hard.yaml"

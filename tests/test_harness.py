@@ -1,6 +1,7 @@
 import _pyio
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -212,9 +213,10 @@ def test_run_config_bounds_the_round_budget():
 
 
 def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
-    # Fictitious play answers each epoch in one respond_segment call, and
-    # the learner draws it in one act_segment call: no round is played on
-    # its own.  The budget cuts the last epoch short.
+    # Fictitious play answers each epoch in one respond_segment call, or in
+    # one respond_counts call that answers it, and the learner draws it in
+    # one act_segment call: no round is played on its own.  The budget cuts
+    # the last epoch short.
     from repgame import learner, opponents
 
     lengths = {"learner": [], "fictitious": []}
@@ -222,14 +224,17 @@ def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
     def recording(cls, name, key, length_of):
         original = getattr(cls, name)
 
-        def wrapper(self, arg):
-            lengths[key].append(length_of(arg))
-            return original(self, arg)
+        def wrapper(self, *args):
+            result = original(self, *args)
+            if result is not None:  # respond_counts' None leaves the segment to respond_segment
+                lengths[key].append(length_of(*args))
+            return result
 
         monkeypatch.setattr(cls, name, wrapper)
 
     recording(learner.EquilibriumRetreatAgent, "act_segment", "learner", int)
     recording(opponents.FictitiousPlayPolicy, "respond_segment", "fictitious", lambda joint: len(joint[0]))
+    recording(opponents.FictitiousPlayPolicy, "respond_counts", "fictitious", lambda action, length: length)
     g = rock_paper_scissors()
     cfg = RunConfig(
         game=g,
@@ -267,15 +272,29 @@ def test_scripted_opponent_moves_through_its_script_beside_fictitious_play():
         assert [rec["counts"][1] for rec in trace.events] == want, policy["kind"]
 
 
-def test_per_round_trace_bytes_are_frozen():
+def test_per_round_trace_bytes_are_frozen(monkeypatch):
     # SHA-256 over every line of a matching-pennies trial against fictitious
-    # play (6 epochs, a restart and a switch).  A change that alters trace
-    # bytes must update it and say why in CHANGES.md.
+    # play (6 epochs, a restart and a switch).  Three segments, where the
+    # learner plays a pure action, are answered in runs, one of them in two:
+    # so the digest pins the crossing arithmetic too.  A change that alters
+    # trace bytes must update it and say why in CHANGES.md.
+    from repgame import opponents
+
+    answered = []
+    respond_counts = opponents.FictitiousPlayPolicy.respond_counts
+
+    def recording(self, action, length):
+        hist = respond_counts(self, action, length)
+        answered.append(hist)
+        return hist
+
+    monkeypatch.setattr(opponents.FictitiousPlayPolicy, "respond_counts", recording)
     fp = {"agent": "opponent", "policy": {"kind": "fictitious_play"}}
     cfg = mp_config(
         roster=(LEARNER, fp), round_budget=5000, epoch_budget=1000, master_seed=9, trial_count=1
     )
     lines = "".join(line + "\n" for line in traceio.trace_lines(run_trial(cfg, 0)))
+    assert sorted(sum(n > 0 for n in hist) for hist in answered) == [1, 1, 2]
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "45bd25b5e4277bad9f13a8acc29fcfdfe66bddbdfc48ea6edab8aa1d489aed1c"
 
@@ -1813,16 +1832,22 @@ def test_batch_leaves_no_worker_running(monkeypatch, case):
     pids = record_forks(monkeypatch)
     if case == "failing-trial":
         monkeypatch.setattr(harness, "run_trial", failing_trial)
-    if case == "normal":
-        assert len(run_batch(cfg, workers=2, on_trace=on_trace).summaries) == 8
-    else:
-        with pytest.raises(RuntimeError, match="failed"):
-            run_batch(cfg, workers=2, on_trace=on_trace)
-    assert_reaped(pids, 2)
-    # Every pipe end closed.  After a raise, run_batch's frames live on in a
-    # cycle through the error's traceback, so a pipe end left for the
-    # garbage collector to close would still be open here.
-    assert open_fds() == fds
+    # The cyclic collector stays off, so that a collection which happens to
+    # run inside the batch cannot close what run_batch left open.
+    gc.disable()
+    try:
+        if case == "normal":
+            assert len(run_batch(cfg, workers=2, on_trace=on_trace).summaries) == 8
+        else:
+            with pytest.raises(RuntimeError, match="failed"):
+                run_batch(cfg, workers=2, on_trace=on_trace)
+        assert_reaped(pids, 2)
+        # Every pipe end closed.  After a raise, run_batch's frames live on
+        # in a cycle through the error's traceback, so a pipe end left for
+        # the garbage collector to close would still be open here.
+        assert open_fds() == fds
+    finally:
+        gc.enable()
 
 
 def open_fds() -> int | None:

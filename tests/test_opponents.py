@@ -381,3 +381,100 @@ def test_eventually_stationary_fictitious_segments_play_as_rounds_do(case, switc
     others = [x[: min(switch, rounds)] for q, x in enumerate(joint) if q != player]
     _, want_counts = fictitious_by_rounds(game, player, counts, others)
     assert [c.tobytes() for c in pre_a.counts] == [c.tobytes() for c in want_counts]
+
+
+# -- fictitious play in runs ----------------------------------------------------------
+
+
+def respond_and_observe(pol, player, action, length, chunk=None):
+    """Reference for ``respond_counts``: the histogram of ``pol``'s
+    respond_segment answers while its one opponent plays ``action`` for
+    ``length`` rounds, observed with observe_segment, in chunks of at most
+    ``chunk`` rounds (segments play as rounds do)."""
+    hist = np.zeros(pol.game.action_counts[player], dtype=np.int64)
+    chunk = chunk or max(length, 1)
+    for lo in range(0, length, chunk):
+        n = min(chunk, length - lo)
+        joint = [np.full(n, action, dtype=np.int64), np.full(n, action, dtype=np.int64)]
+        joint[player] = pol.respond_segment(joint)
+        hist += np.bincount(joint[player], minlength=len(hist))
+        pol.observe_segment(joint)
+    return hist.tolist()
+
+
+@st.composite
+def constant_stretches(draw):
+    """A two-player game of 1-4 actions each with payoffs in -3..3, so that
+    actions often tie, a player, integer initial counts with zeros among
+    them, and consecutive stretches (opponent action, length)."""
+    shape = [draw(st.integers(1, 4)), draw(st.integers(1, 4))]
+    size = 2 * shape[0] * shape[1]
+    payoffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    game = StageGame(np.reshape(np.array(payoffs, dtype=np.float64), [2, *shape]))
+    player = draw(st.integers(0, 1))
+    k = shape[1 - player]
+    counts = draw(st.lists(st.integers(0, 60), min_size=k, max_size=k).filter(any))
+    stretches = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, 4096)), min_size=1, max_size=4))
+    return game, player, [np.array(counts, dtype=np.float64)], stretches
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(constant_stretches())
+def test_fictitious_play_answers_a_constant_stretch_in_runs_as_in_columns(case):
+    game, player, counts, stretches = case
+    runs = FictitiousPlayPolicy(game, player, initial_counts=counts)
+    columns = FictitiousPlayPolicy(game, player, initial_counts=counts)
+    for action, length in stretches:
+        assert runs.respond_counts(action, length) == respond_and_observe(columns, player, action, length)
+        assert runs.counts[0].tobytes() == columns.counts[0].tobytes()
+
+
+def test_fictitious_play_answers_a_million_rounds_in_runs():
+    # Player 1 against action 0, from counts (0, 600000): its three actions
+    # tie at round 600000, and the first wins it; from round 600001 on the
+    # last one does.
+    u1 = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, -1.0]])  # player 1's payoffs, its own action first
+    game = StageGame(np.stack([np.zeros((2, 3)), u1.T]))
+    counts = [np.array([0.0, 600_000.0])]
+    runs = FictitiousPlayPolicy(game, 1, initial_counts=counts)
+    columns = FictitiousPlayPolicy(game, 1, initial_counts=counts)
+    hist = runs.respond_counts(0, 10**6)
+    assert hist == [600_001, 0, 399_999]
+    assert hist == respond_and_observe(columns, 1, 0, 10**6, chunk=2**16)
+    assert runs.counts[0].tolist() == [1e6, 6e5]
+    assert runs.counts[0].tobytes() == columns.counts[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "payoffs, counts, length",
+    [
+        pytest.param(matching_pennies().payoffs / 2, [1.0, 1.0], 10, id="non-integer-payoffs"),
+        pytest.param(matching_pennies().payoffs, [0.5, 1.5], 10, id="non-integer-counts"),
+        pytest.param(matching_pennies().payoffs, [2.0**53 - 2, 0.0], 10, id="past-2**53"),
+    ],
+)
+def test_fictitious_play_leaves_a_stretch_it_cannot_answer_exactly(payoffs, counts, length):
+    pol = FictitiousPlayPolicy(StageGame(payoffs), 1, initial_counts=[counts])
+    before = pol.counts
+    assert pol.respond_counts(0, length) is None
+    assert pol.counts is before and pol.counts[0].tolist() == counts
+
+
+def test_fictitious_play_leaves_a_stretch_with_two_opponents_to_the_columns():
+    game = StageGame(np.ones((3, 2, 2, 2)))
+    assert FictitiousPlayPolicy(game, 0).respond_counts(0, 10) is None
+
+
+def test_fictitious_play_in_runs_leaves_its_seeded_copies_original_as_it_was():
+    # A trial plays a seeded copy of the parsed policy, which shares its counts.
+    parsed = FictitiousPlayPolicy(matching_pennies(), 1)
+    copy = parsed.seeded(np.random.SeedSequence(0))
+    assert copy.respond_counts(0, 5) == [1, 4]  # a tie in its first round, then T
+    assert copy.counts[0].tolist() == [6.0, 1.0] and parsed.counts[0].tolist() == [1.0, 1.0]
+
+
+def test_fictitious_play_rejects_counts_whose_values_overflow():
+    # Each count is finite, but 2 * 1e308 * 1e308 as a value is not.
+    with pytest.raises(ValueError, match="initial_counts overflow"):
+        FictitiousPlayPolicy(StageGame(2 * matching_pennies().payoffs), 1, initial_counts=[[1e308, 1e308]])
+    FictitiousPlayPolicy(StageGame(2 * matching_pennies().payoffs), 1, initial_counts=[[1e150, 1e150]])
