@@ -60,22 +60,27 @@ def as_strategy(probs, n_actions: int | None = None) -> np.ndarray:
 def draw_actions(rng: np.random.Generator, probs, n: int) -> np.ndarray:
     """``n`` actions drawn from strategy ``probs``: the int64 array that
     ``rng.choice(len(probs), size=n, p=probs)`` returns, with ``rng`` left
-    where that call leaves it.
+    where that call leaves it.  Split-stable: draws of a and then b rounds
+    give the actions of one draw of a + b.
 
-    ``choice`` draws one double a round and maps it through the strategy's
-    cdf, and a pure strategy's cdf (one entry exactly 1.0, the rest 0.0)
-    maps every double to its action.  So on a PCG64 stream a pure strategy
-    advances the stream n doubles, in O(log n), instead of drawing them.
-    ``advance`` also drops PCG64's buffered half of a 64-bit draw, which
-    only a 32-bit draw leaves and a stream of doubles never holds.  Any
-    other strategy or bit generator draws through ``choice``.
+    ``choice`` draws one double a round with ``rng.random`` and maps it
+    through the strategy's cdf, normalised by its last entry; this does the
+    same without ``choice``'s checks of the strategy on every call, which
+    ``as_strategy`` has made once.  A pure strategy's cdf (one entry
+    exactly 1.0, the rest 0.0) maps every double to its action, so on a
+    PCG64 stream a pure strategy advances the stream n doubles, in
+    O(log n), instead of drawing them.  ``advance`` also drops PCG64's
+    buffered half of a 64-bit draw, which only a 32-bit draw leaves and a
+    stream of doubles never holds.
     """
     values = probs.tolist() if isinstance(probs, np.ndarray) else list(probs)
     if values.count(0.0) == len(values) - 1 and 1.0 in values and isinstance(rng.bit_generator, np.random.PCG64):
         actions = np.full(n, values.index(1.0), dtype=np.int64)
         rng.bit_generator.advance(n)
         return actions
-    return rng.choice(len(values), size=n, p=probs)
+    cdf = np.cumsum(values)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right").astype(np.int64, copy=False)
 
 
 def pure_strategy(action: int, n_actions: int) -> np.ndarray:

@@ -102,23 +102,19 @@ def _play_segment(game, players: list, responders: list[int], learners: list, le
     observing them returns.  Learners and history-free policies draw their
     actions in one ``act_segment`` call, which moves them past the segment.
     The responders, the history-dependent policies, answer and then
-    observe.  With two players and one responder, when the other plays one
-    action throughout, the responder may answer in runs with
-    ``respond_counts``, and the learners observe the two histograms.
-    Otherwise a responder's action in a round depends only on the rounds
-    before it, so a single one answers the whole segment in one
-    ``respond_segment`` call; two or more answer each other one round at a
-    time; and the learners observe every player's actions."""
+    observe.  With two players and one responder, the responder may answer
+    the other's actions exactly with ``respond_counts``, and the learners
+    observe the two histograms.  Otherwise a responder's action in a round
+    depends only on the rounds before it, so a single one answers the whole
+    segment in one ``respond_segment`` call; two or more answer each other
+    one round at a time; and the learners observe every player's actions."""
     joint = [None if p in responders else agent.act_segment(length) for p, agent in enumerate(players)]
     if len(joint) == 2 and len(responders) == 1:
         (p,) = responders
-        actions = joint[1 - p]
-        action = int(actions[0])
-        hist = players[p].respond_counts(action, length) if (actions == action).all() else None
+        hist = players[p].respond_counts(joint[1 - p])
         if hist is not None:
             hists = [hist, hist]
-            hists[1 - p] = [0] * game.action_counts[1 - p]
-            hists[1 - p][action] = length
+            hists[1 - p] = np.bincount(joint[1 - p], minlength=game.action_counts[1 - p])
             return [lr.observe_counts(hists) for lr in learners]
     joint = [np.zeros(length, dtype=np.int64) if a is None else a for a in joint]
     if len(responders) == 1:

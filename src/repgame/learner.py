@@ -146,19 +146,22 @@ class EquilibriumRetreatAgent:
     def act_segment(self, length: int) -> np.ndarray:
         """Actions for the next ``length`` rounds, drawn from phi.
 
-        The whole epoch's N^t actions are drawn from the play stream on
-        the epoch's first play, by ``draw_actions``, and held until the
-        epoch ends, so every split of an epoch into segments plays the same
-        actions.  A pure phi advances the stream by N^t doubles instead of
-        drawing them, which leaves it where drawing would.  Repeated calls
-        return the same actions until observe_segment commits them.
+        ``_buffer`` holds the actions drawn and not yet observed: a repeated
+        call returns their prefix, and a longer one draws only the missing
+        rounds from the play stream, by ``draw_actions``, and appends them.
+        Draws are split-stable, so every split of an epoch into segments
+        plays the actions of one whole-epoch draw, and no round is drawn
+        before it is asked for.  A pure phi advances the stream instead of
+        drawing doubles, which leaves it where drawing would.
         """
         if length > self.rounds_left_in_epoch():
             raise ValueError("segment crosses an epoch boundary")
         if self._buffer is None:
-            self._buffer = draw_actions(self._play_rng, self.state.phi, self.epoch_rounds)
-        start = self.round_in_epoch
-        return self._buffer[start : start + length]
+            self._buffer = draw_actions(self._play_rng, self.state.phi, length)
+        elif length > len(self._buffer):
+            more = draw_actions(self._play_rng, self.state.phi, length - len(self._buffer))
+            self._buffer = np.concatenate([self._buffer, more])
+        return self._buffer[:length]
 
     def act_counts(self, length: int) -> np.ndarray:
         """How often each action is played in the next ``length`` rounds:
@@ -205,6 +208,8 @@ class EquilibriumRetreatAgent:
             raise ValueError("segment crosses an epoch boundary")
         self.h_curr = [[a + b for a, b in zip(cur, h)] for cur, h in zip(self.h_curr, rows)]
         self.round_in_epoch += n_rounds
+        if self._buffer is not None:  # the observed rounds leave it
+            self._buffer = self._buffer[n_rounds:] if n_rounds < len(self._buffer) else None
         if self.round_in_epoch == self.epoch_rounds:
             return self._epoch_end()
         return None

@@ -4,7 +4,6 @@ one from its run-document descriptor."""
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -27,10 +26,10 @@ def as_initial_counts(game: StageGame, player: int, counts=None) -> list[np.ndar
     ``player``, in player order, each of that opponent's length and with
     nonnegative entries and a positive total, and small enough that the
     largest payoff times the product of the totals is a finite float; one
-    of each action when ``counts`` is None."""
+    of each action when ``counts`` is None, checked alike."""
     lengths = [c for p, c in enumerate(game.action_counts) if p != player]
     if counts is None:
-        return [np.ones(k) for k in lengths]
+        counts = [np.ones(k) for k in lengths]
     counts = [np.array(c, dtype=np.float64) for c in counts]
     if [c.shape for c in counts] != [(k,) for k in lengths]:
         raise ValueError(f"initial_counts need one vector per opponent, of lengths {lengths}")
@@ -51,10 +50,10 @@ class OpponentPolicy:
       A history-dependent one answers the other players' actions with
       ``respond_segment(joint)``, one int64 action array per player, its
       action in round r depending only on the rounds before r; then
-      ``observe_segment(joint)`` shows it the rounds it answered.  When its
-      one opponent plays a single action throughout, ``respond_counts(action,
-      length)`` may answer and observe in one call, returning the histogram
-      of its answers; None means it cannot, and nothing changed.
+      ``observe_segment(joint)`` shows it the rounds it answered.  When it
+      has one opponent, ``respond_counts(actions)`` may answer that
+      opponent's action array and observe it in one call, returning the
+      histogram of its answers; None means it cannot, and nothing changed.
     - histogram: ``act_counts(length)`` returns how often the policy plays
       each action over the next ``length`` rounds, and moves past them.
       Only history-free policies play this way; on neither path are they
@@ -85,7 +84,7 @@ class OpponentPolicy:
     def act_counts(self, length: int) -> np.ndarray:
         raise NotImplementedError
 
-    def respond_counts(self, action: int, length: int) -> list[int] | None:
+    def respond_counts(self, actions: np.ndarray) -> list[int] | None:
         return None
 
 
@@ -196,16 +195,20 @@ class FictitiousPlayPolicy(OpponentPolicy):
     bits.  Observing a segment adds 1.0 per round to the observed action's
     count, as round-by-round play does.
 
-    Against one opponent that plays one action throughout, each action's
-    value is linear in the round, so ``respond_counts`` answers in runs: it
-    solves where the lines cross in Python ints, a lower index winning a
-    tie, and its answers change at most once per action.  It answers only
-    where the column form's floats are exact integers: this player's
-    payoffs and its counts are integers, and max(1, max|u|) times the
-    counts' total after the segment is at most 2**53.  Then every product,
-    partial sum and count of the column form is an integer of at most
-    2**53, so float order is integer order, and ``c[action] + length``
-    equals ``length`` adds of 1.0.
+    Against one opponent, ``respond_counts`` answers a segment in
+    integers.  It answers only where the column form's floats are exact
+    integers: this player's payoffs and its counts are integers, and
+    max(1, max|u|) times the counts' total after the segment is at most
+    2**53.  Then every product, partial sum and count of the column form is
+    an integer of at most 2**53, so float order is integer order, and a
+    count plus the segment's bincount equals that many adds of 1.0.  Where
+    the opponent plays one action throughout, each action's value is linear
+    in the round, so it answers in runs: it solves where the lines cross in
+    Python ints, a lower index winning a tie, and its answers change at
+    most once per action.  Any other segment it values in int64: round r's
+    values are the values against the counts plus the running sum of the
+    payoff columns of the opponent's actions before r, and its answer is
+    their first argmax.
     """
 
     history_dependent = True
@@ -216,10 +219,11 @@ class FictitiousPlayPolicy(OpponentPolicy):
         self.counts = as_initial_counts(game, self.player, initial_counts)
         self._others = [p for p in range(game.num_players) if p != self.player]
         u = game.own_axis_payoffs[self.player]
-        self._int_rows = None  # respond_counts' payoff rows, as Python ints
-        if game.num_players == 2 and (u == np.trunc(u)).all():
-            self._int_rows = [list(map(int, row)) for row in u.tolist()]
-            self._scale = max(1, int(np.abs(u).max()))
+        top = np.abs(u).max()
+        self._int_u = None  # respond_counts' payoffs, as int64
+        if game.num_players == 2 and (u == np.trunc(u)).all() and top <= 2**53:
+            self._int_u = u.astype(np.int64)
+            self._scale = max(1, int(top))
 
     def _running_counts(self, joint: list[np.ndarray]) -> list[np.ndarray]:
         """Per opponent, its counts before each round of the segment: L
@@ -248,19 +252,37 @@ class FictitiousPlayPolicy(OpponentPolicy):
             top = np.maximum(top, values[action])
         return best
 
-    def respond_counts(self, action: int, length: int) -> list[int] | None:
-        """How often it plays each action in the next ``length`` rounds
-        while its one opponent plays ``action``, with those rounds observed;
-        None, changing nothing, unless the answers are exact as runs (see
-        the class docstring)."""
+    def respond_counts(self, actions: np.ndarray) -> list[int] | None:
+        """How often it plays each action in the rounds where its one
+        opponent plays ``actions``, with those rounds observed; None,
+        changing nothing, unless the answers are exact in integers (see the
+        class docstring)."""
         counts = self.counts[0].tolist()
-        if self._int_rows is None or not all(map(float.is_integer, counts)):
+        if self._int_u is None or not all(map(float.is_integer, counts)):
             return None
         counts = list(map(int, counts))
+        length = len(actions)
         if self._scale * (sum(counts) + length) > 2**53:
             return None
-        values = [sum(map(operator.mul, row, counts)) for row in self._int_rows]
-        slopes = [row[action] for row in self._int_rows]
+        values = self._int_u.dot(counts).tolist()  # in the first round; no BLAS for int64
+        after = self.counts[0].copy()  # a new array: seeded copies share the old one
+        if length and (actions == actions[0]).all():
+            hist = self._runs(values, int(actions[0]), length)
+            after[actions[0]] += length
+        else:
+            steps = np.empty((len(values), length + 1), dtype=np.int64)
+            steps[:, 0] = values
+            steps[:, 1:] = self._int_u[:, actions]
+            best = steps.cumsum(axis=1)[:, :-1].argmax(axis=0)  # round r's values leave out round r
+            hist = np.bincount(best, minlength=len(values)).tolist()
+            after += np.bincount(actions, minlength=len(after))
+        self.counts = [after]
+        return hist
+
+    def _runs(self, values: list[int], action: int, length: int) -> list[int]:
+        """The histogram of its answers from ``values`` on, in runs, while
+        its opponent plays ``action`` for ``length`` rounds."""
+        slopes = self._int_u[:, action].tolist()
         hist = [0] * len(values)
         r = 0
         while r < length:  # values[a] is action a's value in round r
@@ -274,9 +296,6 @@ class FictitiousPlayPolicy(OpponentPolicy):
             hist[best] += end - r
             values = [value + (end - r) * slope for value, slope in zip(values, slopes)]
             r = end
-        after = self.counts[0].copy()  # a new array: seeded copies share the old one
-        after[action] += length
-        self.counts = [after]
         return hist
 
     def observe_segment(self, joint: list[np.ndarray]) -> None:

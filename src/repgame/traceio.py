@@ -197,7 +197,7 @@ def write_summary_csv(summaries: list[RunSummary], path) -> None:
 
 
 def write_batch_report(result: BatchResult, path) -> None:
-    """Aggregate statistics as a single sorted-key JSON document."""
+    """Aggregate statistics as one sorted-key JSON line, encoded as a trace record is."""
     path = Path(path)
     doc = {
         "config": result.config_dict,
@@ -207,4 +207,4 @@ def write_batch_report(result: BatchResult, path) -> None:
         "restart_histogram": {str(k): v for k, v in result.restart_histogram.items()},
         "mean_epochs_to_convergence": result.mean_epochs_to_convergence,
     }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+    path.write_text(_canonical(doc) + "\n", encoding="utf-8", newline="\n")

@@ -66,6 +66,7 @@ _ONE_FACTOR = "One validity factor"
 _PURE_DRAW = "A pure strategy's epoch costs one stream advance"
 _ONE_SYNTAX = "One game syntax"
 _RUNS = "Fictitious play answers a constant stretch in runs"
+_DRAWN = "The action path draws only the rounds it plays"
 
 MUTANTS = [
     {
@@ -439,7 +440,10 @@ MUTANTS = [
         "file": "opponents.py",
         "old": "lead // gain + 1 if a > best else -(-lead // gain)",
         "new": "lead // gain + 1",
-        "tests": ["tests/test_opponents.py::test_fictitious_play_answers_a_constant_stretch_in_runs_as_in_columns"],
+        "tests": [
+            "tests/test_opponents.py::test_fictitious_play_answers_a_constant_stretch_in_runs_as_in_columns",
+            "tests/test_opponents.py::test_fictitious_play_answers_any_segment_in_integers_as_in_columns",
+        ],
         "found": _RUNS,
     },
     {
@@ -457,6 +461,7 @@ MUTANTS = [
         "new": "",
         "tests": [
             "tests/test_opponents.py::test_fictitious_play_answers_a_constant_stretch_in_runs_as_in_columns",
+            "tests/test_opponents.py::test_fictitious_play_answers_any_segment_in_integers_as_in_columns",
             "tests/test_opponents.py::test_fictitious_play_answers_a_million_rounds_in_runs",
         ],
         "found": _RUNS,
@@ -476,6 +481,49 @@ MUTANTS = [
         "new": "if False:",
         "tests": ["tests/test_opponents.py::test_fictitious_play_rejects_counts_whose_values_overflow"],
         "found": _RUNS,
+    },
+    {
+        "name": "fp-int-last-maximiser-wins-a-tie",
+        "file": "opponents.py",
+        "old": "best = steps.cumsum(axis=1)[:, :-1].argmax(axis=0)",
+        "new": "best = len(values) - 1 - steps.cumsum(axis=1)[::-1, :-1].argmax(axis=0)",
+        "tests": ["tests/test_opponents.py::test_fictitious_play_answers_any_segment_in_integers_as_in_columns"],
+        "found": _DRAWN,
+    },
+    {
+        "name": "fp-int-counts-miss-the-last-round",
+        "file": "opponents.py",
+        "old": "after += np.bincount(actions, minlength=len(after))",
+        "new": "after += np.bincount(actions[:-1], minlength=len(after))",
+        "tests": ["tests/test_opponents.py::test_fictitious_play_answers_any_segment_in_integers_as_in_columns"],
+        "found": _DRAWN,
+    },
+    {
+        "name": "fp-int-round-counts-its-own-action",
+        "file": "opponents.py",
+        "old": "steps.cumsum(axis=1)[:, :-1]",
+        "new": "steps.cumsum(axis=1)[:, 1:]",
+        "tests": ["tests/test_opponents.py::test_fictitious_play_answers_any_segment_in_integers_as_in_columns"],
+        "found": _DRAWN,
+    },
+    {
+        "name": "longer-request-redraws-from-the-start",
+        "file": "learner.py",
+        "old": "self._buffer = np.concatenate([self._buffer, more])",
+        "new": "self._buffer = draw_actions(self._play_rng, self.state.phi, length)",
+        "tests": ["tests/test_learner.py::test_any_split_of_an_epoch_plays_the_actions_of_one_draw"],
+        "found": _DRAWN,
+    },
+    {
+        "name": "mixed-draw-from-the-top",
+        "file": "games.py",
+        "old": "cdf.searchsorted(rng.random(n)",
+        "new": "cdf.searchsorted(1.0 - rng.random(n)",
+        "tests": [
+            "tests/test_games.py::test_mixed_strategies_draw_what_choice_draws",
+            "tests/test_games.py::test_other_strategies_and_streams_draw_through_choice",
+        ],
+        "found": _DRAWN,
     },
 ]
 

@@ -3,6 +3,7 @@ single pass/fail line (echoed after the run via conftest's terminal
 summary hook so the verdicts always appear in the run log)."""
 import copy
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -463,24 +464,24 @@ def test_trace_bytes_are_frozen(request, batch):
 
 # SHA-256 of each batch's summary CSV and batch report JSON, as written by
 # ``traceio``: every RunSummary field and every aggregate.  A change to
-# convergence detection or to the batch statistics must update these and
-# say why in CHANGES.md.
+# convergence detection, to the batch statistics or to the report's layout
+# must update these and say why in CHANGES.md.
 FROZEN_OUTPUT_DIGESTS = {
     "batch3": (
         "5430556c9b3afae5d38d33a32adf3a58da496a4eb964df8272944ba662a8d655",
-        "f7016530324d18e079f36aaa4e219946da10cc9eb5648a116cb1c30e9879aaef",
+        "87b8ff6ae457a2d5133e5d6d85b7a29ce5ec5c65fa62d63e7bee3b1aa3b29e71",
     ),
     "batch4": (
         "df608dc841a626d06b50f6485bf45529f637f17205c561476c8835f4e26b64f5",
-        "afa409c535929103e3d6745393d884acd7b1f9bcd94d6b15977ea0e4d07e9510",
+        "a9ed1482a9175063f026d8eace6522a7907d739ef299d1a7749b238836d2ec8d",
     ),
     "batch5": (
         "cf11cae92f80514ab7a6391568ed70ac07184e9d60a8d1422ea5d5a28f1a5f9d",
-        "4b8e52f3c9597fd3f3c0674174bf4ac1310e72d88e6572580c8aaea67edfe344",
+        "cc4f43a598abe9c019b9f1a66ac1c4322d99ead3c6184e8a616ade04b6f584ce",
     ),
     "batch6": (
         "63847b80884c1e6156838acb660039e7c3ed3c3762eabb921e828878dc9f7a1e",
-        "bf0ec075daeb7c7f1a8c94ec5a9b2bbd1597c93ace5d95bfc3280cd6ec15ec5e",
+        "f91e9de7df8e3ca28a7b8d8db96401769171d5e8dbef85a284ea0b1b79ac7508",
     ),
 }
 
@@ -493,3 +494,25 @@ def test_summary_and_report_bytes_are_frozen(request, tmp_path, batch):
     traceio.write_batch_report(result, report_path)
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, report_path))
     assert digests == FROZEN_OUTPUT_DIGESTS[batch]
+
+
+# SHA-256 of each batch's report as it was written before it took the trace
+# records' one-line encoding: sorted keys, indented by 2.  The one-line
+# report, parsed and indented so again, gives these bytes back, so it holds
+# the same keys and values.
+INDENTED_REPORT_DIGESTS = {
+    "batch3": "f7016530324d18e079f36aaa4e219946da10cc9eb5648a116cb1c30e9879aaef",
+    "batch4": "afa409c535929103e3d6745393d884acd7b1f9bcd94d6b15977ea0e4d07e9510",
+    "batch5": "4b8e52f3c9597fd3f3c0674174bf4ac1310e72d88e6572580c8aaea67edfe344",
+    "batch6": "bf0ec075daeb7c7f1a8c94ec5a9b2bbd1597c93ace5d95bfc3280cd6ec15ec5e",
+}
+
+
+@pytest.mark.parametrize("batch", sorted(INDENTED_REPORT_DIGESTS))
+def test_report_holds_the_document_it_held_when_indented(request, tmp_path, batch):
+    path = tmp_path / "report.json"
+    traceio.write_batch_report(request.getfixturevalue(batch).result, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n") and text.count("\n") == 1
+    indented = json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == INDENTED_REPORT_DIGESTS[batch]

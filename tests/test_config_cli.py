@@ -563,6 +563,16 @@ def test_cli_run_rejects_initial_counts_whose_values_overflow(tmp_path, capsys):
     assert "roster[1]: invalid opponent policy: initial_counts overflow" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_default_counts_whose_values_overflow(tmp_path, capsys):
+    # A payoff range of 0 passes the game's check, but fictitious play's
+    # default counts, one of each action, give values of 1e308 + 1e308.
+    game = {"num_players": 2, "payoffs": np.full((2, 2, 2), 1.0e308).tolist()}
+    policy = {"kind": "fictitious_play"}
+    cfg = write_yaml_config(tmp_path, game=game, roster=[{"agent": "learner"}, {"agent": "opponent", "policy": policy}])
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "roster[1]: invalid opponent policy: initial_counts overflow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "batch"])
 def test_cli_unavailable_equilibrium_exits_3(tmp_path, capsys, command):
     game_path = tmp_path / "hard.yaml"

@@ -258,6 +258,25 @@ def test_other_strategies_and_streams_draw_through_choice(probs, bit_generator):
         assert fast.random(8).tolist() == slow.random(8).tolist()  # Philox's and MT19937's states hold arrays
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]), min_size=1, max_size=5).filter(any),
+    st.lists(st.integers(0, 5000), min_size=1, max_size=3),
+    st.sampled_from([np.random.PCG64, np.random.Philox, np.random.MT19937]),
+    st.integers(0, 2**32),
+)
+def test_mixed_strategies_draw_what_choice_draws(weights, sizes, bit_generator, seed):
+    # draw_actions maps Generator.random's doubles through the cdf as choice
+    # does, with zeros in the strategy, in consecutive draws, and leaves the
+    # stream where choice does.
+    probs = as_strategy(np.array(weights) / sum(weights))
+    fast, slow = (np.random.Generator(bit_generator(np.random.SeedSequence(seed))) for _ in range(2))
+    for n in sizes:
+        got, want = draw_actions(fast, probs, n), slow.choice(len(probs), size=n, p=probs)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert fast.random(8).tolist() == slow.random(8).tolist()
+
+
 # -- best responses: the first maximiser of pure_action_values ----------------------
 
 

@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 import traceback
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,10 +214,10 @@ def test_run_config_bounds_the_round_budget():
 
 
 def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
-    # Fictitious play answers each epoch in one respond_segment call, or in
-    # one respond_counts call that answers it, and the learner draws it in
-    # one act_segment call: no round is played on its own.  The budget cuts
-    # the last epoch short.
+    # Fictitious play answers each epoch's actions of the learner in one
+    # respond_counts call, or in one respond_segment call where that cannot
+    # answer, and the learner draws it in one act_segment call: no round is
+    # played on its own.  The budget cuts the last epoch short.
     from repgame import learner, opponents
 
     lengths = {"learner": [], "fictitious": []}
@@ -234,7 +235,7 @@ def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
 
     recording(learner.EquilibriumRetreatAgent, "act_segment", "learner", int)
     recording(opponents.FictitiousPlayPolicy, "respond_segment", "fictitious", lambda joint: len(joint[0]))
-    recording(opponents.FictitiousPlayPolicy, "respond_counts", "fictitious", lambda action, length: length)
+    recording(opponents.FictitiousPlayPolicy, "respond_counts", "fictitious", len)
     g = rock_paper_scissors()
     cfg = RunConfig(
         game=g,
@@ -249,6 +250,30 @@ def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
     assert trace.epochs == 3 and trace.partial_rounds > 0
     assert lengths["learner"] == lengths["fictitious"] == segments
     assert validate_trace(trace).ok
+
+
+def test_action_path_holds_no_more_of_an_epoch_than_the_budget_plays():
+    # The learner draws the rounds it is asked for, not its epoch's N^t: a
+    # 10-round run of a 2,000,000-round epoch peaks as one of a 2,000-round
+    # epoch does (it held N^t doubles and N^t int64s, 32.8 MB, when it drew
+    # the epoch whole).
+    def peak(epoch0_rounds):
+        cfg = mp_config(
+            roster=(LEARNER, fp()), round_budget=10, epoch_budget=1000, master_seed=9,
+            schedule=Schedule(epsilon_base=0.5, actions_total=4, epoch0_rounds=epoch0_rounds),
+        )
+        cfg.equilibrium  # solved before the measure
+        run_trial(cfg, 0)  # and the first trial's imports and caches
+        tracemalloc.start()
+        try:
+            trace = run_trial(cfg, 0)
+            return tracemalloc.get_traced_memory()[1], trace
+        finally:
+            tracemalloc.stop()
+
+    (small, small_trace), (large, large_trace) = peak(2000), peak(2_000_000)
+    assert large_trace.rounds_used == small_trace.rounds_used == large_trace.partial_rounds == 10
+    assert large - small <= 500_000, (small, large)
 
 
 def test_scripted_opponent_moves_through_its_script_beside_fictitious_play():
@@ -274,18 +299,19 @@ def test_scripted_opponent_moves_through_its_script_beside_fictitious_play():
 
 def test_per_round_trace_bytes_are_frozen(monkeypatch):
     # SHA-256 over every line of a matching-pennies trial against fictitious
-    # play (6 epochs, a restart and a switch).  Three segments, where the
-    # learner plays a pure action, are answered in runs, one of them in two:
-    # so the digest pins the crossing arithmetic too.  A change that alters
-    # trace bytes must update it and say why in CHANGES.md.
+    # play (6 epochs, a restart and a switch).  Every segment is answered in
+    # integers: the three where the learner plays a pure action in runs, one
+    # of them in two, and the four where it mixes in int64 columns.  So
+    # the digest pins the crossing arithmetic and the integer values too.  A
+    # change that alters trace bytes must update it and say why in CHANGES.md.
     from repgame import opponents
 
-    answered = []
+    answered = {True: [], False: []}  # by whether the learner played one action throughout
     respond_counts = opponents.FictitiousPlayPolicy.respond_counts
 
-    def recording(self, action, length):
-        hist = respond_counts(self, action, length)
-        answered.append(hist)
+    def recording(self, actions):
+        hist = respond_counts(self, actions)
+        answered[len(set(actions.tolist())) == 1].append(hist)
         return hist
 
     monkeypatch.setattr(opponents.FictitiousPlayPolicy, "respond_counts", recording)
@@ -294,7 +320,8 @@ def test_per_round_trace_bytes_are_frozen(monkeypatch):
         roster=(LEARNER, fp), round_budget=5000, epoch_budget=1000, master_seed=9, trial_count=1
     )
     lines = "".join(line + "\n" for line in traceio.trace_lines(run_trial(cfg, 0)))
-    assert sorted(sum(n > 0 for n in hist) for hist in answered) == [1, 1, 2]
+    assert sorted(sum(n > 0 for n in hist) for hist in answered[True]) == [1, 1, 2]
+    assert len(answered[False]) == 4 and None not in answered[False]
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "45bd25b5e4277bad9f13a8acc29fcfdfe66bddbdfc48ea6edab8aa1d489aed1c"
 

@@ -124,6 +124,49 @@ def test_segment_and_per_round_paths_agree():
     assert out_a == out_b == out_c
 
 
+@st.composite
+def epoch_splits(draw):
+    """A strategy of rock-paper-scissors, pure or mixed, an epoch length,
+    and a split of the epoch into steps: each step's act_segment requests,
+    repeated, longer and shorter ones among them, and then how many of the
+    rounds it plays and observes."""
+    phi = draw(st.sampled_from([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.5, 0.3, 0.2], [0.25, 0.0, 0.75]]))
+    rounds = draw(st.integers(1, 300))
+    steps, left = [], rounds
+    while left:
+        requests = draw(st.lists(st.integers(0, left), min_size=0, max_size=3))
+        played = draw(st.integers(1, left))
+        steps.append((requests, played))
+        left -= played
+    return phi, rounds, steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(epoch_splits(), st.integers(0, 2**32))
+def test_any_split_of_an_epoch_plays_the_actions_of_one_draw(case, seed):
+    # The learner draws only the rounds it is asked for, and draws are
+    # split-stable: every split plays the actions, and leaves the play
+    # stream where, one draw of the whole epoch does.
+    phi, rounds, steps = case
+    g = rock_paper_scissors()
+    sched = FixedSchedule([0.5, 0.5], [rounds, 10], actions_total=6)
+    whole, split = (make_agent(g, schedule=sched, seed=seed) for _ in range(2))
+    for agent in (whole, split):
+        agent.state = dataclasses.replace(agent.state, phi=phi)
+    want = whole.act_segment(rounds)
+    opp = np.random.default_rng(seed).integers(0, 3, size=rounds)
+    out_whole = whole.observe_counts([np.bincount(want, minlength=3), np.bincount(opp, minlength=3)])
+    start, out_split = 0, None
+    for requests, played in steps:
+        for n in [*requests, played]:
+            assert split.act_segment(n).tolist() == want[start : start + n].tolist()
+        hists = [np.bincount(a[start : start + played], minlength=3) for a in (want, opp)]
+        out_split = split.observe_counts(hists)
+        start += played
+    assert out_split == out_whole
+    assert split._play_rng.bit_generator.state == whole._play_rng.bit_generator.state
+
+
 # -- bookkeeping -----------------------------------------------------------------------
 
 

@@ -132,13 +132,17 @@ def test_a_zero_length_draw_leaves_the_stream_and_the_script_where_they_were(met
 # numpy's random compatibility policy (NEP 19) fixes the bit generators'
 # streams, but not Generator's sampling algorithms, across releases; trace bytes
 # depend on both.  These are the draws the learners and stationary policies make,
-# in their call forms, on agent_stream seeds.
+# in their call forms, on agent_stream seeds: ``draw_actions`` maps the doubles
+# of ``random`` as ``choice`` does, which test_games checks against ``choice``.
 @pytest.mark.parametrize(
     "sampler, player, purpose, draw, want",
     [
         ("Generator.choice", 0, STREAM_PLAY,
          lambda g: [g.choice(3, size=n, p=[0.5, 0.3, 0.2]).tolist() for n in (4, 8)],
          [[2, 2, 0, 1], [0, 2, 2, 0, 2, 2, 0, 0]]),
+        ("Generator.random", 0, STREAM_PLAY,
+         lambda g: [g.random(n).tolist() for n in (2, 3)],
+         [[0.9750335537195014, 0.8845672371187709], [0.23197043322658195, 0.7312624263827884, 0.4053425451283187]]),
         ("Generator.multinomial", 0, STREAM_PLAY,
          lambda g: [g.multinomial(n, [0.5, 0.3, 0.2]).tolist() for n in (5, 60, 1000)],
          [[5, 0, 0], [35, 17, 8], [490, 306, 204]]),
@@ -146,7 +150,7 @@ def test_a_zero_length_draw_leaves_the_stream_and_the_script_where_they_were(met
          lambda g: [int(g.integers(k)) for k in (2, 3, 3, 5, 5, 5)],
          [0, 1, 2, 0, 2, 0]),
     ],
-    ids=["choice", "multinomial", "integers"],
+    ids=["choice", "random", "multinomial", "integers"],
 )
 def test_numpy_samplers_draw_as_when_the_trace_digests_were_pinned(sampler, player, purpose, draw, want):
     got = draw(agent_stream(7, 3, player, purpose))
@@ -383,19 +387,18 @@ def test_eventually_stationary_fictitious_segments_play_as_rounds_do(case, switc
     assert [c.tobytes() for c in pre_a.counts] == [c.tobytes() for c in want_counts]
 
 
-# -- fictitious play in runs ----------------------------------------------------------
+# -- fictitious play in integers ------------------------------------------------------
 
 
-def respond_and_observe(pol, player, action, length, chunk=None):
+def respond_and_observe(pol, player, actions, chunk=None):
     """Reference for ``respond_counts``: the histogram of ``pol``'s
-    respond_segment answers while its one opponent plays ``action`` for
-    ``length`` rounds, observed with observe_segment, in chunks of at most
-    ``chunk`` rounds (segments play as rounds do)."""
+    respond_segment answers while its one opponent plays ``actions``,
+    observed with observe_segment, in chunks of at most ``chunk`` rounds
+    (segments play as rounds do)."""
     hist = np.zeros(pol.game.action_counts[player], dtype=np.int64)
-    chunk = chunk or max(length, 1)
-    for lo in range(0, length, chunk):
-        n = min(chunk, length - lo)
-        joint = [np.full(n, action, dtype=np.int64), np.full(n, action, dtype=np.int64)]
+    chunk = chunk or max(len(actions), 1)
+    for lo in range(0, len(actions), chunk):
+        joint = [actions[lo : lo + chunk], actions[lo : lo + chunk]]
         joint[player] = pol.respond_segment(joint)
         hist += np.bincount(joint[player], minlength=len(hist))
         pol.observe_segment(joint)
@@ -403,10 +406,12 @@ def respond_and_observe(pol, player, action, length, chunk=None):
 
 
 @st.composite
-def constant_stretches(draw):
+def integer_segments(draw, constant=False):
     """A two-player game of 1-4 actions each with payoffs in -3..3, so that
     actions often tie, a player, integer initial counts with zeros among
-    them, and consecutive stretches (opponent action, length)."""
+    them, and 1-4 consecutive segments of the opponent's actions, each of
+    0-4,096 rounds: one action throughout, uniform draws, or a few long
+    stretches; only the first when ``constant``."""
     shape = [draw(st.integers(1, 4)), draw(st.integers(1, 4))]
     size = 2 * shape[0] * shape[1]
     payoffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
@@ -414,19 +419,38 @@ def constant_stretches(draw):
     player = draw(st.integers(0, 1))
     k = shape[1 - player]
     counts = draw(st.lists(st.integers(0, 60), min_size=k, max_size=k).filter(any))
-    stretches = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, 4096)), min_size=1, max_size=4))
-    return game, player, [np.array(counts, dtype=np.float64)], stretches
+    kinds = st.just("constant") if constant else st.sampled_from(["constant", "uniform", "stretches"])
+    segments = []
+    for kind, length, seed in draw(st.lists(st.tuples(kinds, st.integers(0, 4096), st.integers(0, 2**32)), min_size=1, max_size=4)):
+        g = rng(seed)
+        if kind == "constant":
+            segments.append(np.full(length, g.integers(k), dtype=np.int64))
+        elif kind == "uniform":
+            segments.append(g.integers(0, k, size=length))
+        else:
+            segments.append(np.repeat(g.integers(0, k, size=4), np.diff([0, *sorted(g.integers(0, length + 1, size=3)), length])))
+    return game, player, [np.array(counts, dtype=np.float64)], segments
+
+
+def answers_as_columns(case):
+    game, player, counts, segments = case
+    ints = FictitiousPlayPolicy(game, player, initial_counts=counts)
+    columns = FictitiousPlayPolicy(game, player, initial_counts=counts)
+    for actions in segments:
+        assert ints.respond_counts(actions) == respond_and_observe(columns, player, actions)
+        assert ints.counts[0].tobytes() == columns.counts[0].tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(constant_stretches())
+@given(integer_segments(constant=True))
 def test_fictitious_play_answers_a_constant_stretch_in_runs_as_in_columns(case):
-    game, player, counts, stretches = case
-    runs = FictitiousPlayPolicy(game, player, initial_counts=counts)
-    columns = FictitiousPlayPolicy(game, player, initial_counts=counts)
-    for action, length in stretches:
-        assert runs.respond_counts(action, length) == respond_and_observe(columns, player, action, length)
-        assert runs.counts[0].tobytes() == columns.counts[0].tobytes()
+    answers_as_columns(case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_segments())
+def test_fictitious_play_answers_any_segment_in_integers_as_in_columns(case):
+    answers_as_columns(case)
 
 
 def test_fictitious_play_answers_a_million_rounds_in_runs():
@@ -438,9 +462,10 @@ def test_fictitious_play_answers_a_million_rounds_in_runs():
     counts = [np.array([0.0, 600_000.0])]
     runs = FictitiousPlayPolicy(game, 1, initial_counts=counts)
     columns = FictitiousPlayPolicy(game, 1, initial_counts=counts)
-    hist = runs.respond_counts(0, 10**6)
+    actions = np.zeros(10**6, dtype=np.int64)
+    hist = runs.respond_counts(actions)
     assert hist == [600_001, 0, 399_999]
-    assert hist == respond_and_observe(columns, 1, 0, 10**6, chunk=2**16)
+    assert hist == respond_and_observe(columns, 1, actions, chunk=2**16)
     assert runs.counts[0].tolist() == [1e6, 6e5]
     assert runs.counts[0].tobytes() == columns.counts[0].tobytes()
 
@@ -456,21 +481,24 @@ def test_fictitious_play_answers_a_million_rounds_in_runs():
 def test_fictitious_play_leaves_a_stretch_it_cannot_answer_exactly(payoffs, counts, length):
     pol = FictitiousPlayPolicy(StageGame(payoffs), 1, initial_counts=[counts])
     before = pol.counts
-    assert pol.respond_counts(0, length) is None
-    assert pol.counts is before and pol.counts[0].tolist() == counts
+    for actions in (np.zeros(length, dtype=np.int64), np.arange(length) % 2):  # one action, and both
+        assert pol.respond_counts(actions) is None
+        assert pol.counts is before and pol.counts[0].tolist() == counts
 
 
 def test_fictitious_play_leaves_a_stretch_with_two_opponents_to_the_columns():
     game = StageGame(np.ones((3, 2, 2, 2)))
-    assert FictitiousPlayPolicy(game, 0).respond_counts(0, 10) is None
+    assert FictitiousPlayPolicy(game, 0).respond_counts(np.zeros(10, dtype=np.int64)) is None
 
 
 def test_fictitious_play_in_runs_leaves_its_seeded_copies_original_as_it_was():
     # A trial plays a seeded copy of the parsed policy, which shares its counts.
     parsed = FictitiousPlayPolicy(matching_pennies(), 1)
     copy = parsed.seeded(np.random.SeedSequence(0))
-    assert copy.respond_counts(0, 5) == [1, 4]  # a tie in its first round, then T
+    assert copy.respond_counts(np.zeros(5, dtype=np.int64)) == [1, 4]  # a tie in its first round, then T
     assert copy.counts[0].tolist() == [6.0, 1.0] and parsed.counts[0].tolist() == [1.0, 1.0]
+    assert copy.respond_counts(np.array([1, 1, 1, 1, 1, 0])) == [1, 5]  # in integers: T, then a tie in round 5
+    assert copy.counts[0].tolist() == [7.0, 6.0] and parsed.counts[0].tolist() == [1.0, 1.0]
 
 
 def test_fictitious_play_rejects_counts_whose_values_overflow():
@@ -478,3 +506,12 @@ def test_fictitious_play_rejects_counts_whose_values_overflow():
     with pytest.raises(ValueError, match="initial_counts overflow"):
         FictitiousPlayPolicy(StageGame(2 * matching_pennies().payoffs), 1, initial_counts=[[1e308, 1e308]])
     FictitiousPlayPolicy(StageGame(2 * matching_pennies().payoffs), 1, initial_counts=[[1e150, 1e150]])
+
+
+def test_fictitious_play_checks_its_default_counts_for_overflow():
+    # Without initial_counts it counts one of each action, and 1e308 + 1e308
+    # as a value is not finite either.
+    game = StageGame(np.full((2, 2, 2), 1e308))
+    with pytest.raises(ValueError, match="initial_counts overflow"):
+        FictitiousPlayPolicy(game, 1)
+    FictitiousPlayPolicy(StageGame(np.full((2, 2, 2), 1e307)), 1)
