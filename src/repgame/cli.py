@@ -10,6 +10,7 @@ solver unavailable, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -68,51 +69,38 @@ def cmd_solve(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(Schedule) if hasattr(args, f.name)}
     try:
-        sched = Schedule(
-            epsilon_base=args.epsilon_base,
-            actions_total=args.actions_total,
-            decay=args.decay,
-            offset=args.offset,
-            rate=args.rate,
-            epoch0_rounds=args.epoch0_rounds,
-        )
+        sched = Schedule(**given)
     except ValueError as exc:
         raise _CliError(f"invalid schedule parameters: {exc}", EXIT_CONFIG)
     T = args.horizon
+    report = check_valid_prefix(sched, T) if T >= 2 else None
+    # Row t >= 1 holds the product through t; it is printed while every
+    # factor through t passes.  Row 0 has no factor.
+    good = 0 if report is None else T - 1 if report.first_bad_t is None else report.first_bad_t - 1
+    products = never_restart_products(sched, good) if good else []
     print(f"{'t':>4} {'eps_e':>12} {'eps_s':>12} {'N':>10} {'prod':>10}")
-    if T > 0:
-        report = check_valid_prefix(sched, max(T, 2))
-        # Row t holds the product through t + 1; it is printed while every
-        # factor in it passes.
-        good = T if report.first_bad_t is None else min(T, report.first_bad_t - 1)
-        products = never_restart_products(sched, good) if good > 0 else None
-        for t, (eps_e, eps_s, n) in enumerate(zip(*sched.prefix(T))):
-            row = f"{t:>4} {eps_e:>12.6g} {eps_s:>12.6g} {n:>10.0f}"
-            if t < good:
-                row += f" {products[t]:>10.6g}"
-            print(row)
-        if T >= 2:
-            if report.valid:
-                print(f"valid through t={T}")
-            else:
-                problems = [
-                    name
-                    for name, ok in (
-                        ("eps_e not strictly decreasing", report.eps_e_decreasing),
-                        ("rounds not nondecreasing", report.rounds_nondecreasing),
-                        ("nonpositive or non-finite product factor", report.first_bad_t is None),
-                    )
-                    if not ok
-                ]
-                print(
-                    f"INVALID: {'; '.join(problems)} "
-                    f"(first offending t={report.first_bad_t})"
-                )
-        else:
-            print("(prefix too short; validity verdict deferred)")
+    for t, (eps_e, eps_s, n) in enumerate(zip(*sched.prefix(T))):
+        row = f"{t:>4} {eps_e:>12.6g} {eps_s:>12.6g} {n:>10.0f}"
+        if 1 <= t <= good:
+            row += f" {products[t - 1]:>10.6g}"
+        print(row)
+    if report is None:
+        print("(horizon below 2; validity verdict deferred)")
+    elif report.valid:
+        print(f"valid through t={T}")
     else:
-        print("(empty horizon; validity verdict deferred)")
+        problems = [
+            name
+            for name, ok in (
+                ("eps_e not strictly decreasing", report.eps_e_decreasing),
+                ("rounds not nondecreasing", report.rounds_nondecreasing),
+                ("nonpositive or non-finite product factor", report.first_bad_t is None),
+            )
+            if not ok
+        ]
+        print(f"INVALID: {'; '.join(problems)} (first offending t={report.first_bad_t})")
     return EXIT_OK
 
 
@@ -221,12 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print the epoch parameter table")
     p.add_argument("--horizon", "-T", type=int, default=10)
-    p.add_argument("--epsilon-base", type=float, default=0.5)
-    p.add_argument("--actions-total", type=int, default=4)
-    p.add_argument("--decay", choices=("harmonic", "geometric"), default="harmonic")
-    p.add_argument("--offset", type=float, default=0.0)
-    p.add_argument("--rate", type=float, default=0.5)
-    p.add_argument("--epoch0-rounds", type=int, default=None)
+    for f in dataclasses.fields(Schedule):  # Schedule owns the defaults and the checks
+        kind = int if f.default is None else type(f.default)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("run", help="run one trial of a config")

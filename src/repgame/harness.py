@@ -97,36 +97,30 @@ def _build_agents(config: RunConfig, trial: int) -> list:
 # -- trial driver ------------------------------------------------------------
 
 
-def _play_segment(game, players: list, responders: list[int], learners: list, length: int) -> list:
-    """Play the next ``length`` rounds and return what each learner's
-    observing them returns.  Learners and history-free policies draw their
-    actions in one ``act_segment`` call, which moves them past the segment.
-    The responders, the history-dependent policies, answer and then
-    observe.  With two players and one responder, the responder may answer
-    the other's actions exactly with ``respond_counts``, and the learners
-    observe the two histograms.  Otherwise a responder's action in a round
-    depends only on the rounds before it, so a single one answers the whole
-    segment in one ``respond_segment`` call; two or more answer each other
-    one round at a time; and the learners observe every player's actions."""
+def _play_segment(game, players: list, responders: list[int], length: int) -> list:
+    """One histogram per player of the next ``length`` rounds.  Without a
+    responder (a history-dependent policy) every player draws its own with
+    ``act_counts``.  Otherwise learners and history-free policies draw
+    their actions in one ``act_segment`` call, which moves them past the
+    segment.  A lone responder may answer them exactly with
+    ``respond_counts``, which observes too.  Otherwise a responder's action
+    in a round depends only on the rounds before it, so a lone one answers
+    the whole segment in one ``respond_segment`` call, two or more answer
+    each other one round at a time, and each then observes; the histograms
+    count the actions played."""
+    if not responders:
+        return [agent.act_counts(length) for agent in players]
     joint = [None if p in responders else agent.act_segment(length) for p, agent in enumerate(players)]
-    if len(joint) == 2 and len(responders) == 1:
-        (p,) = responders
-        hist = players[p].respond_counts(joint[1 - p])
-        if hist is not None:
-            hists = [hist, hist]
-            hists[1 - p] = np.bincount(joint[1 - p], minlength=game.action_counts[1 - p])
-            return [lr.observe_counts(hists) for lr in learners]
-    joint = [np.zeros(length, dtype=np.int64) if a is None else a for a in joint]
-    if len(responders) == 1:
-        steps = [joint]
-    else:
-        steps = ([a[r : r + 1] for a in joint] for r in range(length))
-    for step in steps:  # views into joint, so answers land there
-        for p in responders:
-            step[p][:] = players[p].respond_segment(step)
-        for p in responders:
-            players[p].observe_segment(step)
-    return [lr.observe_segment(joint) for lr in learners]
+    hist = players[responders[0]].respond_counts(joint) if len(responders) == 1 else None
+    if hist is None:
+        joint = [np.zeros(length, dtype=np.int64) if a is None else a for a in joint]
+        steps = [joint] if len(responders) == 1 else ([a[r : r + 1] for a in joint] for r in range(length))
+        for step in steps:  # views into joint, so answers land there
+            for p in responders:
+                step[p][:] = players[p].respond_segment(step)
+            for p in responders:
+                players[p].observe_segment(step)
+    return [hist if a is None else np.bincount(a, minlength=k) for a, k in zip(joint, game.action_counts)]
 
 
 def epoch_record(seq: int, outcome) -> dict:
@@ -144,10 +138,8 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
     players = _build_agents(config, trial)
     learners = [agent for agent, policy in zip(players, config.policies) if policy is None]
     first = learners[0]
-    # A segment runs to the epoch's end or the budget.  Without a
-    # history-dependent policy every player's draws are independent of the
-    # others' and the learners read only histograms, so a segment is one
-    # histogram per player; with one, it is every player's actions.
+    # A segment runs to the epoch's end or the budget, and the learners read
+    # it as one histogram per player.
     responders = [p for p, policy in enumerate(config.policies) if policy is not None and policy.history_dependent]
 
     events: list[dict] = []
@@ -156,11 +148,8 @@ def run_trial(config: RunConfig, trial: int) -> RunTrace:
 
     while rounds_used < config.round_budget and epochs < config.epoch_budget:
         length = min(first.rounds_left_in_epoch(), config.round_budget - rounds_used)
-        if responders:
-            outcomes = _play_segment(config.game, players, responders, learners, length)
-        else:
-            hists = [agent.act_counts(length) for agent in players]
-            outcomes = [lr.observe_counts(hists) for lr in learners]
+        hists = _play_segment(config.game, players, responders, length)
+        outcomes = [lr.observe_counts(hists) for lr in learners]
         rounds_used += length
         if all(out is None for out in outcomes):
             continue

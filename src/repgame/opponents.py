@@ -50,9 +50,9 @@ class OpponentPolicy:
       A history-dependent one answers the other players' actions with
       ``respond_segment(joint)``, one int64 action array per player, its
       action in round r depending only on the rounds before r; then
-      ``observe_segment(joint)`` shows it the rounds it answered.  When it
-      has one opponent, ``respond_counts(actions)`` may answer that
-      opponent's action array and observe it in one call, returning the
+      ``observe_segment(joint)`` shows it the rounds it answered.  As the
+      lone history-dependent policy, ``respond_counts(joint)``, its own
+      entry None, may answer and observe in one call, returning the
       histogram of its answers; None means it cannot, and nothing changed.
     - histogram: ``act_counts(length)`` returns how often the policy plays
       each action over the next ``length`` rounds, and moves past them.
@@ -84,7 +84,7 @@ class OpponentPolicy:
     def act_counts(self, length: int) -> np.ndarray:
         raise NotImplementedError
 
-    def respond_counts(self, actions: np.ndarray) -> list[int] | None:
+    def respond_counts(self, joint: list) -> list[int] | None:
         return None
 
 
@@ -252,15 +252,16 @@ class FictitiousPlayPolicy(OpponentPolicy):
             top = np.maximum(top, values[action])
         return best
 
-    def respond_counts(self, actions: np.ndarray) -> list[int] | None:
+    def respond_counts(self, joint: list) -> list[int] | None:
         """How often it plays each action in the rounds where its one
-        opponent plays ``actions``, with those rounds observed; None,
-        changing nothing, unless the answers are exact in integers (see the
-        class docstring)."""
+        opponent plays its array of ``joint``, with those rounds observed;
+        None, changing nothing, unless it has one opponent and the answers
+        are exact in integers (see the class docstring)."""
         counts = self.counts[0].tolist()
         if self._int_u is None or not all(map(float.is_integer, counts)):
             return None
         counts = list(map(int, counts))
+        actions = joint[self._others[0]]
         length = len(actions)
         if self._scale * (sum(counts) + length) > 2**53:
             return None

@@ -67,6 +67,7 @@ _PURE_DRAW = "A pure strategy's epoch costs one stream advance"
 _ONE_SYNTAX = "One game syntax"
 _RUNS = "Fictitious play answers a constant stretch in runs"
 _DRAWN = "The action path draws only the rounds it plays"
+_OWNERS = "Each decision in its owner"
 
 MUTANTS = [
     {
@@ -524,6 +525,32 @@ MUTANTS = [
             "tests/test_games.py::test_other_strategies_and_streams_draw_through_choice",
         ],
         "found": _DRAWN,
+    },
+    {
+        # With one responder, steps holds the arrays from before the copy, so its
+        # answers land there and the copies counted keep the placeholders.
+        "name": "segment-counts-the-placeholders",
+        "file": "harness.py",
+        "old": "        for step in steps:  # views into joint, so answers land there\n",
+        "new": "        joint = [a.copy() for a in joint]\n        for step in steps:\n",
+        "tests": ["tests/test_harness.py::test_three_player_history_dependent_trace_bytes_are_frozen"],
+        "found": _OWNERS,
+    },
+    {
+        "name": "schedule-row-0-gets-a-product",
+        "file": "cli.py",
+        "old": "if 1 <= t <= good:",
+        "new": "if 0 <= t <= good:",
+        "tests": ["tests/test_config_cli.py::test_cli_schedule_product_columns_match_the_bound"],
+        "found": _OWNERS,
+    },
+    {
+        "name": "schedule-flags-as-text",
+        "file": "cli.py",
+        "old": "type=kind, default=argparse.SUPPRESS",
+        "new": "default=argparse.SUPPRESS",
+        "tests": ["tests/test_config_cli.py::test_cli_schedule_reports_an_infinite_epoch_length"],
+        "found": _OWNERS,
     },
 ]
 

@@ -194,6 +194,31 @@ def test_load_run_config_yaml(tmp_path):
     assert output["trace_dir"] == "out"
 
 
+@pytest.mark.parametrize(
+    "make_doc, where, message",
+    [
+        (lambda tmp_path: [1, 2], "", "configuration must be a mapping"),
+        (lambda tmp_path: make_config_doc(tmp_path, game=5), ": game", "game must be a file path or inline mapping"),
+        (lambda tmp_path: make_config_doc(tmp_path, output=["out"]), ": output", "output must be a mapping"),
+    ],
+    ids=["document-a-list", "game-a-number", "output-a-list"],
+)
+def test_load_run_config_rejects_a_field_of_the_wrong_shape(tmp_path, make_doc, where, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(make_doc(tmp_path)))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}{where}: {message}")):
+        load_run_config(path)
+
+
+def test_a_game_must_be_a_mapping(tmp_path, capsys):
+    with pytest.raises(TypeError, match="a game must be a mapping, got list"):
+        game_from_dict([[1, -1], [-1, 1]])
+    path = tmp_path / "list.yaml"
+    path.write_text("[[1, -1], [-1, 1]]\n")
+    assert main(["solve", str(path)]) == EXIT_CONFIG
+    assert f"{path}: invalid game: a game must be a mapping, got list" in capsys.readouterr().err
+
+
 # -- CLI -----------------------------------------------------------------------------
 
 
@@ -317,23 +342,25 @@ def test_cli_schedule_table(capsys):
 
 
 def test_cli_schedule_product_columns_match_the_bound(capsys):
+    # Row t holds the product through t, whose last factor is the row's own
+    # N^t; row 0 has no factor, so no product.
     assert main(["schedule", "-T", "100"]) == EXIT_OK
     rows = [l.split() for l in capsys.readouterr().out.splitlines()[1:101]]
-    for horizon in (1, 10, 100):
-        assert rows[horizon - 1][4:] == [f"{never_restart_lower_bound(Schedule(), horizon):.6g}"]
+    assert len(rows[0]) == 4 and rows[1][4:] == ["0.5"]
+    for horizon in (1, 10, 99):
+        assert rows[horizon][4:] == [f"{never_restart_lower_bound(Schedule(), horizon):.6g}"]
 
 
 def test_cli_schedule_reports_an_infinite_epoch_length(capsys):
     args = ["schedule", "-T", "4000", "--decay", "geometric", "--rate", "0.9"]
     assert main(args) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    # Row t holds the product through t + 1.  The factor at t = 3277 fails,
-    # so row 3275 has the last product, and row 3276, whose N is finite,
-    # has none.
+    # Row t holds the product through t.  The factor at t = 3277 fails, so
+    # row 3276, whose N is finite, has the last product, and row 3277, whose
+    # N is inf, has none.
     prods = never_restart_products(Schedule(decay="geometric", rate=0.9), 3276)
-    assert lines[1 + 3275].split()[4:] == [f"{prods[-1]:.6g}"]
-    assert lines[1 + 3276].split()[3].isdigit() and len(lines[1 + 3276].split()) == 4
-    assert lines[1 + 3277].split()[3] == "inf"
+    assert lines[1 + 3276].split()[3].isdigit() and lines[1 + 3276].split()[4:] == [f"{prods[-1]:.6g}"]
+    assert lines[1 + 3277].split()[3:] == ["inf"]
     assert lines[-1] == "INVALID: nonpositive or non-finite product factor (first offending t=3277)"
 
 

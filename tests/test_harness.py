@@ -235,7 +235,7 @@ def test_history_dependent_opponent_plays_whole_segments(monkeypatch):
 
     recording(learner.EquilibriumRetreatAgent, "act_segment", "learner", int)
     recording(opponents.FictitiousPlayPolicy, "respond_segment", "fictitious", lambda joint: len(joint[0]))
-    recording(opponents.FictitiousPlayPolicy, "respond_counts", "fictitious", len)
+    recording(opponents.FictitiousPlayPolicy, "respond_counts", "fictitious", lambda joint: len(joint[0]))
     g = rock_paper_scissors()
     cfg = RunConfig(
         game=g,
@@ -309,9 +309,9 @@ def test_per_round_trace_bytes_are_frozen(monkeypatch):
     answered = {True: [], False: []}  # by whether the learner played one action throughout
     respond_counts = opponents.FictitiousPlayPolicy.respond_counts
 
-    def recording(self, actions):
-        hist = respond_counts(self, actions)
-        answered[len(set(actions.tolist())) == 1].append(hist)
+    def recording(self, joint):
+        hist = respond_counts(self, joint)
+        answered[len(set(joint[0].tolist())) == 1].append(hist)
         return hist
 
     monkeypatch.setattr(opponents.FictitiousPlayPolicy, "respond_counts", recording)
@@ -677,6 +677,17 @@ def test_validate_reports_a_seq_that_is_not_an_index(sample_trace, seq, index):
     assert not report.ok
     assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (2, index - 4, "seq")
     assert report.epochs_checked == 2
+
+
+def test_validate_names_a_renamed_key(sample_trace):
+    # As many keys as the replay's record, one under another name: the
+    # divergence names the replay's key the record lacks.
+    tampered = copy.deepcopy(sample_trace)
+    rec = tampered.events[2]  # epoch 1, player 0
+    rec["margn"] = rec.pop("margin")
+    report = validate_trace(tampered)
+    assert not report.ok
+    assert (report.divergence["epoch"], report.divergence["player"], report.divergence["field"]) == (1, 0, "margin")
 
 
 def test_validate_detects_count_perturbation(sample_trace):
@@ -1390,6 +1401,15 @@ def test_trace_round_trip(tmp_path, sample_trace):
     loaded = traceio.read_trace(path)
     assert trace_bytes(loaded) == trace_bytes(sample_trace)
     assert validate_trace(loaded).ok
+
+
+def test_read_trace_rejects_a_second_header(tmp_path, sample_trace):
+    path = tmp_path / "trace.jsonl"
+    traceio.write_trace(sample_trace, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], *lines]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: duplicate header record")):
+        traceio.read_trace(path)
 
 
 def test_read_trace_rejects_other_schema(tmp_path, sample_trace):

@@ -167,6 +167,17 @@ def test_any_split_of_an_epoch_plays_the_actions_of_one_draw(case, seed):
     assert split._play_rng.bit_generator.state == whole._play_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("call", ["act_segment", "observe_counts"])
+def test_a_segment_may_not_cross_an_epoch_boundary(call):
+    # Epoch 0 has 32 rounds, so 3 more after 30 cross into epoch 1; the
+    # call changes nothing.
+    agent = make_agent(matching_pennies())
+    agent.observe_counts([[15, 15], [15, 15]])
+    with pytest.raises(ValueError, match="segment crosses an epoch boundary"):
+        getattr(agent, call)(3 if call == "act_segment" else [[3, 0], [0, 3]])
+    assert (agent.epoch_rounds, agent.round_in_epoch, agent.h_curr) == (32, 30, [[15, 15], [15, 15]])
+
+
 # -- bookkeeping -----------------------------------------------------------------------
 
 

@@ -437,7 +437,9 @@ def answers_as_columns(case):
     ints = FictitiousPlayPolicy(game, player, initial_counts=counts)
     columns = FictitiousPlayPolicy(game, player, initial_counts=counts)
     for actions in segments:
-        assert ints.respond_counts(actions) == respond_and_observe(columns, player, actions)
+        joint = [actions, actions]
+        joint[player] = None
+        assert ints.respond_counts(joint) == respond_and_observe(columns, player, actions)
         assert ints.counts[0].tobytes() == columns.counts[0].tobytes()
 
 
@@ -463,7 +465,7 @@ def test_fictitious_play_answers_a_million_rounds_in_runs():
     runs = FictitiousPlayPolicy(game, 1, initial_counts=counts)
     columns = FictitiousPlayPolicy(game, 1, initial_counts=counts)
     actions = np.zeros(10**6, dtype=np.int64)
-    hist = runs.respond_counts(actions)
+    hist = runs.respond_counts([actions, None])
     assert hist == [600_001, 0, 399_999]
     assert hist == respond_and_observe(columns, 1, actions, chunk=2**16)
     assert runs.counts[0].tolist() == [1e6, 6e5]
@@ -482,22 +484,23 @@ def test_fictitious_play_leaves_a_stretch_it_cannot_answer_exactly(payoffs, coun
     pol = FictitiousPlayPolicy(StageGame(payoffs), 1, initial_counts=[counts])
     before = pol.counts
     for actions in (np.zeros(length, dtype=np.int64), np.arange(length) % 2):  # one action, and both
-        assert pol.respond_counts(actions) is None
+        assert pol.respond_counts([actions, None]) is None
         assert pol.counts is before and pol.counts[0].tolist() == counts
 
 
 def test_fictitious_play_leaves_a_stretch_with_two_opponents_to_the_columns():
     game = StageGame(np.ones((3, 2, 2, 2)))
-    assert FictitiousPlayPolicy(game, 0).respond_counts(np.zeros(10, dtype=np.int64)) is None
+    actions = np.zeros(10, dtype=np.int64)
+    assert FictitiousPlayPolicy(game, 0).respond_counts([None, actions, actions]) is None
 
 
 def test_fictitious_play_in_runs_leaves_its_seeded_copies_original_as_it_was():
     # A trial plays a seeded copy of the parsed policy, which shares its counts.
     parsed = FictitiousPlayPolicy(matching_pennies(), 1)
     copy = parsed.seeded(np.random.SeedSequence(0))
-    assert copy.respond_counts(np.zeros(5, dtype=np.int64)) == [1, 4]  # a tie in its first round, then T
+    assert copy.respond_counts([np.zeros(5, dtype=np.int64), None]) == [1, 4]  # a tie in its first round, then T
     assert copy.counts[0].tolist() == [6.0, 1.0] and parsed.counts[0].tolist() == [1.0, 1.0]
-    assert copy.respond_counts(np.array([1, 1, 1, 1, 1, 0])) == [1, 5]  # in integers: T, then a tie in round 5
+    assert copy.respond_counts([np.array([1, 1, 1, 1, 1, 0]), None]) == [1, 5]  # in integers: T, then a tie in round 5
     assert copy.counts[0].tolist() == [7.0, 6.0] and parsed.counts[0].tolist() == [1.0, 1.0]
 
 

@@ -280,3 +280,18 @@ def test_infinite_epoch_length_raises_in_bound():
     assert 0 < never_restart_lower_bound(GEOMETRIC_09, 3276) < 1
     with pytest.raises(ValueError, match="t=3277"):
         never_restart_lower_bound(GEOMETRIC_09, 3600)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Schedule(offset=-1.0), "offset must be nonnegative"),
+        (lambda: Schedule().eps_e(-1), "epoch index must be nonnegative"),
+        (lambda: never_restart_lower_bound(Schedule(), 0), "horizon must be at least 1"),
+    ],
+    ids=["negative-offset", "negative-epoch", "empty-horizon"],
+)
+def test_arguments_out_of_range_raise(call, message):
+    # A negative epoch would otherwise read the table from its end.
+    with pytest.raises(ValueError, match=message):
+        call()
